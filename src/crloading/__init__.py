@@ -18,7 +18,6 @@ from .scenario import (ExperimentParams, PathLossParams, PuDescriptor,
                        load_scenario, path_loss_db, scenario_to_dict,
                        serialize_scenario)
 from .solver import (ContinuousSolution, cnir_threshold, lambda_total_power,
-                     objective_value, solve_case5, solve_case6, solve_case7,
-                     solve_case8, solve_continuous)
+                     objective_value, solve_capped, solve_continuous)
 
 __version__ = "0.1.0"

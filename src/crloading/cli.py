@@ -72,9 +72,9 @@ def _emit_csv(header, rows, path):
             fh.close()
 
 
-def _solve_one(cfg, seed):
+def _solve_one(cfg, seed, trial=0):
     caps = build_caps(cfg)
-    rng = trial_rng(seed, 0)
+    rng = trial_rng(seed, trial)
     real = sample_su_channel(cfg.su, rng)
     sol = solve_continuous(real, caps, cfg.su)
     alloc = round_and_repair(sol, caps, caps.aci_weights.omega, real.cnir,
@@ -85,7 +85,7 @@ def _solve_one(cfg, seed):
 def cmd_solve(args):
     cfg = load_scenario(args.config)
     seed = cfg.experiment.seed if args.seed is None else args.seed
-    caps, real, sol, alloc = _solve_one(cfg, seed)
+    caps, real, sol, alloc = _solve_one(cfg, seed, args.trial)
     report = check_feasible(alloc, caps, real.cnir, cfg.su.ber_threshold)
     out = alloc.to_dict()
     out.update({
@@ -172,6 +172,8 @@ def build_parser():
 
     p = sub.add_parser("solve", help="solve one channel realization")
     common(p)
+    p.add_argument("--trial", type=int, default=0,
+                   help="trial index to replay (default 0)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="Monte Carlo parameter sweep")

@@ -26,7 +26,7 @@ import numpy as np
 from .channel import aci_overlap_matrix, sample_sp_gain, sample_su_channel
 from .constraints import ConstraintCaps, build_caps
 from .discretizer import round_and_repair
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .oracle import exhaustive_search
 from .scenario import ScenarioConfig, apply_parameter, path_loss_db
 from .solver import solve_continuous
@@ -101,7 +101,11 @@ def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
 def _trial_block(cfg, caps, indices, master_seed):
     out = np.empty((len(indices), 6))
     for row, t in enumerate(indices):
-        out[row] = run_trial(cfg, caps, t, master_seed)[:6]
+        try:
+            out[row] = run_trial(cfg, caps, t, master_seed)[:6]
+        except SolverError as exc:
+            raise SolverError(f"trial {t} of master seed {master_seed} "
+                              f"failed: {exc}") from exc
     return out
 
 
@@ -170,8 +174,12 @@ def sweep_experiment(cfg: ScenarioConfig, param=None, values=None,
     for v in values:
         cfg_v = apply_parameter(cfg, param, v)
         caps = build_caps(cfg_v, omega)
-        out.append((float(v), run_monte_carlo(cfg_v, trials, master_seed,
-                                              caps=caps, workers=workers)))
+        try:
+            stats = run_monte_carlo(cfg_v, trials, master_seed, caps=caps,
+                                    workers=workers)
+        except SolverError as exc:
+            raise SolverError(f"{param}={v}: {exc}") from exc
+        out.append((float(v), stats))
     return out
 
 

@@ -14,11 +14,22 @@ mu_i = alpha + lam_pow + sum_l w_il lam_aci_l:
     b_i = log2[ (1-alpha) * 1.6 C_i / (ln2 * mu_i * (-ln(5 BER_i))) ]
     P_i = (1-alpha) / (ln2 * mu_i) + ln(5 BER_i) / (1.6 C_i)
 
-Subcarriers whose rate would fall below 2 bits are nulled and the
-multipliers re-solved until the active set is stable (nulling is
-remove-only, so at most N rounds).  The total-power multiplier has a closed
-form; the coupled caps are solved by a projected Newton iteration with a
-cyclic-bisection fallback.
+One active-set loop (``solve_capped``) covers every regime.  It starts from
+the unconstrained optimum, enforces each cap the current point violates,
+nulls subcarriers whose rate falls below 2 bits (remove-only), and repeats
+until neither changes.  Binding a cap only lowers every power, so a cap that
+holds at the unconstrained point is never enforced.
+
+On a fixed active set the enforced multipliers solve a complementarity
+system (lam >= 0, residual <= 0, lam * residual = 0) with one solution, so
+the cheapest solver that settles it wins:
+
+1. the total-power closed form, every other multiplier at zero;
+2. each adjacent-channel cap on its own, by a scalar Newton that climbs
+   monotonically (the scaled residual is convex and decreasing);
+3. the coupled projected Newton, with a cyclic-bisection fallback.
+
+``case_id`` (5..8) only labels the result by which multipliers are positive.
 """
 
 from __future__ import annotations
@@ -110,33 +121,28 @@ def _finish(c, neglog, alpha, lam, omega, active):
     )
 
 
-def solve_case5(cnir, alpha, ber_threshold, n_aci=0) -> ContinuousSolution:
-    """Unconstrained optimum: per-subcarrier closed form, no multipliers."""
-    c, ber = _as_arrays(cnir, ber_threshold)
-    neglog = -np.log(5.0 * ber)
-    active = c >= cnir_threshold(alpha, ber)
-    lam = np.zeros(1 + n_aci)
-    omega = np.zeros((c.size, n_aci))
-    return _finish(c, neglog, alpha, lam, omega, active)
-
-
-def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
-    """Closed-form multiplier that makes sum(P) over ``active`` equal ``cap``.
-
-    May be negative, meaning the cap is slack and the constraint inactive.
-    """
-    c, ber = _as_arrays(cnir, ber_threshold)
-    idx = np.asarray(active, dtype=int)
-    if idx.size == 0:
+def _power_dual(q, alpha, cap) -> float:
+    """Total-power multiplier that makes sum(P) equal ``cap`` on the tones
+    with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when the cap is slack."""
+    if q.size == 0:
         raise SolverError("lambda_total_power needs a non-empty active set")
-    q = np.log(5.0 * ber[idx]) / (1.6 * c[idx])
     denom = cap - np.sum(q)
     if denom <= 0:
         raise SolverError(
             f"total-power cap {cap} incompatible with the active set "
             f"(denominator {denom} <= 0)"
         )
-    return idx.size * (1.0 - alpha) / _LN2 / denom - alpha
+    return max(q.size * (1.0 - alpha) / _LN2 / denom - alpha, 0.0)
+
+
+def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
+    """Closed-form multiplier that makes sum(P) over ``active`` equal ``cap``.
+
+    Clamped at 0: a slack cap is inactive.
+    """
+    c, ber = _as_arrays(cnir, ber_threshold)
+    idx = np.asarray(active, dtype=int)
+    return _power_dual(np.log(5.0 * ber[idx]) / (1.6 * c[idx]), alpha, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +166,12 @@ def _scaled_jacobian(lam_e, cols, c, neglog, q, alpha, weights, caps, active):
     mu = alpha + w_act @ lam_e
     jac = -k * (w_act / mu[:, None] ** 2).T @ w_act
     return jac / caps[cols][:, None]
+
+
+def _settled(lam_e, r) -> bool:
+    """Every enforced cap is met to _DUAL_TOL, or priced at 0 and slack."""
+    return bool(np.all((np.abs(r) <= _DUAL_TOL)
+                       | ((lam_e == 0.0) & (r <= _DUAL_TOL))))
 
 
 def _bisect_duals(lam_e, cols, args):
@@ -197,7 +209,7 @@ def _bisect_duals(lam_e, cols, args):
                     break
             lam_e[j] = 0.5 * (lo + hi)
         r = _scaled_residuals(lam_e, cols, *args)
-        if np.all((np.abs(r) <= _DUAL_TOL) | ((lam_e == 0.0) & (r <= _DUAL_TOL))):
+        if _settled(lam_e, r):
             return lam_e
     raise SolverError(
         f"cap equalization (bisection) did not converge; residuals {r}"
@@ -213,8 +225,7 @@ def _newton_duals(lam_e, cols, args):
     """Projected damped Newton on the scaled cap residuals."""
     for _ in range(100):
         r = _scaled_residuals(lam_e, cols, *args)
-        done = (np.abs(r) <= _DUAL_TOL) | ((lam_e == 0.0) & (r <= _DUAL_TOL))
-        if np.all(done):
+        if _settled(lam_e, r):
             return lam_e
         free = (lam_e > 0.0) | (r > 0.0)
         jac = _scaled_jacobian(lam_e, cols, *args)
@@ -239,30 +250,58 @@ def _newton_duals(lam_e, cols, args):
     return _bisect_duals(lam_e, cols, args)
 
 
-def _solve_duals(enforced, lam, c, neglog, q, alpha, weights, caps, active):
-    """Solve the enforced caps to equality (or pin at zero) on a fixed
-    active set.  Updates ``lam`` in place and returns it."""
-    cols = np.flatnonzero(enforced)
-    lam[:] = np.where(enforced, lam, 0.0)
-    if cols.size == 0 or not np.any(active):
-        lam[:] = 0.0
-        return lam
-    if cols.size == 1 and cols[0] == 0:
-        # Total power only: closed form.
-        na = int(np.count_nonzero(active))
-        denom = caps[0] - np.sum(q[active])
-        if denom <= 0:
-            raise SolverError("total-power cap incompatible with active set")
-        lam[0] = max(na * (1.0 - alpha) / _LN2 / denom - alpha, 0.0)
-        return lam
-    args = (c, neglog, q, alpha, weights, caps, active)
-    lam_e = _newton_duals(np.maximum(lam[cols], 0.0), cols, args)
-    lam[cols] = lam_e
+def _single_cap_dual(col, c, neglog, q, alpha, weights, caps, active):
+    """Multiplier of adjacent-channel cap ``col`` with every other at 0.
+
+    The load is convex and decreasing in the multiplier, so Newton from 0
+    climbs monotonically to the root without overshooting it.
+    """
+    w = weights[active, col]
+    k = (1.0 - alpha) / _LN2
+    offset = w @ q[active] - caps[col]
+    lam = 0.0
+    for _ in range(100):
+        wm = w / (alpha + w * lam)
+        excess = k * np.sum(wm) + offset
+        if excess <= _DUAL_TOL * caps[col]:
+            break
+        lam += excess / (k * (wm @ wm))
     return lam
 
 
-def _capped_solve(cnir, alpha, ber_threshold, total_cap, omega, aci_caps,
-                  want_power, want_aci) -> ContinuousSolution:
+def _solve_duals(enforced, lam, args):
+    """Solve the enforced caps to equality (or pin at zero) on a fixed
+    active set, updating ``lam`` in place.
+
+    Candidates with a single positive multiplier come first: the total-power
+    closed form, then each adjacent-channel cap alone.  The coupled Newton
+    runs only when none of them leaves the other enforced caps settled.
+    """
+    cols = np.flatnonzero(enforced)
+    c, neglog, q, alpha, weights, caps, active = args
+    if cols.size == 0 or not np.any(active):
+        lam[:] = 0.0
+        return
+    for j, col in enumerate(cols):
+        lam_e = np.zeros(cols.size)
+        lam_e[j] = (_power_dual(q[active], alpha, caps[0]) if col == 0
+                    else _single_cap_dual(col, *args))
+        if _settled(lam_e, _scaled_residuals(lam_e, cols, *args)):
+            break
+    else:
+        lam_e = _newton_duals(np.maximum(lam[cols], 0.0), cols, args)
+    lam[:] = 0.0
+    lam[cols] = lam_e
+
+
+def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
+                 aci_caps=()) -> ContinuousSolution:
+    """Optimal continuous loading under every finite cap.
+
+    ``omega`` (N, L) weights the powers into the adjacent-channel loads
+    capped by ``aci_caps``.  An infinite cap is never enforced, so
+    ``solve_capped(cnir, alpha, ber)`` is the unconstrained optimum.
+    """
     c, ber = _as_arrays(cnir, ber_threshold)
     n = c.size
     omega = (np.zeros((n, 0)) if omega is None
@@ -277,9 +316,7 @@ def _capped_solve(cnir, alpha, ber_threshold, total_cap, omega, aci_caps,
     q = -neglog / (1.6 * c)
     weights = np.concatenate([np.ones((n, 1)), omega], axis=1)
     caps = np.concatenate([[total_cap], aci_caps])
-    want = np.concatenate([[bool(want_power)],
-                           np.broadcast_to(want_aci, (l,)).astype(bool)])
-    want &= np.isfinite(caps)
+    want = np.isfinite(caps)
 
     # A cap of exactly zero forbids any subcarrier coupled to it.
     forced_null = np.zeros(n, dtype=bool)
@@ -292,20 +329,21 @@ def _capped_solve(cnir, alpha, ber_threshold, total_cap, omega, aci_caps,
     lam = np.zeros(1 + l)
     enforced = np.zeros(1 + l, dtype=bool)
     k = (1.0 - alpha) / _LN2
+    args = (c, neglog, q, alpha, weights, caps, active)
 
     for _ in range(4 * (n + l + 4)):
-        _solve_duals(enforced, lam, c, neglog, q, alpha, weights, caps, active)
+        _solve_duals(enforced, lam, args)
+        p = np.zeros(n)
         if np.any(active):
             mu = alpha + weights[active] @ lam
             arg = (1.0 - alpha) * 1.6 * c[active] / (_LN2 * mu * neglog[active])
-            if np.any(arg < 4.0):        # rate under 2 bits -> null and redo
+            # With every multiplier at 0 the threshold decided the active
+            # set; only a positive multiplier can push a rate under 2 bits.
+            if np.any(lam > 0.0) and np.any(arg < 4.0):
                 idx = np.flatnonzero(active)
                 active[idx[arg < 4.0]] = False
                 continue
-            p = np.zeros(n)
             p[active] = k / mu + q[active]
-        else:
-            p = np.zeros(n)
         loads = weights.T @ p
         newly = want & ~enforced & (loads > caps * (1.0 + _DUAL_TOL))
         if np.any(newly):
@@ -315,67 +353,8 @@ def _capped_solve(cnir, alpha, ber_threshold, total_cap, omega, aci_caps,
     raise SolverError("active-set iteration failed to settle")
 
 
-def solve_case6(cnir, alpha, ber_threshold, total_cap, n_aci=0):
-    """Total-power cap binding (closed-form multiplier + nulling loop).
-
-    A slack cap comes back with lambda_power = 0 and the unconstrained
-    solution.
-    """
-    c = np.atleast_1d(np.asarray(cnir, dtype=float))
-    return _capped_solve(c, alpha, ber_threshold, total_cap,
-                         np.zeros((c.size, n_aci)), np.full(n_aci, np.inf),
-                         want_power=True, want_aci=False)
-
-
-def solve_case7(cnir, alpha, ber_threshold, omega, aci_caps):
-    """ACI cap(s) binding, total power unconstrained."""
-    return _capped_solve(cnir, alpha, ber_threshold, math.inf, omega,
-                         aci_caps, want_power=False, want_aci=True)
-
-
-def solve_case8(cnir, alpha, ber_threshold, total_cap, omega, aci_caps):
-    """Total-power and ACI caps binding jointly."""
-    return _capped_solve(cnir, alpha, ber_threshold, total_cap, omega,
-                         aci_caps, want_power=True, want_aci=True)
-
-
 def solve_continuous(realization, caps, su_params) -> ContinuousSolution:
-    """Dispatch on which cap families the unconstrained optimum violates.
-
-    The unconstrained solution is computed first; depending on whether the
-    total-power cap, the ACI caps, or both are exceeded, the matching
-    regime is solved.  As a safeguard the chosen solution is re-verified
-    against the other family and escalated to the joint regime if it turned
-    up a fresh violation (analytically it cannot, since binding a cap only
-    lowers every power).
-    """
-    cnir = getattr(realization, "cnir", realization)
-    alpha = su_params.alpha
-    ber = su_params.ber_threshold
-    omega = caps.aci_weights.omega
-    total_cap = caps.total_cap
-    aci_caps = np.asarray(caps.aci_caps, dtype=float)
-    l = aci_caps.size
-
-    sol5 = solve_case5(cnir, alpha, ber, n_aci=l)
-    loads_aci = omega.T @ sol5.powers
-    viol_pow = (math.isfinite(total_cap)
-                and np.sum(sol5.powers) > total_cap * (1.0 + FEAS_TOL))
-    viol_aci = np.isfinite(aci_caps) & (loads_aci > aci_caps * (1.0 + FEAS_TOL))
-
-    if not viol_pow and not np.any(viol_aci):
-        return sol5
-    if viol_pow and not np.any(viol_aci):
-        sol = solve_case6(np.asarray(cnir, dtype=float), alpha, ber,
-                          total_cap, n_aci=l)
-        if np.any(np.isfinite(aci_caps)
-                  & (omega.T @ sol.powers > aci_caps * (1.0 + FEAS_TOL))):
-            sol = solve_case8(cnir, alpha, ber, total_cap, omega, aci_caps)
-        return sol
-    if np.any(viol_aci) and not viol_pow:
-        sol = solve_case7(cnir, alpha, ber, omega, aci_caps)
-        if (math.isfinite(total_cap)
-                and np.sum(sol.powers) > total_cap * (1.0 + FEAS_TOL)):
-            sol = solve_case8(cnir, alpha, ber, total_cap, omega, aci_caps)
-        return sol
-    return solve_case8(cnir, alpha, ber, total_cap, omega, aci_caps)
+    """Solve one channel realization under its total-power and ACI caps."""
+    return solve_capped(getattr(realization, "cnir", realization),
+                        su_params.alpha, su_params.ber_threshold,
+                        caps.total_cap, caps.aci_weights.omega, caps.aci_caps)

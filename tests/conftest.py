@@ -5,7 +5,7 @@ import pytest
 
 from crloading.channel import AciFactors, ChannelRealization
 from crloading.constraints import ConstraintCaps
-from crloading.solver import solve_case5, solve_case6
+from crloading.solver import solve_capped
 
 
 def make_caps(n, total_cap=np.inf, aci_caps=(), omega=None):
@@ -45,7 +45,7 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
     cth = cnir_threshold(alpha, ber)
     cnir = cth * rng.lognormal(mean=0.7, sigma=0.7, size=n)
     omega = rng.uniform(0.05, 0.6, size=(n, 1))
-    base = solve_case5(cnir, alpha, ber)
+    base = solve_capped(cnir, alpha, ber)
     total5 = float(np.sum(base.powers))
     load5 = float(base.powers @ omega[:, 0])
     total_cap = np.inf
@@ -60,7 +60,7 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
             # budget also deflates the weighted load), so squeeze the
             # load of the budget-capped optimum instead.
             total_cap = total5 * float(rng.uniform(0.45, 0.85))
-            capped = solve_case6(cnir, alpha, ber, total_cap)
+            capped = solve_capped(cnir, alpha, ber, total_cap)
             load6 = float(capped.powers @ omega[:, 0])
             if load6 > 0.0:
                 aci_cap = load6 * float(rng.uniform(0.95, 0.995))

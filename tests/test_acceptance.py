@@ -23,7 +23,7 @@ from crloading.experiments import (compare_with_oracle, run_monte_carlo,
 from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.scenario import PathLossParams, load_scenario
-from crloading.solver import cnir_threshold, solve_case5, solve_continuous
+from crloading.solver import cnir_threshold, solve_capped, solve_continuous
 
 from conftest import random_instance
 
@@ -95,7 +95,7 @@ def test_c02_closed_forms():
         ber = float(10.0 ** rng.uniform(-5.0, -2.0))
         cth = cnir_threshold(alpha, ber)
         cnir = cth * rng.lognormal(1.0, 0.8, size=100)
-        sol = solve_case5(cnir, alpha, ber)
+        sol = solve_capped(cnir, alpha, ber)
         act = sol.active_set
         if act.size:
             b, p, c = sol.bits[act], sol.powers[act], cnir[act]
@@ -106,7 +106,7 @@ def test_c02_closed_forms():
             worst_ident = max(worst_ident,
                               float(np.max(np.abs(p - ident) / ident)))
             checked += act.size
-        edge = solve_case5(np.array([cth]), alpha, ber)
+        edge = solve_capped(np.array([cth]), alpha, ber)
         worst_edge = max(worst_edge, abs(float(edge.bits[0]) - 2.0))
     ok = (checked >= 10_000 and worst_ber <= 1e-9
           and worst_ident <= 1e-9 and worst_edge <= 1e-9)

@@ -7,7 +7,10 @@ import types
 import pytest
 
 import crloading.cli as cli
+from crloading.constraints import build_caps
 from crloading.errors import SolverError
+from crloading.experiments import run_trial
+from crloading.scenario import load_scenario
 
 SMALL = "configs/small_n6.json"
 CCI = "configs/cci_binding.json"
@@ -47,6 +50,19 @@ class TestSolve:
         d1, d2 = json.loads(f1.read_text()), json.loads(f2.read_text())
         assert d1["seed"] != d2["seed"]
         assert d1["bits"] != d2["bits"]
+
+    def test_trial_replays_monte_carlo_trial(self, capsys):
+        cfg = load_scenario(SMALL)
+        seed = cfg.experiment.seed
+        alloc = run_trial(cfg, build_caps(cfg), 7, seed)[6]
+        code, out, _ = run(capsys, "solve", "--config", SMALL,
+                           "--trial", "7")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["bits"] == [int(b) for b in alloc.bits]
+        assert doc["powers"] == [float(p) for p in alloc.powers]
+        first = json.loads(run(capsys, "solve", "--config", SMALL)[1])
+        assert first["bits"] != doc["bits"]
 
 
 class TestSweep:

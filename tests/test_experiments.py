@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from crloading import experiments
+from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
+from crloading.errors import SolverError
 from crloading.experiments import (
     compare_with_oracle,
     run_monte_carlo,
@@ -171,6 +174,41 @@ class TestSweep:
         rows3 = sweep_experiment(cci_cfg(), param="psi", values=[0.8, 0.9],
                                  trials=40, workers=3)
         assert rows1 == rows3
+
+
+class TestFailingTrialIsNamed:
+    """A solver failure inside a run names the trial that can replay it."""
+
+    SEED = 2024
+
+    @pytest.fixture
+    def fail_on_trial_7(self, monkeypatch):
+        cfg = cci_cfg()
+        bad = sample_su_channel(cfg.su, trial_rng(self.SEED, 7)).cnir
+        solve = experiments.solve_continuous
+
+        def solve_or_fail(realization, caps, su):
+            if np.array_equal(realization.cnir, bad):
+                raise SolverError("injected failure")
+            return solve(realization, caps, su)
+
+        monkeypatch.setattr(experiments, "solve_continuous", solve_or_fail)
+        return cfg
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_monte_carlo_names_seed_and_trial(self, fail_on_trial_7,
+                                              workers):
+        with pytest.raises(SolverError,
+                           match="trial 7 of master seed 2024 failed: "
+                                 "injected failure"):
+            run_monte_carlo(fail_on_trial_7, trials=12,
+                            master_seed=self.SEED, workers=workers)
+
+    def test_sweep_adds_the_value(self, fail_on_trial_7):
+        with pytest.raises(SolverError,
+                           match="psi=0.9: trial 7 of master seed 2024"):
+            sweep_experiment(fail_on_trial_7, "psi", [0.9], trials=12,
+                             master_seed=self.SEED)
 
 
 class TestOracleComparison:

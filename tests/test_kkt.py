@@ -14,9 +14,12 @@ import types
 import numpy as np
 import pytest
 
+from crloading.channel import sample_su_channel
+from crloading.constraints import build_caps
+from crloading.experiments import trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
-from crloading.solver import solve_case5, solve_case6, solve_case7, \
-    solve_case8, solve_continuous
+from crloading.scenario import load_scenario
+from crloading.solver import solve_capped, solve_continuous
 
 from conftest import make_caps, random_instance
 
@@ -35,7 +38,7 @@ def free_caps(n=2, l=0):
 
 class TestCleanSolutionsPass:
     def test_unconstrained(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         rep = kkt_verify(sol, C2, 1e-4, free_caps())
         assert rep.passed
         assert rep.stationarity_bits <= 1e-10
@@ -43,7 +46,7 @@ class TestCleanSolutionsPass:
 
     def test_total_cap(self):
         caps = make_caps(2, 1.0)
-        sol = solve_case6(C2, 0.5, 1e-4, 1.0)
+        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
         rep = kkt_verify(sol, C2, 1e-4, caps)
         assert rep.passed
         assert rep.complementarity <= 1e-10
@@ -51,12 +54,12 @@ class TestCleanSolutionsPass:
 
     def test_aci_cap(self):
         caps = make_caps(2, np.inf, [0.3], omega=OM)
-        sol = solve_case7(C2, 0.5, 1e-4, OM, np.array([0.3]))
+        sol = solve_capped(C2, 0.5, 1e-4, math.inf, OM, np.array([0.3]))
         assert kkt_verify(sol, C2, 1e-4, caps).passed
 
     def test_joint_caps(self):
         caps = make_caps(2, 0.8, [0.22], omega=OM)
-        sol = solve_case8(C2, 0.5, 1e-4, 0.8, OM, np.array([0.22]))
+        sol = solve_capped(C2, 0.5, 1e-4, 0.8, OM, np.array([0.22]))
         rep = kkt_verify(sol, C2, 1e-4, caps)
         assert rep.passed
         # both caps bind: complementarity must still be ~0 because the
@@ -64,14 +67,14 @@ class TestCleanSolutionsPass:
         assert rep.complementarity <= 1e-10
 
     def test_all_nulled_passes_trivially(self):
-        sol = solve_case5(np.array([1.0, 2.0]), 0.5, 1e-4)
+        sol = solve_capped(np.array([1.0, 2.0]), 0.5, 1e-4)
         rep = kkt_verify(sol, np.array([1.0, 2.0]), 1e-4, free_caps())
         assert rep.passed
         assert rep.stationarity_bits == 0.0
 
     def test_vector_ber_threshold(self):
         ber = np.array([1e-4, 1e-4])
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         assert kkt_verify(sol, C2, ber, free_caps()).passed
 
     def test_random_instances_certify(self, rng):
@@ -85,23 +88,45 @@ class TestCleanSolutionsPass:
         assert {5, 6, 7, 8} <= seen
 
 
+class TestWideBandCertifies:
+    """The shipped default scenario resized to hundreds and thousands of
+    subcarriers: a Newton-settled total-power multiplier (~7e6 at N=1024)
+    once turned a 1e-12 relative cap residual into a complementarity above
+    the default tolerance on about one draw in ten."""
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_default_scenario_first_hundred_trials(self, n):
+        cfg = load_scenario("configs/default.json")
+        cfg = dataclasses.replace(
+            cfg, su=dataclasses.replace(cfg.su, num_subcarriers=n))
+        caps = build_caps(cfg)
+        failed = []
+        for t in range(100):
+            real = sample_su_channel(cfg.su, trial_rng(1234, t))
+            sol = solve_continuous(real, caps, cfg.su)
+            rep = kkt_verify(sol, real.cnir, cfg.su.ber_threshold, caps)
+            if not rep.passed:
+                failed.append((t, rep.to_dict()))
+        assert failed == []
+
+
 class TestFailureChannels:
     def test_perturbed_bits_break_stationarity(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, bits=sol.bits + 0.1)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
         assert rep.stationarity_bits > 1e-4
 
     def test_perturbed_powers_break_stationarity(self):
-        sol = solve_case6(C2, 0.5, 1e-4, 1.0)
+        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.01)
         rep = kkt_verify(bad, C2, 1e-4, make_caps(2, 1.5))
         assert not rep.passed
         assert rep.stationarity_bits > 1e-4
 
     def test_negative_multiplier_flagged(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, lambda_power=-0.1)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
@@ -110,7 +135,7 @@ class TestFailureChannels:
     def test_pricing_a_slack_cap_breaks_complementarity(self):
         # solved for cap 1.0 but audited against cap 1.5: the positive
         # multiplier now prices 0.5 W of slack
-        sol = solve_case6(C2, 0.5, 1e-4, 1.0)
+        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
         rep = kkt_verify(sol, C2, 1e-4, make_caps(2, 1.5))
         assert not rep.passed
         assert rep.complementarity == pytest.approx(
@@ -119,7 +144,7 @@ class TestFailureChannels:
         assert rep.primal <= 1e-12
 
     def test_cap_overrun_breaks_primal(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         cap = 0.9 * float(np.sum(sol.powers))
         rep = kkt_verify(sol, C2, 1e-4, make_caps(2, cap))
         assert not rep.passed
@@ -127,7 +152,7 @@ class TestFailureChannels:
         assert rep.complementarity <= 1e-12      # multiplier is zero
 
     def test_missed_ber_breaks_primal(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 0.99)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
@@ -136,7 +161,7 @@ class TestFailureChannels:
     def test_overshot_ber_is_not_a_primal_violation(self):
         # more power than needed keeps the link below the BER ceiling;
         # that is primal-feasible (it fails stationarity instead)
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.5)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert rep.primal == 0.0
@@ -145,7 +170,7 @@ class TestFailureChannels:
 
 class TestTolerancesAndReport:
     def test_infinite_tolerances_accept_anything(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, bits=sol.bits + 1.0,
                                   lambda_power=-5.0)
         tols = KktTolerances(stationarity=math.inf, primal=math.inf,
@@ -160,7 +185,7 @@ class TestTolerancesAndReport:
         assert tols.dual_sign == 1e-12
 
     def test_report_to_dict(self):
-        sol = solve_case6(C2, 0.5, 1e-4, 1.0)
+        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
         d = kkt_verify(sol, C2, 1e-4, make_caps(2, 1.0)).to_dict()
         assert d["pass"] is True
         for key in ("stationarity_power", "stationarity_bits", "primal",
@@ -168,7 +193,7 @@ class TestTolerancesAndReport:
             assert isinstance(d[key], float)
 
     def test_dimension_mismatch_raises(self):
-        sol = solve_case5(C2, 0.5, 1e-4)
+        sol = solve_capped(C2, 0.5, 1e-4)
         with pytest.raises(Exception):
             kkt_verify(sol, np.array([100.0, 50.0, 25.0]), 1e-4,
                        free_caps(3))
