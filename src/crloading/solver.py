@@ -77,7 +77,8 @@ def cnir_threshold(alpha, ber_threshold):
 
     Below this, the subcarrier is nulled.  Vectorized over ber_threshold.
     """
-    assert 0.0 < alpha < 1.0
+    if not 0.0 < alpha < 1.0:
+        raise SolverError(f"alpha must lie in (0, 1), got {alpha}")
     ber = np.asarray(ber_threshold, dtype=float)
     out = -(4.0 / 1.6) * (alpha * _LN2 / (1.0 - alpha)) * np.log(5.0 * ber)
     return out if out.ndim else float(out)

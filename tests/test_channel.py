@@ -92,6 +92,11 @@ class TestSpGain:
         b = [sample_sp_gain(1.5, np.random.default_rng(1)) for _ in range(4)]
         assert a == b
 
+    @pytest.mark.parametrize("rate", [0.0, -1.0])
+    def test_non_positive_rate_rejected(self, rate):
+        with pytest.raises(ConfigError, match="fading rate"):
+            sample_sp_gain(rate, np.random.default_rng(0))
+
 
 class TestAdaptiveSimpson:
     def test_main_lobe_value(self):
@@ -173,42 +178,72 @@ class TestOverlapFactor:
         assert all(v2 <= v1 * (1 + 1e-6) for v1, v2 in zip(vals, vals[1:]))
 
 
-class TestOverlapMatrix:
-    def make_cfg(self):
-        return load_scenario({
-            "su": {"num_subcarriers": 6, "symbol_duration": 1.024e-4,
-                   "noise_variance": 1e-9, "ber_threshold": 1e-4},
-            "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
-                          "reference_distance": 500.0},
-            "pus": [
-                {"kind": "adjacent", "distance": 1000.0,
-                 "interference_cap": 1e-14, "bandwidth": 1.25e6,
-                 "center_offset": 6.25e5},
-                {"kind": "adjacent", "distance": 2000.0,
-                 "interference_cap": 1e-12, "bandwidth": 3.0e6,
-                 "center_offset": 2.0e6},
-                {"kind": "cochannel", "distance": 5000.0,
-                 "interference_cap": 1e-14},
-            ],
-        })
+def two_pu_cfg():
+    return load_scenario({
+        "su": {"num_subcarriers": 6, "symbol_duration": 1.024e-4,
+               "noise_variance": 1e-9, "ber_threshold": 1e-4},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": [
+            {"kind": "adjacent", "distance": 1000.0,
+             "interference_cap": 1e-14, "bandwidth": 1.25e6,
+             "center_offset": 6.25e5},
+            {"kind": "adjacent", "distance": 2000.0,
+             "interference_cap": 1e-12, "bandwidth": 3.0e6,
+             "center_offset": 2.0e6},
+            {"kind": "cochannel", "distance": 5000.0,
+             "interference_cap": 1e-14},
+        ],
+    })
 
-    def test_matches_direct_integrals(self):
-        cfg = self.make_cfg()
+
+def default_cfg_n1024():
+    cfg = load_scenario("configs/default.json")
+    return dataclasses.replace(
+        cfg, su=dataclasses.replace(cfg.su, num_subcarriers=1024))
+
+
+def one_pu_cfg(n, bandwidth, center_offset):
+    return load_scenario({
+        "su": {"num_subcarriers": n, "symbol_duration": 1.024e-4,
+               "noise_variance": 1e-9, "ber_threshold": 1e-4},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": [{"kind": "adjacent", "distance": 1000.0,
+                 "interference_cap": 1e-14, "bandwidth": bandwidth,
+                 "center_offset": center_offset}],
+    })
+
+
+class TestOverlapMatrix:
+    @pytest.mark.parametrize("make,rows", [
+        (two_pu_cfg, range(6)),                # T_s * B = 128 and 307.2
+        (default_cfg_n1024, (0, 512, 1023)),   # far tones, x ~ 1e3
+        # T_s * B = 0.512: one panel, shorter than a sinc^2 period
+        (lambda: one_pu_cfg(64, 5e3, 1.2e4), range(64)),
+        # center_offset found by search so that a quadrature node of the
+        # nearest window lands exactly on x = 0, where sinc^2 reads 0/0
+        (lambda: one_pu_cfg(2, 2 / 1.024e-4, 1796.0522412020512), range(2)),
+    ], ids=["two_pu_n6", "default_n1024", "narrow_pu", "node_at_zero"])
+    def test_matches_direct_integrals(self, make, rows):
+        cfg = make()
         om = aci_overlap_matrix(cfg).omega
         su = cfg.su
-        assert om.shape == (6, 2)
+        assert om.shape == (su.num_subcarriers, len(cfg.adjacent_pus()))
         for col, pu in enumerate(cfg.adjacent_pus()):
             loss = path_loss_db(pu.distance, cfg.path_loss)
-            for i in range(su.num_subcarriers):
+            for i in rows:
                 fc = pu.center_offset + (su.num_subcarriers - i - 0.5) \
                     * su.subcarrier_spacing
                 direct = spectral_overlap_factor(fc, pu.bandwidth,
                                                  su.symbol_duration, loss,
                                                  rel_tol=1e-13)
-                assert om[i, col] == pytest.approx(direct, rel=1e-9)
+                # abs=0: the far-tone factors (~1e-16) sit below approx's
+                # default absolute tolerance of 1e-12
+                assert om[i, col] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_nearest_subcarrier_leaks_most(self):
-        om = aci_overlap_matrix(self.make_cfg()).omega
+        om = aci_overlap_matrix(two_pu_cfg()).omega
         # subcarrier N-1 sits closest to the adjacent band
         assert np.all(np.diff(om[:, 0]) > 0)
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading import solver
+from crloading.errors import SolverError
 from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
@@ -73,6 +74,11 @@ class TestActivationThreshold:
     def test_reference_values(self):
         assert cnir_threshold(0.5, 1e-4) == pytest.approx(C_TH, rel=1e-12)
         assert cnir_threshold(0.3, 1e-3) == pytest.approx(C_TH_2, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(SolverError, match="alpha"):
+            cnir_threshold(alpha, 1e-4)
 
     def test_bits_hit_two_exactly_at_threshold(self):
         sol = solve_capped(np.array([C_TH]), 0.5, 1e-4)
