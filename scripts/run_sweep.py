@@ -25,9 +25,10 @@ def parse_args():
                     help="defaults to the config's sweep_param")
     ap.add_argument("--values", default=None,
                     help="comma-separated; defaults to the config's list")
-    ap.add_argument("--trials", type=int, default=None)
+    ap.add_argument("--trials", type=int, default=None,
+                    help="trials per value, run in index order; defaults "
+                         "to the config's experiment.trials")
     ap.add_argument("--seed", type=int, default=None)
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--csv", default=None, help="also write rows here")
     return ap.parse_args()
 
@@ -38,7 +39,7 @@ def main():
     values = ([float(v) for v in args.values.split(",")]
               if args.values else None)
     rows = sweep_experiment(cfg, args.param, values, trials=args.trials,
-                            master_seed=args.seed, workers=args.workers)
+                            master_seed=args.seed)
 
     param = args.param or cfg.experiment.sweep_param
     print(f"# {param} sweep, {rows[0][1].trials} trials/point, "

@@ -107,7 +107,7 @@ def cmd_sweep(args):
     values = (_parse_values(args.values) if args.values
               else cfg.experiment.sweep_values)
     results = sweep_experiment(cfg, param, values, trials=args.trials,
-                               master_seed=args.seed, workers=args.workers)
+                               master_seed=args.seed)
     header = ["param_value", "avg_throughput", "avg_power",
               "cci_violation_rate", "aci_violation_rate", "throughput_ci95",
               "power_ci95", "cci_rate_ci95", "aci_rate_ci95"]
@@ -166,14 +166,14 @@ def build_parser():
         p.add_argument("--config", required=True,
                        help="scenario JSON file")
         p.add_argument("--seed", type=int, default=None,
-                       help="master seed (default: experiment.seed)")
+                       help="master seed, >= 0 (default: experiment.seed)")
         p.add_argument("--output", default=None,
                        help="output file (default stdout)")
 
     p = sub.add_parser("solve", help="solve one channel realization")
     common(p)
     p.add_argument("--trial", type=int, default=0,
-                   help="trial index to replay (default 0)")
+                   help="trial index to replay, >= 0 (default 0)")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="Monte Carlo parameter sweep")
@@ -181,14 +181,16 @@ def build_parser():
     p.add_argument("--param", choices=SWEEPABLE, default=None)
     p.add_argument("--values", default=None,
                    help="comma-separated values ('inf' allowed)")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--trials", type=int, default=None,
+                   help="trials per value, >= 1, run in index order "
+                        "(default: experiment.trials)")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("oracle-compare",
                        help="proposed pipeline vs exhaustive search")
     common(p)
-    p.add_argument("--instances", type=int, default=20)
+    p.add_argument("--instances", type=int, default=20,
+                   help="channel draws to compare, >= 1 (default 20)")
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("kkt-check",
@@ -199,7 +201,8 @@ def build_parser():
     p = sub.add_parser("runtime", help="solver runtime vs band size")
     common(p)
     p.add_argument("--n-values", default="64,128,256,512")
-    p.add_argument("--repeats", type=int, default=7)
+    p.add_argument("--repeats", type=int, default=7,
+                   help="timed solves per size, >= 1 (default 7)")
     p.set_defaults(func=cmd_runtime)
     return ap
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +58,9 @@ class AggregateStats:
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """The per-trial generator: splittable, order-independent."""
+    if master_seed < 0 or trial_index < 0:
+        raise ConfigError(f"seed and trial index must be non-negative, got "
+                          f"seed {master_seed}, trial {trial_index}")
     return np.random.default_rng(np.random.SeedSequence((master_seed,
                                                          trial_index)))
 
@@ -98,41 +100,27 @@ def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
             alloc, sol)
 
 
-def _trial_block(cfg, caps, indices, master_seed):
-    out = np.empty((len(indices), 6))
-    for row, t in enumerate(indices):
-        try:
-            out[row] = run_trial(cfg, caps, t, master_seed)[:6]
-        except SolverError as exc:
-            raise SolverError(f"trial {t} of master seed {master_seed} "
-                              f"failed: {exc}") from exc
-    return out
-
-
 def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
-                    caps: ConstraintCaps | None = None,
-                    workers: int = 1) -> AggregateStats:
-    """Run ``trials`` independent trials and reduce.
+                    caps: ConstraintCaps | None = None) -> AggregateStats:
+    """Run ``trials`` independent trials in index order and reduce.
 
-    The reduction always happens in trial-index order, so the result is
-    identical for any ``workers`` count.
+    A ``SolverError`` in trial t is re-raised naming t and the master seed,
+    so ``crloading solve --seed S --trial T`` replays it.
     """
     trials = cfg.experiment.trials if trials is None else int(trials)
     master_seed = (cfg.experiment.seed if master_seed is None
                    else int(master_seed))
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     if caps is None:
         caps = build_caps(cfg)
-    if workers <= 1 or trials < 2 * workers:
-        table = _trial_block(cfg, caps, range(trials), master_seed)
-    else:
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda se: _trial_block(cfg, caps, range(se[0], se[1]),
-                                        master_seed),
-                zip(bounds[:-1], bounds[1:]),
-            ))
-        table = np.concatenate(parts, axis=0)
+    table = np.empty((trials, 6))
+    for t in range(trials):
+        try:
+            table[t] = run_trial(cfg, caps, t, master_seed)[:6]
+        except SolverError as exc:
+            raise SolverError(f"trial {t} of master seed {master_seed} "
+                              f"failed: {exc}") from exc
 
     def mean_ci(col):
         m = float(np.mean(col))
@@ -158,7 +146,7 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
 
 
 def sweep_experiment(cfg: ScenarioConfig, param=None, values=None,
-                     trials=None, master_seed=None, workers: int = 1):
+                     trials=None, master_seed=None):
     """Monte Carlo at each parameter value with common random numbers.
 
     Returns a list of (value, AggregateStats).  The spectral geometry does
@@ -175,8 +163,7 @@ def sweep_experiment(cfg: ScenarioConfig, param=None, values=None,
         cfg_v = apply_parameter(cfg, param, v)
         caps = build_caps(cfg_v, omega)
         try:
-            stats = run_monte_carlo(cfg_v, trials, master_seed, caps=caps,
-                                    workers=workers)
+            stats = run_monte_carlo(cfg_v, trials, master_seed, caps=caps)
         except SolverError as exc:
             raise SolverError(f"{param}={v}: {exc}") from exc
         out.append((float(v), stats))
@@ -194,13 +181,15 @@ class OracleComparison:
         return np.asarray([r[3] for r in self.rows])
 
 
-def compare_with_oracle(cfg: ScenarioConfig, instances: int, master_seed=None,
-                        prune: bool = True) -> OracleComparison:
-    """Proposed pipeline vs exhaustive search on random channel draws.
+def compare_with_oracle(cfg: ScenarioConfig, instances: int,
+                        master_seed=None) -> OracleComparison:
+    """Proposed pipeline vs the pruned exhaustive search on random draws.
 
     The relative optimality gap is (F_proposed - F_opt) / |F_opt| (both
     objectives are negative for any non-trivial instance).
     """
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
     master_seed = (cfg.experiment.seed if master_seed is None
                    else int(master_seed))
     su = cfg.su
@@ -216,7 +205,7 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int, master_seed=None,
                                  su.ber_threshold, su.max_bits)
         t1 = time.perf_counter()
         opt = exhaustive_search(real.cnir, su.alpha, su.ber_threshold, caps,
-                                omega, b_max=su.max_bits, prune=prune)
+                                omega, b_max=su.max_bits)
         t2 = time.perf_counter()
         if opt.objective != 0.0:
             gap = (alloc.objective - opt.objective) / abs(opt.objective)
@@ -250,6 +239,8 @@ def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
     Returns (rows, slope): rows are (n, median_seconds); slope is the
     log-log fit over the rows (nan with fewer than two sizes).
     """
+    if repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {repeats}")
     master_seed = (cfg.experiment.seed if master_seed is None
                    else int(master_seed))
     rows = []

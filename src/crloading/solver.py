@@ -151,7 +151,7 @@ def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_residuals(lam_e, cols, c, neglog, q, alpha, weights, caps, active):
+def _scaled_residuals(lam_e, cols, q, alpha, weights, caps, active):
     """Residual (load - cap)/cap for the enforced constraint columns."""
     k = (1.0 - alpha) / _LN2
     w_act = weights[active][:, cols]
@@ -161,7 +161,7 @@ def _scaled_residuals(lam_e, cols, c, neglog, q, alpha, weights, caps, active):
     return (loads - caps[cols]) / caps[cols]
 
 
-def _scaled_jacobian(lam_e, cols, c, neglog, q, alpha, weights, caps, active):
+def _scaled_jacobian(lam_e, cols, alpha, weights, caps, active):
     k = (1.0 - alpha) / _LN2
     w_act = weights[active][:, cols]
     mu = alpha + w_act @ lam_e
@@ -229,7 +229,7 @@ def _newton_duals(lam_e, cols, args):
         if _settled(lam_e, r):
             return lam_e
         free = (lam_e > 0.0) | (r > 0.0)
-        jac = _scaled_jacobian(lam_e, cols, *args)
+        jac = _scaled_jacobian(lam_e, cols, *args[1:])
         try:
             step = np.linalg.solve(jac[np.ix_(free, free)], -r[free])
         except np.linalg.LinAlgError:
@@ -251,7 +251,7 @@ def _newton_duals(lam_e, cols, args):
     return _bisect_duals(lam_e, cols, args)
 
 
-def _single_cap_dual(col, c, neglog, q, alpha, weights, caps, active):
+def _single_cap_dual(col, q, alpha, weights, caps, active):
     """Multiplier of adjacent-channel cap ``col`` with every other at 0.
 
     The load is convex and decreasing in the multiplier, so Newton from 0
@@ -279,7 +279,7 @@ def _solve_duals(enforced, lam, args):
     runs only when none of them leaves the other enforced caps settled.
     """
     cols = np.flatnonzero(enforced)
-    c, neglog, q, alpha, weights, caps, active = args
+    q, alpha, weights, caps, active = args
     if cols.size == 0 or not np.any(active):
         lam[:] = 0.0
         return
@@ -330,7 +330,7 @@ def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
     lam = np.zeros(1 + l)
     enforced = np.zeros(1 + l, dtype=bool)
     k = (1.0 - alpha) / _LN2
-    args = (c, neglog, q, alpha, weights, caps, active)
+    args = (q, alpha, weights, caps, active)
 
     for _ in range(4 * (n + l + 4)):
         _solve_duals(enforced, lam, args)

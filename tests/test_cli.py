@@ -91,14 +91,6 @@ class TestSweep:
         rows = list(csv.reader(out.open(newline="")))
         assert [r[0] for r in rows[1:]] == ["0.8", "0.9", "0.99"]
 
-    def test_workers_reproduce_serial_csv(self, tmp_path, capsys):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(capsys, "sweep", "--config", CCI, "--values", "0.9",
-            "--trials", "30", "--output", str(a))
-        run(capsys, "sweep", "--config", CCI, "--values", "0.9",
-            "--trials", "30", "--workers", "3", "--output", str(b))
-        assert a.read_text() == b.read_text()
-
     def test_unknown_param_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", CCI, "--param", "bogus"])
@@ -187,6 +179,21 @@ class TestErrorPaths:
         code, _, err = run(capsys, "solve", "--config", SMALL)
         assert code == 3
         assert err.startswith("solver error:")
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--config", CCI, "--trials", "0"),
+        ("sweep", "--config", CCI, "--trials", "-2"),
+        ("oracle-compare", "--config", SMALL, "--instances", "0"),
+        ("solve", "--config", SMALL, "--trial", "-1"),
+        ("solve", "--config", SMALL, "--seed", "-1"),
+        ("runtime", "--config", SMALL, "--n-values", "6", "--repeats", "0"),
+    ], ids=["zero_trials", "negative_trials", "zero_instances",
+            "negative_trial", "negative_seed", "zero_repeats"])
+    def test_bad_count_or_seed_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -82,8 +82,8 @@ class TestAciCap:
     @settings(max_examples=40)
     def test_linear_in_threshold(self, p, k):
         one = aci_power_cap(1.0, 0.9, p)
-        assert aci_power_cap(1.0, 0.9, k * p) == pytest.approx(k * one,
-                                                               rel=1e-12)
+        assert aci_power_cap(1.0, 0.9, k * p) == pytest.approx(
+            k * one, rel=1e-12, abs=0.0)
 
 
 class TestBuildCaps:
@@ -93,7 +93,8 @@ class TestBuildCaps:
         # hard limit 0.1 mW undercuts the 15.43 mW co-channel cap
         assert caps.total_cap == pytest.approx(1e-4, rel=1e-12)
         assert caps.aci_caps.shape == (1,)
-        assert caps.aci_caps[0] == pytest.approx(1e-14 * INV_LN10, rel=1e-12)
+        assert caps.aci_caps[0] == pytest.approx(1e-14 * INV_LN10, rel=1e-12,
+                                                 abs=0.0)
         assert caps.aci_weights.omega.shape == (128, 1)
 
     def test_cached_overlap_matrix_reused(self):
