@@ -146,8 +146,8 @@ def cmd_kkt_check(args):
 
 def cmd_runtime(args):
     cfg = load_scenario(args.config)
-    n_values = [int(v) for v in _parse_values(args.n_values)]
-    rows, slope = runtime_scaling(cfg, n_values, repeats=args.repeats,
+    rows, slope = runtime_scaling(cfg, _parse_values(args.n_values),
+                                  repeats=args.repeats,
                                   master_seed=args.seed)
     _emit_csv(["n_subcarriers", "median_seconds"], rows, args.output)
     print(f"log-log slope: {slope:.3f}", file=sys.stderr)
@@ -200,7 +200,8 @@ def build_parser():
 
     p = sub.add_parser("runtime", help="solver runtime vs band size")
     common(p)
-    p.add_argument("--n-values", default="64,128,256,512")
+    p.add_argument("--n-values", default="64,128,256,512",
+                   help="comma-separated band sizes, integers >= 1")
     p.add_argument("--repeats", type=int, default=7,
                    help="timed solves per size, >= 1 (default 7)")
     p.set_defaults(func=cmd_runtime)

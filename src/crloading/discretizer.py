@@ -3,7 +3,9 @@
 Constellations carry 0 or 2..b_max bits (1 bit is not used).  Rounding can
 push the total or weighted power sums back over their caps; the repair loop
 then strips one bit at a time from the subcarrier whose last bit costs the
-most power (ties: lowest index), dropping 2-bit subcarriers to zero.
+most power (ties: lowest index), dropping 2-bit subcarriers to zero.  A step
+changes only that subcarrier's saving, so it updates one entry of the savings
+vector and the running sums, then takes one argmax; powers follow at the end.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .solver import FEAS_TOL, objective_value
+from .solver import FEAS_TOL, objective_value, overlap_matrix
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,9 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
     return p if p.ndim else float(p)
 
 
-def _marginal_power(bits, cnir, ber_threshold):
-    """Power saved by removing one bit (2-bit carriers: full power)."""
-    neglog = -np.log(5.0 * ber_threshold)
+def _marginal_power(bits, cnir, neglog):
+    """Power saved by removing one bit (2-bit carriers: full power);
+    ``neglog`` is -ln(5 BER)."""
     step = np.power(2.0, bits - 1) * neglog / (1.6 * cnir)   # b >= 3
     full = 3.0 * neglog / (1.6 * cnir)                       # b == 2 -> 0
     out = np.where(bits >= 3, step, np.where(bits == 2, full, -np.inf))
@@ -77,13 +79,14 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     Powers are recomputed to hit the BER ceiling exactly.  While the total
     or any weighted power sum exceeds its cap, the subcarrier whose current
     top bit saves the most power loses it (ties broken by lowest index).
+    ``omega`` defaults to the caps' own overlap matrix.
     """
     c = np.asarray(cnir, dtype=float)
     n = c.size
     ber = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
-    omega = (np.zeros((n, 0)) if omega is None
-             else np.atleast_2d(np.asarray(omega, dtype=float)))
     aci_caps = np.asarray(caps.aci_caps, dtype=float)
+    omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
+                           n, aci_caps.size)
     total_cap = caps.total_cap
     alpha = continuous.alpha
 
@@ -92,24 +95,34 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     bits = bits.astype(int)
     powers = power_for_bits(bits, c, ber, max_bits)
 
-    total = float(np.sum(powers))
-    loads = omega.T @ powers
+    # Running sums (total power, then each ACI load) and their limits.
+    sums = [float(np.sum(powers))] + (omega.T @ powers).tolist()
+    limits = ([total_cap * (1.0 + FEAS_TOL)]
+              + (aci_caps * (1.0 + FEAS_TOL)).tolist())
     steps = 0
     budget = int(np.sum(bits)) + 1
-    while (total > total_cap * (1.0 + FEAS_TOL)
-           or np.any(loads > aci_caps * (1.0 + FEAS_TOL))):
-        if not np.any(bits > 0):
+    while any(s > m for s, m in zip(sums, limits)):
+        if not steps:                       # first step: build the savings
+            neglog = -np.log(5.0 * ber)
+            delta = _marginal_power(bits, c, neglog)
+        pick = int(delta.argmax())          # argmax takes the lowest index on ties
+        dp = float(delta[pick])
+        if dp == -np.inf:                 # every tone is already empty
             break
-        delta = _marginal_power(bits, c, ber)
-        pick = int(np.argmax(delta))        # argmax takes the lowest index on ties
-        dp = delta[pick]
-        bits[pick] -= 1 if bits[pick] >= 3 else 2
-        powers[pick] = power_for_bits(bits[pick], c[pick], ber[pick], max_bits)
-        total -= dp
-        loads -= dp * omega[pick]
+        b = int(bits[pick])
+        b -= 1 if b >= 3 else 2
+        bits[pick] = b
+        # Only the picked tone's saving changes; same arithmetic as above.
+        delta[pick] = (-np.inf if b < 2 else
+                       (2.0 ** (b - 1) if b >= 3 else 3.0)
+                       * float(neglog[pick]) / (1.6 * float(c[pick])))
+        for j, w in enumerate([1.0] + omega[pick].tolist()):
+            sums[j] -= dp * w
         steps += 1
         if steps > budget:
             raise SolverError("repair loop failed to terminate")
+    if steps:
+        powers = power_for_bits(bits, c, ber, max_bits)
     # Recompute the sums once from scratch to shed accumulated rounding.
     total = float(np.sum(powers))
     loads = omega.T @ powers

@@ -17,6 +17,7 @@ alongside as ``*_discrete``.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -223,12 +224,15 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
                             else math.inf)
 
 
-def _resized(cfg: ScenarioConfig, n: int) -> ScenarioConfig:
+def _resized(cfg: ScenarioConfig, n) -> ScenarioConfig:
     su = cfg.su
     if isinstance(su.ber_threshold, tuple) or isinstance(su.pu_interference,
                                                          tuple):
         raise ConfigError("runtime scaling needs scalar per-subcarrier "
                           "parameters to resize the band")
+    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
+            or not float(n).is_integer() or n < 1):
+        raise ConfigError(f"band sizes must be integers >= 1, got {n!r}")
     return replace(cfg, su=replace(su, num_subcarriers=int(n)))
 
 
@@ -236,26 +240,27 @@ def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
                     master_seed=None):
     """Median solve_continuous wall time per band size.
 
-    Returns (rows, slope): rows are (n, median_seconds); slope is the
-    log-log fit over the rows (nan with fewer than two sizes).
+    Every size must be an integer >= 1 (an integral float such as 64.0
+    counts).  Returns (rows, slope): rows are (n, median_seconds); slope is
+    the log-log fit over the rows (nan with fewer than two sizes).
     """
     if repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {repeats}")
     master_seed = (cfg.experiment.seed if master_seed is None
                    else int(master_seed))
     rows = []
-    for n in n_values:
-        cfg_n = _resized(cfg, n)
+    for cfg_n in [_resized(cfg, n) for n in n_values]:
         caps = build_caps(cfg_n)
         su = cfg_n.su
+        n = su.num_subcarriers
         times = []
         for r in range(repeats):
-            rng = trial_rng(master_seed, 1_000_000 * int(n) + r)
+            rng = trial_rng(master_seed, 1_000_000 * n + r)
             real = sample_su_channel(su, rng)
             t0 = time.perf_counter()
             solve_continuous(real, caps, su)
             times.append(time.perf_counter() - t0)
-        rows.append((int(n), float(np.median(times))))
+        rows.append((n, float(np.median(times))))
     if len(rows) >= 2:
         slope = float(np.polyfit(np.log([r[0] for r in rows]),
                                  np.log([r[1] for r in rows]), 1)[0])

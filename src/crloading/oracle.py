@@ -24,7 +24,7 @@ import numpy as np
 
 from .discretizer import power_for_bits
 from .errors import SolverError
-from .solver import FEAS_TOL, objective_value
+from .solver import FEAS_TOL, objective_value, overlap_matrix
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,9 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     """Globally optimal discrete loading by enumeration.
 
     Refuses more than ``n_limit`` subcarriers (the search is exponential).
-    Ties in the objective resolve to the lexicographically smallest bit
-    vector, so results are deterministic and engine-independent.
+    ``omega`` defaults to the caps' own overlap matrix.  Ties in the
+    objective resolve to the lexicographically smallest bit vector, so
+    results are deterministic and engine-independent.
     """
     c = np.atleast_1d(np.asarray(cnir, dtype=float))
     n = c.size
@@ -61,9 +62,9 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
             f"{n_limit}; raise n_limit only if you really mean it"
         )
     ber = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
-    omega = (np.zeros((n, 0)) if omega is None
-             else np.atleast_2d(np.asarray(omega, dtype=float)))
     aci_caps = np.asarray(caps.aci_caps, dtype=float)
+    omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
+                           n, aci_caps.size)
     total_cap = caps.total_cap
 
     bvals = _bit_domain(b_max, even_only)

@@ -84,6 +84,21 @@ def cnir_threshold(alpha, ber_threshold):
     return out if out.ndim else float(out)
 
 
+def overlap_matrix(omega, n, num_caps) -> np.ndarray:
+    """``omega`` as a float (N, L) array, one column per ACI cap.
+
+    ``None`` stands for no adjacent bands; any other shape raises.
+    """
+    omega = (np.zeros((n, 0)) if omega is None
+             else np.asarray(omega, dtype=float))
+    if omega.shape != (n, num_caps):
+        raise SolverError(
+            f"overlap matrix shape {omega.shape} does not match {n} "
+            f"subcarriers x {num_caps} adjacent-channel caps"
+        )
+    return omega
+
+
 def objective_value(bits, powers, alpha) -> float:
     """Scalarized objective F = alpha * sum(P) - (1 - alpha) * sum(b)."""
     return float(alpha * np.sum(powers) - (1.0 - alpha) * np.sum(bits))
@@ -305,14 +320,9 @@ def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
     """
     c, ber = _as_arrays(cnir, ber_threshold)
     n = c.size
-    omega = (np.zeros((n, 0)) if omega is None
-             else np.atleast_2d(np.asarray(omega, dtype=float)))
-    if omega.shape[0] != n:
-        raise SolverError(
-            f"overlap matrix has {omega.shape[0]} rows for {n} subcarriers"
-        )
-    l = omega.shape[1]
-    aci_caps = np.asarray(aci_caps, dtype=float).reshape(l)
+    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
+    omega = overlap_matrix(omega, n, aci_caps.size)
+    l = aci_caps.size
     neglog = -np.log(5.0 * ber)
     q = -neglog / (1.6 * c)
     weights = np.concatenate([np.ones((n, 1)), omega], axis=1)

@@ -195,6 +195,14 @@ class TestErrorPaths:
         assert err.startswith("config error:")
         assert out == ""
 
+    @pytest.mark.parametrize("sizes", ["-4", "0", "2.7", "8,inf"])
+    def test_bad_band_size_exits_two(self, capsys, sizes):
+        code, out, err = run(capsys, "runtime", "--config", CCI,
+                             f"--n-values={sizes}", "--repeats", "1")
+        assert code == 2
+        assert err.startswith("config error: band sizes must be integers")
+        assert out == ""
+
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

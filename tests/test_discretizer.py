@@ -10,9 +10,9 @@ import types
 import numpy as np
 import pytest
 
-from crloading.discretizer import power_for_bits, round_and_repair
+from crloading.discretizer import Allocation, power_for_bits, round_and_repair
 from crloading.errors import SolverError
-from crloading.solver import solve_continuous
+from crloading.solver import FEAS_TOL, objective_value, solve_continuous
 
 from conftest import make_caps, random_instance
 
@@ -222,3 +222,180 @@ class TestEndToEnd:
             sol, out = self.pipeline(cnir, alpha, ber, caps)
             slack = 0.5 * (1 - alpha) * cnir.size + alpha * np.sum(sol.powers)
             assert out.objective <= sol.objective + slack + 1e-9
+
+
+class TestOverlapArgument:
+    # the adjacent-band instance of test_adjacent_band_cap_repair
+    CAPS = make_caps(2, np.inf, [0.5], omega=[[0.6], [0.05]])
+
+    def test_omitted_overlap_matrix_comes_from_the_caps(self):
+        cnir = np.array([100.0, 50.0])
+        out = round_and_repair(cont([5.0, 4.0]), self.CAPS, None, cnir, 1e-4)
+        ref = round_and_repair(cont([5.0, 4.0]), self.CAPS,
+                               self.CAPS.aci_weights.omega, cnir, 1e-4)
+        assert list(out.bits) == list(ref.bits) == [4, 4]
+        load = float(self.CAPS.aci_weights.omega[:, 0] @ out.powers)
+        assert load <= 0.5
+
+    @pytest.mark.parametrize("omega", [
+        [[0.6, 0.1], [0.05, 0.2]],      # two columns for one cap
+        [[0.6], [0.05], [0.1]],         # three rows for two tones
+        [0.6, 0.05],                    # a vector, not an (N, L) matrix
+    ], ids=["extra_column", "extra_row", "one_dimensional"])
+    def test_misshapen_overlap_matrix_rejected(self, omega):
+        with pytest.raises(SolverError, match="overlap matrix shape"):
+            round_and_repair(cont([5.0, 4.0]), self.CAPS, omega,
+                             np.array([100.0, 50.0]), 1e-4)
+
+    def test_two_caps_without_overlap_matrix_argument(self):
+        caps = make_caps(2, np.inf, [0.5, 0.3],
+                         omega=[[0.6, 0.1], [0.05, 0.2]])
+        out = round_and_repair(cont([5.0, 4.0]), caps, None,
+                               np.array([100.0, 50.0]), 1e-4)
+        loads = caps.aci_weights.omega.T @ out.powers
+        assert np.all(loads <= caps.aci_caps * (1 + 1e-9))
+        assert out.repair_steps > 0
+
+
+# The greedy loop as it stood before the savings vector was kept across
+# steps: every step re-evaluates the savings of all N tones.  Kept verbatim
+# as the reference that the incremental loop must match bit for bit.
+def _reference_marginal_power(bits, cnir, ber_threshold):
+    """Power saved by removing one bit (2-bit carriers: full power)."""
+    neglog = -np.log(5.0 * ber_threshold)
+    step = np.power(2.0, bits - 1) * neglog / (1.6 * cnir)   # b >= 3
+    full = 3.0 * neglog / (1.6 * cnir)                       # b == 2 -> 0
+    out = np.where(bits >= 3, step, np.where(bits == 2, full, -np.inf))
+    return out
+
+
+def reference_round_and_repair(continuous, caps, omega, cnir, ber_threshold,
+                               max_bits=16) -> Allocation:
+    c = np.asarray(cnir, dtype=float)
+    n = c.size
+    ber = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
+    omega = (np.zeros((n, 0)) if omega is None
+             else np.atleast_2d(np.asarray(omega, dtype=float)))
+    aci_caps = np.asarray(caps.aci_caps, dtype=float)
+    total_cap = caps.total_cap
+    alpha = continuous.alpha
+
+    bits = np.floor(np.asarray(continuous.bits, dtype=float) + 0.5)
+    bits = np.where(bits < 2.0, 0.0, np.minimum(bits, float(max_bits)))
+    bits = bits.astype(int)
+    powers = power_for_bits(bits, c, ber, max_bits)
+
+    total = float(np.sum(powers))
+    loads = omega.T @ powers
+    steps = 0
+    budget = int(np.sum(bits)) + 1
+    while (total > total_cap * (1.0 + FEAS_TOL)
+           or np.any(loads > aci_caps * (1.0 + FEAS_TOL))):
+        if not np.any(bits > 0):
+            break
+        delta = _reference_marginal_power(bits, c, ber)
+        pick = int(np.argmax(delta))        # argmax takes the lowest index on ties
+        dp = delta[pick]
+        bits[pick] -= 1 if bits[pick] >= 3 else 2
+        powers[pick] = power_for_bits(bits[pick], c[pick], ber[pick], max_bits)
+        total -= dp
+        loads -= dp * omega[pick]
+        steps += 1
+        if steps > budget:
+            raise SolverError("repair loop failed to terminate")
+    # Recompute the sums once from scratch to shed accumulated rounding.
+    total = float(np.sum(powers))
+    loads = omega.T @ powers
+    feasible = (total <= total_cap * (1.0 + FEAS_TOL)
+                and bool(np.all(loads <= aci_caps * (1.0 + FEAS_TOL))))
+    if not feasible:
+        raise SolverError("repair emptied the allocation without reaching "
+                          "feasibility")
+    return Allocation(bits=bits, powers=powers,
+                      objective=objective_value(bits, powers, alpha),
+                      feasible=feasible, repair_steps=steps)
+
+
+def repair_instance(rng):
+    """(continuous, caps, omega, cnir, ber, max_bits) for the greedy loop.
+
+    Half the draws take CNIR from four values and whole continuous bits, so
+    many tones offer the same saving and the tie-break decides.  Caps are
+    fractions of the rounded allocation's sums; "empty" sets one to 0,
+    which strips every tone it couples (all of them for the total cap).
+    """
+    n = int(rng.choice([1, 2, 5, 16, 64, 256, 1024],
+                       p=[0.1, 0.15, 0.2, 0.2, 0.2, 0.1, 0.05]))
+    l = int(rng.integers(0, 4))
+    ties = rng.random() < 0.5
+    if ties:
+        cnir = rng.choice([30.0, 80.0, 250.0, 1e3], size=n)
+        bits = rng.integers(0, 19, size=n).astype(float)
+    else:
+        cnir = 10.0 ** rng.uniform(0.5, 4.5, size=n)
+        bits = rng.uniform(0.0, 19.0, size=n)
+    ber = (float(10.0 ** rng.uniform(-6.0, -2.5)) if rng.random() < 0.7
+           else 10.0 ** rng.uniform(-6.0, -2.5, size=n))
+    max_bits = int(rng.integers(6, 17))
+    omega = rng.uniform(0.0, 0.6, size=(n, l))
+    omega[rng.random(size=(n, l)) < 0.2] = 0.0
+    continuous = cont(bits, alpha=float(rng.uniform(0.2, 0.8)))
+    free = reference_round_and_repair(continuous, make_caps(n, np.inf), None,
+                                      cnir, ber, max_bits)
+    total = float(np.sum(free.powers))
+    loads = omega.T @ free.powers
+    # the old loop pays O(N) per step: keep large-N repairs short
+    lo = 0.3 if n <= 64 else 0.8
+    kind = rng.choice(["total", "aci", "both", "empty"])
+    total_cap = total * rng.uniform(lo, 1.1) if kind != "aci" else np.inf
+    aci = (loads * rng.uniform(lo, 1.1, size=l) if kind != "total"
+           else np.full(l, np.inf))
+    if kind == "empty" and n <= 64:
+        if l and rng.random() < 0.5:
+            aci[rng.integers(l)] = 0.0
+        else:
+            total_cap = 0.0
+    caps = make_caps(n, total_cap, aci, omega)
+    return continuous, caps, omega, cnir, ber, max_bits
+
+
+def assert_same_allocation(got, ref):
+    assert np.array_equal(got.bits, ref.bits)
+    assert got.bits.dtype == ref.bits.dtype
+    assert np.array_equal(got.powers, ref.powers)
+    assert got.objective == ref.objective
+    assert got.repair_steps == ref.repair_steps
+    assert got.feasible == ref.feasible
+
+
+class TestMatchesReferenceLoop:
+    def test_seeded_random_instances(self):
+        rng = np.random.default_rng(5150)
+        steps = emptied = 0
+        for _ in range(400):
+            args = repair_instance(rng)
+            ref = reference_round_and_repair(*args)
+            got = round_and_repair(*args)
+            assert_same_allocation(got, ref)
+            steps += ref.repair_steps
+            emptied += ref.repair_steps > 0 and not np.any(ref.bits)
+        # the draws must exercise the loop, down to empty allocations
+        assert steps > 10000
+        assert emptied > 50
+
+    def test_negative_cap_raises_in_both(self):
+        rng = np.random.default_rng(77)
+        for _ in range(15):
+            cont_, caps, omega, cnir, ber, max_bits = repair_instance(rng)
+            n = cnir.size
+            if n > 64:                  # emptying N=1024 takes the old loop ~1 s
+                continue
+            bad = [make_caps(n, -1.0, caps.aci_caps, omega)]
+            if caps.aci_caps.size:
+                aci = caps.aci_caps.copy()
+                aci[0] = -1.0
+                bad.append(make_caps(n, caps.total_cap, aci, omega))
+            for c in bad:
+                for fn in (reference_round_and_repair, round_and_repair):
+                    with pytest.raises(SolverError, match="repair"):
+                        fn(cont_, c, omega, cnir, ber, max_bits)

@@ -237,6 +237,17 @@ class TestRuntimeScaling:
         with pytest.raises(ConfigError, match="repeats must be at least 1"):
             runtime_scaling(unconstrained_cfg(), [8], repeats=0)
 
+    @pytest.mark.parametrize("n", [-4, 0, 2.7, 2.0001, np.inf, np.nan,
+                                   True, "8"])
+    def test_band_size_must_be_a_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="band sizes must be integers"):
+            runtime_scaling(unconstrained_cfg(), [8, n], repeats=1)
+
+    def test_integral_float_size_is_accepted(self):
+        rows, _ = runtime_scaling(unconstrained_cfg(), [8.0], repeats=1)
+        assert rows[0][0] == 8
+        assert isinstance(rows[0][0], int)
+
     def test_single_size_has_no_slope(self):
         rows, slope = runtime_scaling(unconstrained_cfg(), [16], repeats=2)
         assert len(rows) == 1

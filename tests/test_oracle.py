@@ -63,6 +63,36 @@ class TestFrozenInstances:
         assert res.objective == pytest.approx(-2.931123091626895, rel=1e-12)
 
 
+class TestOverlapArgument:
+    CAPS = make_caps(2, np.inf, [0.5], omega=[[0.6], [0.05]])
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    def test_omitted_overlap_matrix_comes_from_the_caps(self, prune):
+        res = exhaustive_search(C2, 0.5, 1e-4, self.CAPS, prune=prune)
+        ref = exhaustive_search(C2, 0.5, 1e-4, self.CAPS,
+                                omega=self.CAPS.aci_weights.omega,
+                                prune=prune)
+        assert list(res.bits) == list(ref.bits)
+        assert res.objective == ref.objective
+        load = float(self.CAPS.aci_weights.omega[:, 0] @ res.powers)
+        assert load <= 0.5 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    def test_two_caps_without_overlap_matrix_argument(self, prune):
+        caps = make_caps(2, np.inf, [0.5, 0.3],
+                         omega=[[0.6, 0.1], [0.05, 0.2]])
+        res = exhaustive_search(C2, 0.5, 1e-4, caps, b_max=6, prune=prune)
+        loads = caps.aci_weights.omega.T @ res.powers
+        assert np.all(loads <= caps.aci_caps * (1 + 1e-9))
+
+    @pytest.mark.parametrize("omega", [
+        [[0.6, 0.1], [0.05, 0.2]], [[0.6]], [0.6, 0.05],
+    ], ids=["extra_column", "missing_row", "one_dimensional"])
+    def test_misshapen_overlap_matrix_rejected(self, omega):
+        with pytest.raises(SolverError, match="overlap matrix shape"):
+            exhaustive_search(C2, 0.5, 1e-4, self.CAPS, omega=omega)
+
+
 class TestAgainstInTestBruteForce:
     """Replicate the search with bare loops and compare."""
 

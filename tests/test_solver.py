@@ -283,6 +283,18 @@ class TestDispatch:
         np.testing.assert_allclose(sol.powers, P6, rtol=1e-12)
 
 
+class TestOverlapShape:
+    @pytest.mark.parametrize("omega,aci_caps", [
+        (None, (0.3,)),                         # caps but no matrix
+        (np.array([[0.5], [0.1]]), (0.3, 0.2)),  # one column for two caps
+        (np.array([[0.5, 0.1]]), (0.3, 0.2)),    # one row for two tones
+        (np.array([0.5, 0.1]), (0.3,)),          # a vector
+    ], ids=["missing", "too_few_columns", "too_few_rows", "one_dimensional"])
+    def test_shape_must_be_tones_by_caps(self, omega, aci_caps):
+        with pytest.raises(SolverError, match="overlap matrix shape"):
+            solve_capped(C2, 0.5, 1e-4, math.inf, omega, aci_caps)
+
+
 def _newton_only_duals(enforced, lam, args):
     """The dual step with the closed forms skipped: projected Newton with
     its bisection fallback on every enforced cap at once."""
