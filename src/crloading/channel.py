@@ -49,7 +49,7 @@ def pu_interference_to_su(su: SuParams) -> np.ndarray:
         out = np.asarray(j, dtype=float)
     else:
         out = np.full(su.num_subcarriers, float(j))
-    if np.any(out < 0):
+    if np.count_nonzero(out < 0):
         raise ConfigError("pu_interference must be non-negative")
     return out
 

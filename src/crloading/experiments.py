@@ -2,7 +2,8 @@
 
 Reproducibility contract: trial t of a run with master seed s draws from
 ``default_rng(SeedSequence((s, t)))``, so trials are independent work items
-whose results do not depend on execution order or batching.  Sweeps reuse
+whose results do not depend on execution order or batching (Monte Carlo runs
+solve them in blocks whose rows equal ``run_trial`` bitwise).  Sweeps reuse
 the same master seed at every parameter value (common random numbers), so
 curves differ only through the parameter.
 
@@ -25,11 +26,15 @@ import numpy as np
 
 from .channel import aci_overlap_matrix, sample_sp_gain, sample_su_channel
 from .constraints import ConstraintCaps, build_caps
-from .discretizer import round_and_repair
+from .discretizer import _cap_sums, _repair_block, round_and_repair
 from .errors import ConfigError, SolverError
 from .oracle import exhaustive_search
 from .scenario import ScenarioConfig, apply_parameter, path_loss_db
-from .solver import solve_continuous
+from .solver import _solve_block, solve_continuous
+
+# Trials per block in run_monte_carlo: about 2^14 CNIR entries, so each
+# (trials x N) array of a block stays near 128 KiB.
+_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,34 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
                                                          trial_index)))
 
 
+def _draw(cfg: ScenarioConfig, master_seed: int, trials):
+    """CNIR rows and SU->PU gains (one per PU, in ``cfg.pus`` order, drawn
+    after the SU link) of the given trials, each from its own generator."""
+    rngs = [trial_rng(master_seed, t) for t in trials]
+    cnir = np.array([sample_su_channel(cfg.su, rng).cnir for rng in rngs])
+    sp = np.array([[sample_sp_gain(pu.fading_rate, rng) for pu in cfg.pus]
+                   for rng in rngs])
+    return cnir, sp
+
+
+def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
+    """Per trial: throughput, power, and the co- and adjacent-channel
+    violation indicators at the continuous, then the discrete powers."""
+    sums = _cap_sums(np.concatenate([cont_powers, powers]), omega)
+    sums = sums.reshape(2, len(sp), -1)
+    viol = np.zeros((2, 2, len(sp)), dtype=bool)
+    adj = 0
+    for gain, pu in zip(sp.T, cfg.pus):
+        if pu.kind == "cochannel":
+            atten = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
+            viol[:, 0] |= gain * atten * sums[:, :, 0] > pu.interference_cap
+        else:
+            adj += 1
+            viol[:, 1] |= gain * sums[:, :, adj] > pu.interference_cap
+    return np.concatenate([bits.sum(1)[:, None], sums[1, :, :1],
+                           viol.reshape(4, -1).T], axis=1)
+
+
 def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
               master_seed: int):
     """One trial: sample, solve, discretize, sample interference outcomes.
@@ -73,40 +106,26 @@ def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
     Returns (throughput_bits, power_w, cci_viol, aci_viol,
     cci_viol_discrete, aci_viol_discrete, allocation, solution).
     """
-    rng = trial_rng(master_seed, trial_index)
-    su = cfg.su
-    real = sample_su_channel(su, rng)
-    sol = solve_continuous(real, caps, su)
-    alloc = round_and_repair(sol, caps, caps.aci_weights.omega, real.cnir,
-                             su.ber_threshold, su.max_bits)
-    total_cont = float(np.sum(sol.powers))
-    total_disc = float(np.sum(alloc.powers))
-    omega = caps.aci_weights.omega
-    aci_cont = omega.T @ sol.powers
-    aci_disc = omega.T @ alloc.powers
-
-    cci = cci_d = aci = aci_d = False
-    adj_seen = 0
-    for pu in cfg.pus:
-        gain = sample_sp_gain(pu.fading_rate, rng)
-        if pu.kind == "cochannel":
-            atten = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
-            cci |= gain * atten * total_cont > pu.interference_cap
-            cci_d |= gain * atten * total_disc > pu.interference_cap
-        else:
-            aci |= gain * aci_cont[adj_seen] > pu.interference_cap
-            aci_d |= gain * aci_disc[adj_seen] > pu.interference_cap
-            adj_seen += 1
-    return (float(np.sum(alloc.bits)), total_disc, cci, aci, cci_d, aci_d,
+    c, sp = _draw(cfg, master_seed, [trial_index])
+    su, omega = cfg.su, caps.aci_weights.omega
+    sol = solve_continuous(c[0], caps, su)
+    alloc = round_and_repair(sol, caps, omega, c[0], su.ber_threshold,
+                             su.max_bits)
+    row = _outcomes(cfg, omega, sp, sol.powers[None], alloc.bits[None],
+                    alloc.powers[None])[0]
+    return (float(row[0]), float(row[1]), *(bool(x) for x in row[2:]),
             alloc, sol)
 
 
 def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
                     caps: ConstraintCaps | None = None) -> AggregateStats:
-    """Run ``trials`` independent trials in index order and reduce.
+    """Run ``trials`` independent trials and reduce.
 
-    A ``SolverError`` in trial t is re-raised naming t and the master seed,
-    so ``crloading solve --seed S --trial T`` replays it.
+    Trials are drawn one by one as ``run_trial`` draws them, then solved and
+    repaired in blocks of trials x N; row t of a block is bitwise trial t
+    alone, so the result equals the reduction of ``run_trial`` rows.  A
+    ``SolverError`` in trial t is re-raised naming t and the master seed, so
+    ``crloading solve --seed S --trial T`` replays it.
     """
     trials = cfg.experiment.trials if trials is None else int(trials)
     master_seed = (cfg.experiment.seed if master_seed is None
@@ -115,13 +134,28 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
         raise ConfigError(f"trials must be at least 1, got {trials}")
     if caps is None:
         caps = build_caps(cfg)
+    su, omega = cfg.su, caps.aci_weights.omega
+    block = max(1, _BLOCK_ENTRIES // su.num_subcarriers)
     table = np.empty((trials, 6))
-    for t in range(trials):
+    for first in range(0, trials, block):
+        rows = range(first, min(first + block, trials))
+        c, sp = _draw(cfg, master_seed, rows)
         try:
-            table[t] = run_trial(cfg, caps, t, master_seed)[:6]
-        except SolverError as exc:
-            raise SolverError(f"trial {t} of master seed {master_seed} "
-                              f"failed: {exc}") from exc
+            cont_bits, cont_powers, _, _ = _solve_block(
+                c, su.alpha, su.ber_threshold, caps.total_cap, omega,
+                caps.aci_caps)
+            bits, powers, _ = _repair_block(cont_bits, c, su.ber_threshold,
+                                            caps, omega, su.max_bits)
+        except SolverError:
+            for t in rows:      # replay trial by trial: name the first failure
+                try:
+                    run_trial(cfg, caps, t, master_seed)
+                except SolverError as exc:
+                    raise SolverError(f"trial {t} of master seed "
+                                      f"{master_seed} failed: {exc}") from exc
+            raise
+        table[rows.start:rows.stop] = _outcomes(cfg, omega, sp, cont_powers,
+                                                bits, powers)
 
     def mean_ci(col):
         m = float(np.mean(col))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .discretizer import power_for_bits
 from .errors import SolverError
-from .solver import FEAS_TOL, objective_value, overlap_matrix
+from .solver import FEAS_TOL, _as_arrays, objective_value, overlap_matrix
 
 
 @dataclass(frozen=True)
@@ -52,16 +52,16 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     Refuses more than ``n_limit`` subcarriers (the search is exponential).
     ``omega`` defaults to the caps' own overlap matrix.  Ties in the
     objective resolve to the lexicographically smallest bit vector, so
-    results are deterministic and engine-independent.
+    results are deterministic and engine-independent.  CNIR must be finite
+    and positive.
     """
-    c = np.atleast_1d(np.asarray(cnir, dtype=float))
+    c, ber = _as_arrays(cnir, ber_threshold)
     n = c.size
     if n > n_limit:
         raise SolverError(
             f"exhaustive search over {n} subcarriers exceeds the limit "
             f"{n_limit}; raise n_limit only if you really mean it"
         )
-    ber = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
     aci_caps = np.asarray(caps.aci_caps, dtype=float)
     omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
                            n, aci_caps.size)

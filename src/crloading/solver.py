@@ -14,11 +14,13 @@ mu_i = alpha + lam_pow + sum_l w_il lam_aci_l:
     b_i = log2[ (1-alpha) * 1.6 C_i / (ln2 * mu_i * (-ln(5 BER_i))) ]
     P_i = (1-alpha) / (ln2 * mu_i) + ln(5 BER_i) / (1.6 C_i)
 
-One active-set loop (``solve_capped``) covers every regime.  It starts from
-the unconstrained optimum, enforces each cap the current point violates,
-nulls subcarriers whose rate falls below 2 bits (remove-only), and repeats
-until neither changes.  Binding a cap only lowers every power, so a cap that
-holds at the unconstrained point is never enforced.
+One active-set loop covers every regime.  It starts from the unconstrained
+optimum, enforces each cap the current point violates, nulls subcarriers
+whose rate falls below 2 bits (remove-only), and repeats until neither
+changes.  Binding a cap only lowers every power, so a cap that holds at the
+unconstrained point is never enforced.  The loop runs on a (T, N) block of
+CNIR rows at once (``solve_capped`` is the T = 1 case); each row is bitwise
+its own one-row solve, as nothing multiplies matrices across rows.
 
 On a fixed active set the enforced multipliers solve a complementarity
 system (lam >= 0, residual <= 0, lam * residual = 0) with one solution, so
@@ -63,13 +65,14 @@ class ContinuousSolution:
 
 
 def _as_arrays(cnir, ber_threshold):
+    """CNIR (tones on the last axis) and one BER ceiling per tone."""
     c = np.atleast_1d(np.asarray(cnir, dtype=float))
-    if np.any(c <= 0) or not np.all(np.isfinite(c)):
+    if np.count_nonzero((c > 0.0) & (c < math.inf)) < c.size:
         raise SolverError("CNIR values must be finite and positive")
-    ber = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
-    if np.any(ber <= 0) or np.any(ber > 0.2):
+    ber = np.zeros(c.shape[-1]) + ber_threshold
+    if np.count_nonzero((ber <= 0) | (ber > 0.2)):
         raise SolverError("BER thresholds must lie in (0, 0.2]")
-    return c, np.array(ber, dtype=float)
+    return c, ber
 
 
 def cnir_threshold(alpha, ber_threshold):
@@ -101,7 +104,8 @@ def overlap_matrix(omega, n, num_caps) -> np.ndarray:
 
 def objective_value(bits, powers, alpha) -> float:
     """Scalarized objective F = alpha * sum(P) - (1 - alpha) * sum(b)."""
-    return float(alpha * np.sum(powers) - (1.0 - alpha) * np.sum(bits))
+    return float(alpha * np.add.reduce(powers, None)
+                 - (1.0 - alpha) * np.add.reduce(bits, None))
 
 
 # ---------------------------------------------------------------------------
@@ -109,46 +113,18 @@ def objective_value(bits, powers, alpha) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _finish(c, neglog, alpha, lam, omega, active):
-    """Assemble a ContinuousSolution from converged multipliers."""
-    n = c.shape[0]
-    bits = np.zeros(n)
-    powers = np.zeros(n)
-    if np.any(active):
-        mu = alpha + lam[0] + omega[active] @ lam[1:]
-        k = (1.0 - alpha) / _LN2
-        arg = (1.0 - alpha) * 1.6 * c[active] / (_LN2 * mu * neglog[active])
-        bits[active] = np.log2(arg)
-        powers[active] = k / mu - neglog[active] / (1.6 * c[active])
-    lam_pow = float(lam[0])
-    lam_aci = np.array(lam[1:], dtype=float)
-    if lam_pow > 0 and np.any(lam_aci > 0):
-        case = 8
-    elif lam_pow > 0:
-        case = 6
-    elif np.any(lam_aci > 0):
-        case = 7
-    else:
-        case = 5
-    return ContinuousSolution(
-        bits=bits, powers=powers, lambda_power=lam_pow, lambda_aci=lam_aci,
-        active_set=np.flatnonzero(active), case_id=case,
-        objective=objective_value(bits, powers, alpha), alpha=alpha,
-    )
-
-
-def _power_dual(q, alpha, cap) -> float:
-    """Total-power multiplier that makes sum(P) equal ``cap`` on the tones
-    with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when the cap is slack."""
-    if q.size == 0:
-        raise SolverError("lambda_total_power needs a non-empty active set")
-    denom = cap - np.sum(q)
-    if denom <= 0:
+def _power_dual(q, active, alpha, cap):
+    """Total-power multiplier per row that makes sum(P) over the ``active``
+    tones equal ``cap``, with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when
+    the cap is slack."""
+    denom = cap - np.where(active, q, 0.0).sum(-1)
+    if np.count_nonzero(denom <= 0):
         raise SolverError(
             f"total-power cap {cap} incompatible with the active set "
-            f"(denominator {denom} <= 0)"
+            f"(denominator {denom.min()} <= 0)"
         )
-    return max(q.size * (1.0 - alpha) / _LN2 / denom - alpha, 0.0)
+    return np.maximum(active.sum(-1) * (1.0 - alpha) / _LN2 / denom - alpha,
+                      0.0)
 
 
 def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
@@ -158,7 +134,10 @@ def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
     """
     c, ber = _as_arrays(cnir, ber_threshold)
     idx = np.asarray(active, dtype=int)
-    return _power_dual(np.log(5.0 * ber[idx]) / (1.6 * c[idx]), alpha, cap)
+    if idx.size == 0:
+        raise SolverError("lambda_total_power needs a non-empty active set")
+    q = np.log(5.0 * ber[idx]) / (1.6 * c[idx])
+    return float(_power_dual(q, np.ones(q.size, dtype=bool), alpha, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -266,102 +245,139 @@ def _newton_duals(lam_e, cols, args):
     return _bisect_duals(lam_e, cols, args)
 
 
-def _single_cap_dual(col, q, alpha, weights, caps, active):
-    """Multiplier of adjacent-channel cap ``col`` with every other at 0.
+def _aci_dual(w, active, q, alpha, cap):
+    """Multiplier of one adjacent-channel cap per row, every other at 0.
 
     The load is convex and decreasing in the multiplier, so Newton from 0
-    climbs monotonically to the root without overshooting it.
+    climbs monotonically to the root; each row stops at its own test.
     """
-    w = weights[active, col]
     k = (1.0 - alpha) / _LN2
-    offset = w @ q[active] - caps[col]
-    lam = 0.0
+    wa = np.where(active, w, 0.0)
+    offset = (wa * q).sum(1, keepdims=True) - cap
+    out = np.zeros(wa.shape[0])
+    idx = np.arange(wa.shape[0])
+    lam = np.zeros((wa.shape[0], 1))
     for _ in range(100):
-        wm = w / (alpha + w * lam)
-        excess = k * np.sum(wm) + offset
-        if excess <= _DUAL_TOL * caps[col]:
-            break
-        lam += excess / (k * (wm @ wm))
-    return lam
+        wm = wa / (alpha + wa * lam)
+        excess = k * wm.sum(1, keepdims=True) + offset
+        go = excess[:, 0] > _DUAL_TOL * cap
+        if np.count_nonzero(go) < go.size:
+            out[idx[~go]] = lam[~go, 0]
+            idx, wa, offset, lam, wm, excess = (
+                x[go] for x in (idx, wa, offset, lam, wm, excess))
+            if not idx.size:
+                return out
+        lam = lam + excess / (k * (wm * wm).sum(1, keepdims=True))
+    out[idx] = lam[:, 0]
+    return out
 
 
-def _solve_duals(enforced, lam, args):
-    """Solve the enforced caps to equality (or pin at zero) on a fixed
-    active set, updating ``lam`` in place.
+def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
+    """Multipliers (R, J) solving each row's enforced caps to equality (or
+    pinning them at 0) on its fixed active set; ``caps`` holds 1 for a cap
+    never enforced.  The one-multiplier closed forms come first, column by
+    column and on every row at once (a row with no active tone gets 0); a
+    row none of them settles runs the coupled Newton alone, from its lam."""
+    out = np.zeros_like(lam)
+    todo = enforced.any(1)
+    if not np.count_nonzero(todo):
+        return out
+    k = (1.0 - alpha) / _LN2
+    for col in range(wt.shape[0]):
+        need = todo & enforced[:, col]
+        if not np.count_nonzero(need):
+            continue
+        x = (_power_dual(q, active, alpha, caps[0]) if col == 0
+             else _aci_dual(wt[col], active, q, alpha, caps[col]))
+        # alpha + w * lam of the candidate: its other multipliers are 0.
+        p = np.where(active, k / (alpha + wt[col] * x[:, None]) + q, 0.0)
+        r = ((p[:, None, :] * wt).sum(2) - caps) / caps
+        # Settled: no enforced cap above it, this one not below it unless
+        # its multiplier is 0.
+        ok = (need & ~((r > _DUAL_TOL) & enforced).any(1)
+              & ((r[:, col] >= -_DUAL_TOL) | (x == 0.0)))
+        out[ok, col] = x[ok]
+        todo &= ~ok
+    for i in np.flatnonzero(todo):
+        cols = np.flatnonzero(enforced[i])
+        out[i, cols] = _newton_duals(np.maximum(lam[i, cols], 0.0), cols,
+                                     (q[i], alpha, wt.T, caps, active[i]))
+    return out
 
-    Candidates with a single positive multiplier come first: the total-power
-    closed form, then each adjacent-channel cap alone.  The coupled Newton
-    runs only when none of them leaves the other enforced caps settled.
-    """
-    cols = np.flatnonzero(enforced)
-    q, alpha, weights, caps, active = args
-    if cols.size == 0 or not np.any(active):
-        lam[:] = 0.0
-        return
-    for j, col in enumerate(cols):
-        lam_e = np.zeros(cols.size)
-        lam_e[j] = (_power_dual(q[active], alpha, caps[0]) if col == 0
-                    else _single_cap_dual(col, *args))
-        if _settled(lam_e, _scaled_residuals(lam_e, cols, *args)):
-            break
-    else:
-        lam_e = _newton_duals(np.maximum(lam[cols], 0.0), cols, args)
-    lam[:] = 0.0
-    lam[cols] = lam_e
+
+def _solve_block(cnir, alpha, ber_threshold, total_cap, omega, aci_caps):
+    """(bits, powers, lam, active) of each row of a (T, N) CNIR block, the
+    total-power multiplier first in lam.  The active-set loop runs on all
+    unsettled rows at once, elementwise and by row sums, so row t is
+    bitwise the solve of ``cnir[t]`` alone."""
+    c, ber = _as_arrays(cnir, ber_threshold)
+    t, n = c.shape
+    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
+    wt = np.ones((1 + aci_caps.size, n))
+    wt[1:] = overlap_matrix(omega, n, aci_caps.size).T
+    caps = np.concatenate([[total_cap], aci_caps])
+    want = np.isfinite(caps)
+    zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
+    want &= ~zero
+    limit = caps * (1.0 + _DUAL_TOL)
+    caps = np.where(want, caps, 1.0)
+    neglog = -np.log(5.0 * ber)
+    k = (1.0 - alpha) / _LN2
+    active = (c >= cnir_threshold(alpha, ber)) & ~(wt[zero] > 0.0).any(0)
+    lam = np.zeros((t, wt.shape[0]))
+    enforced = np.zeros(lam.shape, dtype=bool)
+    out = [np.zeros((t, n)), np.zeros((t, n)), lam.copy(), active.copy()]
+    # State of the unsettled rows, compacted; idx maps them to block rows.
+    idx, num, q = np.arange(t), (1.0 - alpha) * 1.6 * c, -neglog / (1.6 * c)
+    for _ in range(4 * (n + aci_caps.size + 4)):
+        lam = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
+        mu = alpha + lam[:, :1]
+        for j in range(1, wt.shape[0]):     # no matmul: rows stay separate
+            mu = mu + wt[j] * lam[:, j:j + 1]
+        arg = num / (_LN2 * mu * neglog)
+        # With every multiplier at 0 the threshold decided the active set;
+        # only a positive multiplier can push a rate under 2 bits.
+        drop = (arg < 4.0) & active & lam.any(1)[:, None]
+        dropping = drop.any(1)
+        active &= ~drop
+        p = np.where(active, k / mu + q, 0.0)
+        newly = (((p[:, None, :] * wt).sum(2) > limit) & want & ~enforced
+                 & ~dropping[:, None])
+        enforced |= newly
+        done = ~(dropping | newly.any(1))
+        if np.count_nonzero(done):
+            settled = (np.log2(arg, out=np.zeros_like(arg), where=active), p,
+                       lam, active)
+            if np.count_nonzero(done) == t:     # all rows in this round
+                return settled
+            for a, v in zip(out, settled):
+                a[idx[done]] = v[done]
+            if np.count_nonzero(done) == done.size:
+                return out
+            idx, num, q, active, lam, enforced = (
+                x[~done] for x in (idx, num, q, active, lam, enforced))
+    raise SolverError("active-set iteration failed to settle")
 
 
 def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
                  aci_caps=()) -> ContinuousSolution:
-    """Optimal continuous loading under every finite cap.
+    """Optimal continuous loading under every finite cap: the one-row case
+    of the block solve.
 
     ``omega`` (N, L) weights the powers into the adjacent-channel loads
     capped by ``aci_caps``.  An infinite cap is never enforced, so
     ``solve_capped(cnir, alpha, ber)`` is the unconstrained optimum.
     """
-    c, ber = _as_arrays(cnir, ber_threshold)
-    n = c.size
-    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
-    omega = overlap_matrix(omega, n, aci_caps.size)
-    l = aci_caps.size
-    neglog = -np.log(5.0 * ber)
-    q = -neglog / (1.6 * c)
-    weights = np.concatenate([np.ones((n, 1)), omega], axis=1)
-    caps = np.concatenate([[total_cap], aci_caps])
-    want = np.isfinite(caps)
-
-    # A cap of exactly zero forbids any subcarrier coupled to it.
-    forced_null = np.zeros(n, dtype=bool)
-    for col in np.flatnonzero(want):
-        if caps[col] <= 0.0:
-            forced_null |= weights[:, col] > 0.0
-            want[col] = False
-
-    active = (c >= cnir_threshold(alpha, ber)) & ~forced_null
-    lam = np.zeros(1 + l)
-    enforced = np.zeros(1 + l, dtype=bool)
-    k = (1.0 - alpha) / _LN2
-    args = (q, alpha, weights, caps, active)
-
-    for _ in range(4 * (n + l + 4)):
-        _solve_duals(enforced, lam, args)
-        p = np.zeros(n)
-        if np.any(active):
-            mu = alpha + weights[active] @ lam
-            arg = (1.0 - alpha) * 1.6 * c[active] / (_LN2 * mu * neglog[active])
-            # With every multiplier at 0 the threshold decided the active
-            # set; only a positive multiplier can push a rate under 2 bits.
-            if np.any(lam > 0.0) and np.any(arg < 4.0):
-                idx = np.flatnonzero(active)
-                active[idx[arg < 4.0]] = False
-                continue
-            p[active] = k / mu + q[active]
-        loads = weights.T @ p
-        newly = want & ~enforced & (loads > caps * (1.0 + _DUAL_TOL))
-        if np.any(newly):
-            enforced |= newly
-            continue
-        return _finish(c, neglog, alpha, lam, omega, active)
-    raise SolverError("active-set iteration failed to settle")
+    c = np.atleast_1d(np.asarray(cnir, dtype=float))
+    bits, powers, lam, active = _solve_block(c[None], alpha, ber_threshold,
+                                             total_cap, omega, aci_caps)
+    lam_pow, lam_aci = float(lam[0, 0]), lam[0, 1:].copy()
+    return ContinuousSolution(
+        bits=bits[0], powers=powers[0], lambda_power=lam_pow,
+        lambda_aci=lam_aci, active_set=np.flatnonzero(active[0]),
+        case_id=5 + (lam_pow > 0) + 2 * any(lam_aci > 0),
+        objective=objective_value(bits[0], powers[0], alpha), alpha=alpha,
+    )
 
 
 def solve_continuous(realization, caps, su_params) -> ContinuousSolution:

@@ -257,6 +257,18 @@ class TestOverlapArgument:
         assert out.repair_steps > 0
 
 
+class TestCnirChecked:
+    @pytest.mark.parametrize("cnir", [[-100.0, 100.0], [np.nan, 100.0],
+                                      [np.inf, 100.0], [0.0, 100.0]],
+                             ids=["negative", "nan", "inf", "zero"])
+    def test_cnir_must_be_finite_and_positive(self, cnir):
+        # unchecked, a negative CNIR gives negative powers marked feasible
+        # and NaN a misleading "repair emptied the allocation"
+        with pytest.raises(SolverError, match="finite and positive"):
+            round_and_repair(cont([4.0, 4.0]), make_caps(2, 0.5), None,
+                             cnir, 1e-4)
+
+
 # The greedy loop as it stood before the savings vector was kept across
 # steps: every step re-evaluates the savings of all N tones.  Kept verbatim
 # as the reference that the incremental loop must match bit for bit.

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from crloading import experiments
+from crloading import experiments, solver
 from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import ConfigError, SolverError
@@ -178,19 +178,26 @@ class TestFailingTrialIsNamed:
 
     SEED = 2024
 
+    @classmethod
+    def fail_on(cls, monkeypatch, cfg, bad_trials):
+        """Make the block solver raise on any block holding one of the
+        ``bad_trials`` draws, in the Monte Carlo blocks and in run_trial."""
+        bad = [sample_su_channel(cfg.su, trial_rng(cls.SEED, t)).cnir
+               for t in bad_trials]
+        solve = solver._solve_block
+
+        def solve_or_fail(cnir, *args):
+            if any(np.array_equal(row, b) for row in cnir for b in bad):
+                raise SolverError("injected failure")
+            return solve(cnir, *args)
+
+        monkeypatch.setattr(solver, "_solve_block", solve_or_fail)
+        monkeypatch.setattr(experiments, "_solve_block", solve_or_fail)
+        return cfg
+
     @pytest.fixture
     def fail_on_trial_7(self, monkeypatch):
-        cfg = cci_cfg()
-        bad = sample_su_channel(cfg.su, trial_rng(self.SEED, 7)).cnir
-        solve = experiments.solve_continuous
-
-        def solve_or_fail(realization, caps, su):
-            if np.array_equal(realization.cnir, bad):
-                raise SolverError("injected failure")
-            return solve(realization, caps, su)
-
-        monkeypatch.setattr(experiments, "solve_continuous", solve_or_fail)
-        return cfg
+        return self.fail_on(monkeypatch, cci_cfg(), [7])
 
     def test_monte_carlo_names_seed_and_trial(self, fail_on_trial_7):
         with pytest.raises(SolverError,
@@ -204,6 +211,16 @@ class TestFailingTrialIsNamed:
                            match="psi=0.9: trial 7 of master seed 2024"):
             sweep_experiment(fail_on_trial_7, "psi", [0.9], trials=12,
                              master_seed=self.SEED)
+
+    def test_lowest_of_two_failures_in_different_blocks(self, monkeypatch):
+        cfg = self.fail_on(monkeypatch, cci_cfg(), [9, 5])
+        # blocks of four trials: 5 and 9 fail in the second and third
+        monkeypatch.setattr(experiments, "_BLOCK_ENTRIES",
+                            4 * cfg.su.num_subcarriers)
+        with pytest.raises(SolverError,
+                           match="trial 5 of master seed 2024 failed: "
+                                 "injected failure"):
+            run_monte_carlo(cfg, trials=12, master_seed=self.SEED)
 
 
 class TestOracleComparison:

@@ -93,6 +93,16 @@ class TestOverlapArgument:
             exhaustive_search(C2, 0.5, 1e-4, self.CAPS, omega=omega)
 
 
+class TestCnirChecked:
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    @pytest.mark.parametrize("cnir", [[-100.0, 100.0], [np.nan, 100.0]],
+                             ids=["negative", "nan"])
+    def test_cnir_must_be_finite_and_positive(self, cnir, prune):
+        with pytest.raises(SolverError, match="finite and positive"):
+            exhaustive_search(cnir, 0.5, 1e-4, make_caps(2, 0.5),
+                              prune=prune)
+
+
 class TestAgainstInTestBruteForce:
     """Replicate the search with bare loops and compare."""
 

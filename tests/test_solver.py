@@ -295,13 +295,16 @@ class TestOverlapShape:
             solve_capped(C2, 0.5, 1e-4, math.inf, omega, aci_caps)
 
 
-def _newton_only_duals(enforced, lam, args):
+def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
     """The dual step with the closed forms skipped: projected Newton with
-    its bisection fallback on every enforced cap at once."""
-    cols = np.flatnonzero(enforced)
-    lam[:] = 0.0
-    if cols.size and np.any(args[-1]):
-        lam[cols] = solver._newton_duals(np.zeros(cols.size), cols, args)
+    its bisection fallback on every enforced cap at once, row by row."""
+    out = np.zeros_like(lam)
+    for i in range(lam.shape[0]):
+        cols = np.flatnonzero(enforced[i])
+        if cols.size and np.any(active[i]):
+            out[i, cols] = solver._newton_duals(
+                np.zeros(cols.size), cols, (q[i], alpha, wt.T, caps, active[i]))
+    return out
 
 
 class TestDualStepAgreesWithNewton:
