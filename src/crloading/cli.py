@@ -135,7 +135,7 @@ def cmd_oracle_compare(args):
 def cmd_kkt_check(args):
     cfg = load_scenario(args.config)
     seed = cfg.experiment.seed if args.seed is None else args.seed
-    caps, real, sol, _ = _solve_one(cfg, seed)
+    caps, real, sol, _ = _solve_one(cfg, seed, args.trial)
     report = kkt_verify(sol, real.cnir, cfg.su.ber_threshold, caps)
     out = report.to_dict()
     out["case_id"] = sol.case_id
@@ -196,6 +196,8 @@ def build_parser():
     p = sub.add_parser("kkt-check",
                        help="verify first-order optimality of one solution")
     common(p)
+    p.add_argument("--trial", type=int, default=0,
+                   help="trial index to check, >= 0 (default 0)")
     p.set_defaults(func=cmd_kkt_check)
 
     p = sub.add_parser("runtime", help="solver runtime vs band size")

@@ -1,13 +1,11 @@
 """Rounding the continuous loading to integer bits, with greedy repair.
 
 Constellations carry 0 or 2..b_max bits (1 bit is not used).  Rounding can
-push the total or weighted power sums back over their caps; the repair loop
-then strips one bit at a time from the subcarrier whose last bit costs the
-most power (ties: lowest index), dropping 2-bit subcarriers to zero.  A step
-changes only that subcarrier's saving, so it updates one entry of the savings
-vector and the running sums, then takes one argmax; powers follow at the end.
-Rounding, powers and sums run on a (T, N) block of draws, the greedy loop on
-each row that violates a cap; ``round_and_repair`` is the T = 1 case.
+push the total or weighted power sums back over their caps; the greedy
+repair then strips one bit at a time from the subcarrier whose top bit saves
+the most power (ties: lowest index), dropping 2-bit subcarriers to zero.
+All rows of a (T, N) block of draws that are over a cap are repaired
+together, in rounds of batched greedy steps; ``round_and_repair`` is T = 1.
 """
 
 from __future__ import annotations
@@ -53,22 +51,24 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
     ber = np.asarray(ber_threshold, dtype=float)
     if np.count_nonzero(b == 1):
         raise SolverError("1-bit constellations are not part of the scheme")
-    if np.count_nonzero((b < 0) | (b > max_bits)):
+    if np.count_nonzero((b < 0) | (b > max_bits) | (b % 1 != 0)):
         raise SolverError(f"bit counts must lie in {{0}} u [2, {max_bits}]")
     if np.count_nonzero((ber >= 0.2) | (ber <= 0)):
         raise SolverError("BER threshold must lie in (0, 0.2) to invert the "
                           "BER model")
-    p = -(np.power(2.0, b) - 1.0) * np.log(5.0 * ber) / (1.6 * c)
+    p = -(np.ldexp(1.0, b.astype(int)) - 1.0) * np.log(5.0 * ber) / (1.6 * c)
     p = np.where(b == 0, 0.0, p)
     return p if p.ndim else float(p)
 
 
-def _marginal_power(bits, cnir, neglog):
-    """Power saved by removing one bit (2-bit carriers: full power);
-    ``neglog`` is -ln(5 BER)."""
-    step = np.power(2.0, bits - 1) * neglog / (1.6 * cnir)   # b >= 3
-    full = 3.0 * neglog / (1.6 * cnir)                       # b == 2 -> 0
-    return np.where(bits >= 3, step, np.where(bits == 2, full, -np.inf))
+def _pricing(top):
+    """Tables over b = 0..max(top, 2) of factors of ln(5 BER) / (1.6 C) < 0:
+    minus the power, 1 - 2^b, and minus the top bit's saving, 2^(b-1) from
+    b = 3, 3 at b = 2, -inf at 0.  2^b is exact for any b (``np.ldexp``)."""
+    pow2 = np.ldexp(1.0, np.arange(max(int(top), 2) + 1))
+    head = 0.5 * pow2
+    head[:3] = (-np.inf, -np.inf, 3.0)
+    return 1.0 - pow2, head
 
 
 def _cap_sums(powers, omega):
@@ -83,48 +83,66 @@ def _cap_sums(powers, omega):
     return sums
 
 
+def _strip(bits, lg, den, sums, limits, omega, head):
+    """Greedy steps of each row of ``bits`` (stripped in place), in rounds
+    over all rows still over a cap.  A round sorts each row's savings
+    (``head[b] * lg / den``, negated) by (-saving, index) and takes those
+    above 0.8x the largest: a removal leaves that tone at most 3/4 of its
+    old saving, so these are exactly the greedy's next picks, in order.  A
+    row takes its picks up to the first feasible running ``sums`` (the
+    loop's sequential subtractions), or all of them and another round."""
+    # (-saving) * -[1, omega[tone]] is bitwise saving * [1, omega[tone]]
+    nweights = np.empty((omega.shape[0], 1 + omega.shape[1]))
+    nweights[:, 0] = -1.0
+    np.negative(omega, out=nweights[:, 1:])
+    down = np.arange(-1, head.size - 1) * (head > 3.0)  # b - 1, 0 from 2
+    run, b, s, steps = np.arange(bits.shape[0]), bits, sums, 0
+    rows = run[:, None]                     # row positions, as a column
+    while True:
+        neg = head[b] * lg / den                # -saving, +inf when empty
+        order = np.argsort(neg, axis=1, kind="stable")
+        neg = neg[rows[:run.size], order]
+        live = neg < 0.8 * neg[:, :1]
+        width = np.count_nonzero(live.any(0))
+        order, neg, live = order[:, :width], neg[:, :width], live[:, :width]
+        dpw = np.where(live, neg, 0.0)[..., None] * nweights[order]
+        acc = np.subtract.accumulate(np.concatenate([s[:, None], dpw], 1), 1)
+        over = (acc > limits).any(2)
+        take = live & over[:, :-1]
+        r, j = np.nonzero(take)
+        t, rr = order[r, j], run[r]
+        bits[rr, t] = down[bits[rr, t]]
+        steps += np.bincount(rr, minlength=bits.shape[0])
+        keep = over[:, -1] & take.any(1)        # over, and not all empty
+        if not keep.any():
+            return steps
+        run, den, s = run[keep], den[keep], acc[keep, -1]
+        b = bits[run]
+
+
 def _repair_block(cont_bits, cnir, ber_threshold, caps, omega, max_bits):
     """(bits, powers, steps) of each row of a (T, N) block of continuous
-    bits, row t bitwise the repair of ``cnir[t]`` alone; the greedy loop
-    runs row by row, with Python-float running sums."""
+    bits, row t bitwise the repair of ``cnir[t]`` alone; the rows over a
+    cap are stripped together (``_strip``).  The BER, one value or one per
+    tone, must lie in (0, 0.2) (``_as_arrays`` checks it)."""
     bits = np.floor(cont_bits + 0.5)
     bits = np.where(bits < 2.0, 0.0, np.minimum(bits, float(max_bits)))
     bits = bits.astype(int)
-    ber = np.zeros(cnir.shape[1]) + ber_threshold
-    powers = power_for_bits(bits, cnir, ber, max_bits)
+    lg, den = np.log(5.0 * np.asarray(ber_threshold, float)), 1.6 * cnir
+    cost, head = _pricing(bits.max())
+    powers = cost[bits] * lg / den
     limits = (np.concatenate([[caps.total_cap], caps.aci_caps])
               * (1.0 + FEAS_TOL))
     sums = _cap_sums(powers, omega)
     steps = np.zeros(bits.shape[0], dtype=int)
-    rows = np.flatnonzero((sums > limits).any(1))
-    neglog = -np.log(5.0 * ber)
-    for t in rows:
-        b, c, s, lim = bits[t], cnir[t], sums[t].tolist(), limits.tolist()
-        delta = _marginal_power(b, c, neglog)
-        budget = int(np.sum(b)) + 1
-        n = 0
-        while any(x > m for x, m in zip(s, lim)):
-            pick = int(delta.argmax())      # the lowest index on ties
-            dp = float(delta[pick])
-            if dp == -np.inf:               # every tone is already empty
-                break
-            k = int(b[pick])
-            k -= 1 if k >= 3 else 2
-            b[pick] = k
-            # Only the picked tone's saving changes; same arithmetic.
-            delta[pick] = (-np.inf if k < 2 else
-                           (2.0 ** (k - 1) if k >= 3 else 3.0)
-                           * float(neglog[pick]) / (1.6 * float(c[pick])))
-            for j, w in enumerate([1.0] + omega[pick].tolist()):
-                s[j] -= dp * w
-            n += 1
-            if n > budget:
-                raise SolverError("repair loop failed to terminate")
-        steps[t] = n
-    if rows.size:
-        powers[rows] = power_for_bits(bits[rows], cnir[rows], ber, max_bits)
-    # Recompute the sums once from scratch to shed accumulated rounding.
-    sums = _cap_sums(powers, omega)
+    todo = np.flatnonzero((sums > limits).any(1))
+    if todo.size:
+        b, d = bits[todo], den[todo]
+        steps[todo] = _strip(b, lg, d, sums[todo], limits, omega, head)
+        bits[todo] = b
+        powers[todo] = cost[b] * lg / d
+        # Recompute the sums from scratch to shed accumulated rounding.
+        sums[todo] = _cap_sums(powers[todo], omega)
     if np.count_nonzero(sums <= limits) < sums.size:
         raise SolverError("repair emptied the allocation without reaching "
                           "feasibility")

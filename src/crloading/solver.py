@@ -70,8 +70,8 @@ def _as_arrays(cnir, ber_threshold):
     if np.count_nonzero((c > 0.0) & (c < math.inf)) < c.size:
         raise SolverError("CNIR values must be finite and positive")
     ber = np.zeros(c.shape[-1]) + ber_threshold
-    if np.count_nonzero((ber <= 0) | (ber > 0.2)):
-        raise SolverError("BER thresholds must lie in (0, 0.2]")
+    if np.count_nonzero((ber <= 0) | (ber >= 0.2)):
+        raise SolverError("BER thresholds must lie in (0, 0.2)")
     return c, ber
 
 

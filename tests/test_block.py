@@ -177,3 +177,14 @@ class TestFuzzFourAdjacentBands:
             run_monte_carlo(cfg, self.TRIALS, k, caps=caps)
             solved += 1
         assert solved >= 8, (solved, named)
+
+    def test_per_tone_ber_tuple(self):
+        # the scenario loader keeps a per-subcarrier BER as a tuple
+        cfg = load_scenario("configs/cci_binding.json")
+        n = cfg.su.num_subcarriers
+        cfg = replace(cfg, su=replace(
+            cfg.su, ber_threshold=tuple(np.geomspace(1e-5, 1e-3, n))))
+        caps = build_caps(cfg)
+        rows = [run_trial(cfg, caps, t, 5)[:6] for t in range(40)]
+        stats = run_monte_carlo(cfg, 40, 5, caps=caps)
+        assert stats.to_dict() == reduce_rows(rows)

@@ -7,9 +7,11 @@ import types
 import pytest
 
 import crloading.cli as cli
+from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import SolverError
-from crloading.experiments import run_trial
+from crloading.experiments import run_trial, trial_rng
+from crloading.kkt import kkt_verify
 from crloading.scenario import load_scenario
 
 SMALL = "configs/small_n6.json"
@@ -129,6 +131,25 @@ class TestKktCheck:
         assert doc["pass"] is True
         assert doc["case_id"] in (5, 6, 7, 8)
 
+    def test_trial_checks_the_solve_of_that_trial(self, capsys):
+        code, out, _ = run(capsys, "kkt-check", "--config", SMALL,
+                           "--trial", "3")
+        assert code == 0
+        doc = json.loads(out)
+        solved = json.loads(run(capsys, "solve", "--config", SMALL,
+                                "--trial", "3")[1])
+        assert doc["case_id"] == solved["case_id"]
+        # the residuals, not just the regime, are those of trial 3's solve
+        cfg = load_scenario(SMALL)
+        caps = build_caps(cfg)
+        seed = cfg.experiment.seed
+        sol = run_trial(cfg, caps, 3, seed)[7]
+        cnir = sample_su_channel(cfg.su, trial_rng(seed, 3)).cnir
+        want = kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
+        assert {k: doc[k] for k in want} == want
+        first = json.loads(run(capsys, "kkt-check", "--config", SMALL)[1])
+        assert first["stationarity_power"] != doc["stationarity_power"]
+
     def test_failed_report_exits_three(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(passed=False,
                                      to_dict=lambda: {"pass": False})
@@ -185,10 +206,12 @@ class TestErrorPaths:
         ("sweep", "--config", CCI, "--trials", "-2"),
         ("oracle-compare", "--config", SMALL, "--instances", "0"),
         ("solve", "--config", SMALL, "--trial", "-1"),
+        ("kkt-check", "--config", SMALL, "--trial", "-1"),
         ("solve", "--config", SMALL, "--seed", "-1"),
         ("runtime", "--config", SMALL, "--n-values", "6", "--repeats", "0"),
     ], ids=["zero_trials", "negative_trials", "zero_instances",
-            "negative_trial", "negative_seed", "zero_repeats"])
+            "negative_trial", "kkt_check_negative_trial", "negative_seed",
+            "zero_repeats"])
     def test_bad_count_or_seed_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2

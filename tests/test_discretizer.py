@@ -10,7 +10,8 @@ import types
 import numpy as np
 import pytest
 
-from crloading.discretizer import Allocation, power_for_bits, round_and_repair
+from crloading.discretizer import (Allocation, _pricing, _repair_block,
+                                   power_for_bits, round_and_repair)
 from crloading.errors import SolverError
 from crloading.solver import FEAS_TOL, objective_value, solve_continuous
 
@@ -63,6 +64,28 @@ class TestPowerForBits:
             power_for_bits(-2, 100.0, 1e-4)
         with pytest.raises(SolverError):
             power_for_bits(17, 100.0, 1e-4, max_bits=16)
+        with pytest.raises(SolverError):
+            power_for_bits(2.5, 100.0, 1e-4)
+
+    def test_whole_float_bits_accepted(self):
+        assert power_for_bits(np.array([4.0]), 100.0, 1e-4) == pytest.approx(
+            [P4_100], rel=1e-12)
+
+    def test_exact_powers_of_two(self):
+        # the scenario loader puts no ceiling on max_bits: the pricing must
+        # equal the np.power(2.0, b) formulas bitwise far past 16 bits
+        rng = np.random.default_rng(31)
+        b = np.r_[0, 2:101]
+        c = 10.0 ** rng.uniform(-1.0, 6.0, size=b.size)
+        ber = 10.0 ** rng.uniform(-7.0, -1.0, size=b.size)
+        old = -(np.power(2.0, b) - 1.0) * np.log(5.0 * ber) / (1.6 * c)
+        old = np.where(b == 0, 0.0, old)
+        assert np.array_equal(power_for_bits(b, c, ber, max_bits=100), old)
+        cost, head = _pricing(100)
+        lg, den = np.log(5.0 * ber), 1.6 * c
+        assert np.array_equal(np.where(b == 0, 0.0, cost[b] * lg / den), old)
+        assert np.array_equal(-(head[b] * lg / den),
+                              _reference_marginal_power(b, c, ber))
 
     def test_bad_ber_rejected(self):
         for ber in (0.0, 0.2, 0.5, -1e-3):
@@ -328,7 +351,7 @@ def reference_round_and_repair(continuous, caps, omega, cnir, ber_threshold,
                       feasible=feasible, repair_steps=steps)
 
 
-def repair_instance(rng):
+def repair_instance(rng, n=None):
     """(continuous, caps, omega, cnir, ber, max_bits) for the greedy loop.
 
     Half the draws take CNIR from four values and whole continuous bits, so
@@ -336,8 +359,9 @@ def repair_instance(rng):
     fractions of the rounded allocation's sums; "empty" sets one to 0,
     which strips every tone it couples (all of them for the total cap).
     """
-    n = int(rng.choice([1, 2, 5, 16, 64, 256, 1024],
-                       p=[0.1, 0.15, 0.2, 0.2, 0.2, 0.1, 0.05]))
+    if n is None:
+        n = int(rng.choice([1, 2, 5, 16, 64, 256, 1024],
+                           p=[0.1, 0.15, 0.2, 0.2, 0.2, 0.1, 0.05]))
     l = int(rng.integers(0, 4))
     ties = rng.random() < 0.5
     if ties:
@@ -411,3 +435,62 @@ class TestMatchesReferenceLoop:
                 for fn in (reference_round_and_repair, round_and_repair):
                     with pytest.raises(SolverError, match="repair"):
                         fn(cont_, c, omega, cnir, ber, max_bits)
+
+
+def assert_block_matches_reference(conts, cnirs, caps, omega, ber, max_bits):
+    """Each row of one block repair equals the reference loop on it alone;
+    returns the reference allocations."""
+    bits, powers, steps = _repair_block(
+        np.array([c.bits for c in conts]), np.array(cnirs), ber, caps,
+        omega, max_bits)
+    refs = [reference_round_and_repair(c, caps, omega, cn, ber, max_bits)
+            for c, cn in zip(conts, cnirs)]
+    for t, ref in enumerate(refs):
+        assert np.array_equal(bits[t], ref.bits)
+        assert bits.dtype == ref.bits.dtype
+        assert np.array_equal(powers[t], ref.powers)
+        assert steps[t] == ref.repair_steps
+    return refs
+
+
+class TestBlockMatchesReferenceLoop:
+    def test_stacked_random_instances(self):
+        # 2-8 draws of one N share the first draw's caps, overlap matrix,
+        # BER and max_bits; each row is repaired as if alone
+        rng = np.random.default_rng(6061)
+        rows = steps = emptied = tied = 0
+        for _ in range(60):
+            n = int(rng.choice([1, 2, 5, 16, 64, 256]))
+            cont0, caps, omega, cnir0, ber, max_bits = repair_instance(rng, n)
+            conts, cnirs = [cont0], [cnir0]
+            for _ in range(int(rng.integers(1, 8))):
+                c, _, _, cn, _, _ = repair_instance(rng, n)
+                conts.append(c)
+                cnirs.append(cn)
+            refs = assert_block_matches_reference(conts, cnirs, caps, omega,
+                                                  ber, max_bits)
+            rows += len(refs)
+            steps += sum(r.repair_steps for r in refs)
+            emptied += sum(r.repair_steps > 0 and not np.any(r.bits)
+                           for r in refs)
+            tied += sum(n > 4 and np.unique(cn).size <= 4 for cn in cnirs)
+        # the blocks must mix long repairs, emptied rows and tie-heavy rows
+        assert rows > 250
+        assert steps > 5000
+        assert emptied > 20
+        assert tied > 50
+
+    def test_row_needing_several_rounds(self):
+        # Row 0 strips one tone from 10 bits to 3: each round's batch is
+        # that tone's top bit alone (the other tone is empty), so its seven
+        # steps take seven rounds while row 1 (one tie-broken step, as in
+        # TestRepair::test_tie_breaks_to_lowest_index) stops after the first.
+        conts = [cont([10.0, 0.0]), cont([3.3, 3.3])]
+        cnirs = [np.array([100.0, 100.0])] * 2
+        refs = assert_block_matches_reference(conts, cnirs, make_caps(2, 0.5),
+                                              np.zeros((2, 0)), 1e-4, 16)
+        assert [list(r.bits) for r in refs] == [[3, 0], [2, 3]]
+        assert [r.repair_steps for r in refs] == [7, 1]
+        np.testing.assert_allclose(refs[0].powers, [P3_100, 0.0], rtol=1e-12)
+        np.testing.assert_allclose(refs[1].powers, [P2_100, P3_100],
+                                   rtol=1e-12)

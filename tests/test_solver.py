@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading import solver
+from crloading.discretizer import round_and_repair
 from crloading.errors import SolverError
+from crloading.oracle import exhaustive_search
 from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
@@ -293,6 +295,32 @@ class TestOverlapShape:
     def test_shape_must_be_tones_by_caps(self, omega, aci_caps):
         with pytest.raises(SolverError, match="overlap matrix shape"):
             solve_capped(C2, 0.5, 1e-4, math.inf, omega, aci_caps)
+
+
+class TestBerCeiling:
+    """BER = 0.2 makes -ln(5 BER) zero: every entry point must refuse it
+    (solve_capped used to divide by zero and return an empty solution)."""
+
+    CNIR = np.array([10.0, 20.0])
+    ENTRY_POINTS = {
+        "solve_capped": lambda c, ber: solve_capped(c, 0.5, ber, 1.0),
+        "solve_continuous": lambda c, ber: solve_continuous(
+            c, make_caps(2, 1.0), su(alpha=0.5, ber=ber)),
+        "lambda_total_power": lambda c, ber: lambda_total_power(
+            [0, 1], c, 0.5, ber, 1.0),
+        "round_and_repair": lambda c, ber: round_and_repair(
+            types.SimpleNamespace(bits=np.array([4.0, 4.0]), alpha=0.5),
+            make_caps(2, 1.0), None, c, ber),
+        "exhaustive_search": lambda c, ber: exhaustive_search(
+            c, 0.5, ber, make_caps(2, 1.0)),
+    }
+
+    @pytest.mark.parametrize("ber", [0.2, [1e-4, 0.2]],
+                             ids=["scalar", "one_tone"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_ber_of_one_fifth_rejected(self, entry, ber):
+        with pytest.raises(SolverError, match=r"\(0, 0\.2\)"):
+            self.ENTRY_POINTS[entry](self.CNIR, np.asarray(ber))
 
 
 def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
