@@ -62,6 +62,22 @@ class AggregateStats:
         )}
 
 
+def _integer(value, what: str, least: int) -> int:
+    """``value`` as an int >= ``least``; integral floats such as 64.0 count."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (isinstance(value, numbers.Integral)
+                    or float(value).is_integer()) or value < least):
+        raise ConfigError(f"{what} must be at least {least} and integral, "
+                          f"got {value!r}")
+    return int(value)
+
+
+def _seed(cfg: ScenarioConfig, master_seed) -> int:
+    """The master seed, ``experiment.seed`` when not given."""
+    return _integer(cfg.experiment.seed if master_seed is None
+                    else master_seed, "master seed", 0)
+
+
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """The per-trial generator: splittable, order-independent."""
     if master_seed < 0 or trial_index < 0:
@@ -127,11 +143,9 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     ``SolverError`` in trial t is re-raised naming t and the master seed, so
     ``crloading solve --seed S --trial T`` replays it.
     """
-    trials = cfg.experiment.trials if trials is None else int(trials)
-    master_seed = (cfg.experiment.seed if master_seed is None
-                   else int(master_seed))
-    if trials < 1:
-        raise ConfigError(f"trials must be at least 1, got {trials}")
+    trials = _integer(cfg.experiment.trials if trials is None else trials,
+                      "trials", 1)
+    master_seed = _seed(cfg, master_seed)
     if caps is None:
         caps = build_caps(cfg)
     su, omega = cfg.su, caps.aci_weights.omega
@@ -158,12 +172,9 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
                                                 bits, powers)
 
     def mean_ci(col):
-        m = float(np.mean(col))
-        if trials > 1:
-            hw = 1.96 * float(np.std(col, ddof=1)) / math.sqrt(trials)
-        else:
-            hw = 0.0
-        return m, hw
+        hw = (1.96 * float(np.std(col, ddof=1)) / math.sqrt(trials)
+              if trials > 1 else 0.0)
+        return float(np.mean(col)), hw
 
     thr, thr_ci = mean_ci(table[:, 0])
     pwr, pwr_ci = mean_ci(table[:, 1])
@@ -223,10 +234,8 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     The relative optimality gap is (F_proposed - F_opt) / |F_opt| (both
     objectives are negative for any non-trivial instance).
     """
-    if instances < 1:
-        raise ConfigError(f"instances must be at least 1, got {instances}")
-    master_seed = (cfg.experiment.seed if master_seed is None
-                   else int(master_seed))
+    instances = _integer(instances, "instances", 1)
+    master_seed = _seed(cfg, master_seed)
     su = cfg.su
     caps = build_caps(cfg)
     omega = caps.aci_weights.omega
@@ -264,10 +273,8 @@ def _resized(cfg: ScenarioConfig, n) -> ScenarioConfig:
                                                          tuple):
         raise ConfigError("runtime scaling needs scalar per-subcarrier "
                           "parameters to resize the band")
-    if (isinstance(n, bool) or not isinstance(n, numbers.Real)
-            or not float(n).is_integer() or n < 1):
-        raise ConfigError(f"band sizes must be integers >= 1, got {n!r}")
-    return replace(cfg, su=replace(su, num_subcarriers=int(n)))
+    return replace(cfg, su=replace(su, num_subcarriers=_integer(
+        n, "band sizes", 1)))
 
 
 def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
@@ -278,10 +285,8 @@ def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
     counts).  Returns (rows, slope): rows are (n, median_seconds); slope is
     the log-log fit over the rows (nan with fewer than two sizes).
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be at least 1, got {repeats}")
-    master_seed = (cfg.experiment.seed if master_seed is None
-                   else int(master_seed))
+    repeats = _integer(repeats, "repeats", 1)
+    master_seed = _seed(cfg, master_seed)
     rows = []
     for cfg_n in [_resized(cfg, n) for n in n_values]:
         caps = build_caps(cfg_n)

@@ -29,7 +29,8 @@ the cheapest solver that settles it wins:
 1. the total-power closed form, every other multiplier at zero;
 2. each adjacent-channel cap on its own, by a scalar Newton that climbs
    monotonically (the scaled residual is convex and decreasing);
-3. the coupled projected Newton, with a cyclic-bisection fallback.
+3. projected Newton ascent on the coupled dual, which is concave, so each
+   step backtracks on the dual itself and the method needs no fallback.
 
 ``case_id`` (5..8) only labels the result by which multipliers are positive.
 """
@@ -145,104 +146,56 @@ def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _scaled_residuals(lam_e, cols, q, alpha, weights, caps, active):
-    """Residual (load - cap)/cap for the enforced constraint columns."""
+def _met(excess, size, caps, at_zero):
+    """Whether each cap's excess is within _DUAL_TOL of its cap or, if
+    larger, of ``size``, its load's terms in magnitude (k/mu and q cancel on
+    a tone the active set will yet null), or below it where ``at_zero``."""
+    tol = _DUAL_TOL * np.maximum(caps, size)
+    return (excess <= tol) & ((excess >= -tol) | at_zero)
+
+
+def _newton_duals(lam, w, q, alpha, caps):
+    """Multipliers of the caps weighted by ``w`` (active tones x caps), by
+    projected Newton ascent from ``lam >= 0`` on the concave dual
+
+        phi(lam) = k * sum(ln mu) - lam . (caps - w^T q),  mu = alpha + w lam,
+
+    whose gradient is the load excess (D. P. Bertsekas, SIAM J. Control
+    Optim. 20(2), 1982).  A multiplier whose scaled gradient step reaches
+    0 is held on its bound by that step; the others take a Newton step
+    damped by nu times the Hessian's diagonal, so a singular Hessian (more
+    caps than tones, collinear weights) still ascends.  Each step
+    backtracks along the projection arc (Armijo)."""
     k = (1.0 - alpha) / _LN2
-    w_act = weights[active][:, cols]
-    mu = alpha + w_act @ lam_e
-    p = k / mu + q[active]
-    loads = w_act.T @ p
-    return (loads - caps[cols]) / caps[cols]
-
-
-def _scaled_jacobian(lam_e, cols, alpha, weights, caps, active):
-    k = (1.0 - alpha) / _LN2
-    w_act = weights[active][:, cols]
-    mu = alpha + w_act @ lam_e
-    jac = -k * (w_act / mu[:, None] ** 2).T @ w_act
-    return jac / caps[cols][:, None]
-
-
-def _settled(lam_e, r) -> bool:
-    """Every enforced cap is met to _DUAL_TOL, or priced at 0 and slack."""
-    return bool(np.all((np.abs(r) <= _DUAL_TOL)
-                       | ((lam_e == 0.0) & (r <= _DUAL_TOL))))
-
-
-def _bisect_duals(lam_e, cols, args):
-    """Cyclic per-constraint bisection; solves the complementarity system
-    (each lam >= 0, residual <= 0, lam * residual = 0) for monotone loads."""
-    m = lam_e.size
-    for _ in range(500):
-        for j in range(m):
-            def res_j(x):
-                trial = lam_e.copy()
-                trial[j] = x
-                return _scaled_residuals(trial, cols, *args)[j]
-
-            if res_j(0.0) <= 0.0:
-                lam_e[j] = 0.0
-                continue
-            hi = max(1.0, 2.0 * lam_e[j])
-            doublings = 0
-            while res_j(hi) > 0.0:
-                hi *= 2.0
-                doublings += 1
-                if doublings > 900:
-                    raise SolverError("cap equalization failed to bracket")
-            lo = 0.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                r = res_j(mid)
-                if abs(r) <= 0.01 * _DUAL_TOL:
-                    break
-                if r > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-16 * hi:
-                    break
-            lam_e[j] = 0.5 * (lo + hi)
-        r = _scaled_residuals(lam_e, cols, *args)
-        if _settled(lam_e, r):
-            return lam_e
-    raise SolverError(
-        f"cap equalization (bisection) did not converge; residuals {r}"
-    )
-
-
-def _merit(lam_e, cols, args):
-    r = _scaled_residuals(lam_e, cols, *args)
-    return float(np.max(np.where(lam_e > 0.0, np.abs(r), np.maximum(r, 0.0))))
-
-
-def _newton_duals(lam_e, cols, args):
-    """Projected damped Newton on the scaled cap residuals."""
+    wq = w.T @ q
+    nu = 1e-12
     for _ in range(100):
-        r = _scaled_residuals(lam_e, cols, *args)
-        if _settled(lam_e, r):
-            return lam_e
-        free = (lam_e > 0.0) | (r > 0.0)
-        jac = _scaled_jacobian(lam_e, cols, *args[1:])
-        try:
-            step = np.linalg.solve(jac[np.ix_(free, free)], -r[free])
-        except np.linalg.LinAlgError:
-            break
-        direction = np.zeros_like(lam_e)
-        direction[free] = step
-        base = _merit(lam_e, cols, args)
+        mu = alpha + w @ lam
+        load = w.T @ (k / mu + q)
+        g = load - caps
+        if _met(g, load - 2.0 * wq, caps, lam == 0.0).all():
+            return lam
+        wm = w / mu[:, None]
+        hess = k * wm.T @ wm            # minus the Hessian of phi
+        diag = hess.diagonal()
+        step = g / diag
+        free = lam + step > 0.0
+        step[free] = np.linalg.solve(
+            hess[np.ix_(free, free)] + nu * np.diag(diag[free]), g[free])
         t = 1.0
-        improved = False
-        for _ in range(40):
-            trial = np.maximum(lam_e + t * direction, 0.0)
-            if _merit(trial, cols, args) < base * (1.0 - 1e-4 * t) + 1e-300:
-                lam_e = trial
-                improved = True
+        for _ in range(50):
+            trial = np.maximum(lam + t * step, 0.0)
+            d = trial - lam
+            # phi(trial) - phi(lam), free of phi's own rounding
+            gain = k * np.log1p((w @ d) / mu).sum() - d @ (caps - wq)
+            if gain >= 1e-4 * (t * g[free] @ step[free] + g[~free] @ d[~free]):
                 break
             t *= 0.5
-        if not improved:
+        else:
             break
-    return _bisect_duals(lam_e, cols, args)
+        lam = trial
+        nu = max(0.1 * nu, 1e-12) if t == 1.0 else min(10.0 * nu, 1e6)
+    raise SolverError(f"cap equalization did not converge; excess {g}")
 
 
 def _aci_dual(w, active, q, alpha, cap):
@@ -283,6 +236,7 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     if not np.count_nonzero(todo):
         return out
     k = (1.0 - alpha) / _LN2
+    wq = (np.where(active, q, 0.0)[:, None, :] * wt).sum(2)
     for col in range(wt.shape[0]):
         need = todo & enforced[:, col]
         if not np.count_nonzero(need):
@@ -291,17 +245,18 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
              else _aci_dual(wt[col], active, q, alpha, caps[col]))
         # alpha + w * lam of the candidate: its other multipliers are 0.
         p = np.where(active, k / (alpha + wt[col] * x[:, None]) + q, 0.0)
-        r = ((p[:, None, :] * wt).sum(2) - caps) / caps
-        # Settled: no enforced cap above it, this one not below it unless
-        # its multiplier is 0.
-        ok = (need & ~((r > _DUAL_TOL) & enforced).any(1)
-              & ((r[:, col] >= -_DUAL_TOL) | (x == 0.0)))
+        load = (p[:, None, :] * wt).sum(2)
+        met = _met(load - caps, load - 2.0 * wq, caps,
+                   (np.arange(wt.shape[0]) != col) | (x == 0.0)[:, None])
+        ok = need & (met | ~enforced).all(1)
         out[ok, col] = x[ok]
         todo &= ~ok
     for i in np.flatnonzero(todo):
-        cols = np.flatnonzero(enforced[i])
-        out[i, cols] = _newton_duals(np.maximum(lam[i, cols], 0.0), cols,
-                                     (q[i], alpha, wt.T, caps, active[i]))
+        # a cap no active tone loads is slack at 0
+        cols = np.flatnonzero(enforced[i] & wt[:, active[i]].any(1))
+        out[i, cols] = _newton_duals(
+            np.maximum(lam[i, cols], 0.0), wt[cols][:, active[i]].T,
+            q[i, active[i]], alpha, caps[cols])
     return out
 
 

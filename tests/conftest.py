@@ -5,6 +5,7 @@ import pytest
 
 from crloading.channel import AciFactors, ChannelRealization
 from crloading.constraints import ConstraintCaps
+from crloading.scenario import load_scenario
 from crloading.solver import solve_capped
 
 
@@ -66,6 +67,35 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
                 aci_cap = load6 * float(rng.uniform(0.95, 0.995))
     caps = make_caps(n, total_cap, [aci_cap], omega)
     return cnir, alpha, ber, caps
+
+
+def adjacent_band_scenario(rng):
+    """Four adjacent PUs, N up to 256, CNIR over ten decades within a draw
+    (per-tone PU interference), risk levels psi up to 0.999."""
+    n = int(rng.integers(1, 257))
+    spacing = 9765.625
+    pus = [{"kind": "adjacent", "distance": float(rng.uniform(600, 3000)),
+            "interference_cap": float(10.0 ** rng.uniform(-14, -9)),
+            "probability": float(rng.uniform(0.5, 0.999)),
+            "fading_rate": float(rng.uniform(0.5, 2.0)),
+            "bandwidth": float(rng.uniform(0.1, 2.0) * n * spacing),
+            "center_offset": float(rng.uniform(0.2, 2.0) * n * spacing)}
+           for _ in range(4)]
+    return load_scenario({
+        "su": {"num_subcarriers": n, "symbol_duration": 1.024e-4,
+               "subcarrier_spacing": spacing,
+               "noise_variance": 1e-9,
+               "pu_interference": [float(x) for x in
+                                   10.0 ** rng.uniform(-10.0, 0.0, n)],
+               "ber_threshold": float(10.0 ** rng.uniform(-6.0, -3.0)),
+               "alpha": float(rng.uniform(0.2, 0.8)),
+               "power_threshold": float(10.0 ** rng.uniform(-4.0, 0.0)),
+               "su_link_gain": float(10.0 ** rng.uniform(-4.0, 0.0)),
+               "max_bits": 16},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": pus,
+    })
 
 
 @pytest.fixture

@@ -223,7 +223,8 @@ class TestErrorPaths:
         code, out, err = run(capsys, "runtime", "--config", CCI,
                              f"--n-values={sizes}", "--repeats", "1")
         assert code == 2
-        assert err.startswith("config error: band sizes must be integers")
+        assert err.startswith("config error: band sizes must be at least 1 "
+                              "and integral")
         assert out == ""
 
     def test_no_subcommand_is_usage_error(self, capsys):

@@ -223,6 +223,45 @@ class TestFailingTrialIsNamed:
             run_monte_carlo(cfg, trials=12, master_seed=self.SEED)
 
 
+class TestCountsAndSeedsAreIntegral:
+    """A count or seed is never truncated: 2.5 trials used to run 2, seed
+    1.7 ran seed 1 and seed -0.5 ran seed 0."""
+
+    ENTRY_POINTS = {
+        "run_monte_carlo": lambda count, seed: run_monte_carlo(
+            small_cfg(), count, seed),
+        "sweep_experiment": lambda count, seed: sweep_experiment(
+            small_cfg(), "alpha", [0.5], count, seed),
+        "compare_with_oracle": lambda count, seed: compare_with_oracle(
+            small_cfg(), count, seed),
+        "runtime_scaling": lambda count, seed: runtime_scaling(
+            unconstrained_cfg(), [8], count, seed),
+    }
+
+    @pytest.mark.parametrize("count, seed", [
+        (2.5, 1), (np.float64(2.5), 1), (True, 1), ("2", 1),
+        (2, 1.7), (2, -0.5), (2, -1), (2, np.nan), (2, "1"),
+    ], ids=["count_2.5", "count_np_2.5", "count_bool", "count_str",
+            "seed_1.7", "seed_-0.5", "seed_-1", "seed_nan", "seed_str"])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_rejected(self, entry, count, seed):
+        with pytest.raises(ConfigError, match="must be at least [01] and "
+                                              "integral, got "):
+            self.ENTRY_POINTS[entry](count, seed)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_integral_floats_count(self, entry):
+        if entry == "runtime_scaling":
+            assert len(self.ENTRY_POINTS[entry](2.0, 1.0)[0]) == 1
+            return
+        a = self.ENTRY_POINTS[entry](2.0, np.float64(1.0))
+        b = self.ENTRY_POINTS[entry](np.int64(2), 1)
+        if entry == "compare_with_oracle":
+            assert a.gaps().tolist() == b.gaps().tolist()
+        else:
+            assert a == b
+
+
 class TestOracleComparison:
     def test_proposed_never_beats_oracle(self):
         cmp = compare_with_oracle(small_cfg(), instances=12)
@@ -257,7 +296,8 @@ class TestRuntimeScaling:
     @pytest.mark.parametrize("n", [-4, 0, 2.7, 2.0001, np.inf, np.nan,
                                    True, "8"])
     def test_band_size_must_be_a_positive_integer(self, n):
-        with pytest.raises(ConfigError, match="band sizes must be integers"):
+        with pytest.raises(ConfigError,
+                           match="band sizes must be at least 1 and integral"):
             runtime_scaling(unconstrained_cfg(), [8, n], repeats=1)
 
     def test_integral_float_size_is_accepted(self):

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crloading import solver
+from crloading import experiments, solver
+from crloading.constraints import build_caps
 from crloading.discretizer import round_and_repair
 from crloading.errors import SolverError
+from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.solver import (
     ContinuousSolution,
@@ -24,7 +26,7 @@ from crloading.solver import (
     solve_continuous,
 )
 
-from conftest import make_caps, random_instance
+from conftest import adjacent_band_scenario, make_caps, random_instance
 
 NEGLOG = 7.600902459542082          # -ln(5e-4)
 C_TH = 13.17136027385687            # activation CNIR at alpha=.5, BER=1e-4
@@ -324,14 +326,15 @@ class TestBerCeiling:
 
 
 def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
-    """The dual step with the closed forms skipped: projected Newton with
-    its bisection fallback on every enforced cap at once, row by row."""
+    """The dual step with the closed forms skipped: projected Newton on
+    every enforced cap at once from zero, row by row."""
     out = np.zeros_like(lam)
     for i in range(lam.shape[0]):
         cols = np.flatnonzero(enforced[i])
         if cols.size and np.any(active[i]):
             out[i, cols] = solver._newton_duals(
-                np.zeros(cols.size), cols, (q[i], alpha, wt.T, caps, active[i]))
+                np.zeros(cols.size), wt[cols][:, active[i]].T,
+                q[i, active[i]], alpha, caps[cols])
     return out
 
 
@@ -381,6 +384,82 @@ class TestDualStepAgreesWithNewton:
         # one positive multiplier: a closed form settled it; two or more:
         # only the coupled Newton can have
         assert positive[1] >= 50 and positive[2] >= 50, positive
+
+
+class TestCoupledNewtonHardRows:
+    """Rows the coupled Newton must settle: singular Hessians, an enforced
+    cap with no loaded tone, and load sums whose terms nearly cancel."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the (active tones, caps) shape of every coupled solve."""
+        shapes, newton = [], solver._newton_duals
+
+        def spy(lam, w, *args):
+            shapes.append(w.shape)
+            return newton(lam, w, *args)
+
+        monkeypatch.setattr(solver, "_newton_duals", spy)
+        return shapes
+
+    def test_more_caps_than_active_tones(self, monkeypatch):
+        # draw 91 of TestDualStepAgreesWithNewton: 2 tones, 4 caps
+        rng = np.random.default_rng(4242)
+        for _ in range(91):
+            TestDualStepAgreesWithNewton._instance(rng)
+        problem = TestDualStepAgreesWithNewton._instance(rng)
+        shapes = self._spy(monkeypatch)
+        TestDualStepAgreesWithNewton()._compare(monkeypatch, *problem)
+        assert (2, 4) in shapes
+
+    def test_collinear_caps_both_binding(self, monkeypatch):
+        # uniform ACI weights make the ACI load 0.3 x the total power, so
+        # the two caps bind at once and share one degree of freedom
+        omega, aci_caps = np.full((2, 1), 0.3), np.array([0.3 * 0.8])
+        got = solve_capped(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
+        monkeypatch.setattr(solver, "_solve_duals", _newton_only_duals)
+        ref = solve_capped(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
+        assert got.case_id == 6 and ref.case_id == 8
+        assert ref.lambda_power + 0.3 * ref.lambda_aci[0] == pytest.approx(
+            got.lambda_power, rel=1e-10)
+        np.testing.assert_allclose(ref.powers, got.powers, rtol=1e-10)
+        assert kkt_verify(ref, C2, 1e-4,
+                          make_caps(2, 0.8, aci_caps, omega)).passed
+
+    def test_enforced_cap_left_without_loaded_tones(self, monkeypatch):
+        # tone 0 is the only one the first cap weights; once that cap's
+        # multiplier nulls it, the cap is enforced but carries no load,
+        # and the coupled step must leave it at 0 rather than divide by
+        # its zero Hessian diagonal
+        cnir = np.array([45.6, 15.9, 14.2, 557.0, 881.0, 215.0])
+        omega = np.array([[0.73, 0, 0], [0, 0, 0], [0.034, 0.73, 0],
+                          [0, 0.54, 0], [0, 0, 0.12], [0, 0.65, 0]])
+        aci_caps = np.array([0.048, 0.152, 0.108])
+        shapes = self._spy(monkeypatch)
+        sol = solve_capped(cnir, 0.5, 1e-4, 3.62, omega, aci_caps)
+        assert shapes == [(6, 4), (4, 3)]
+        assert sol.lambda_aci[0] == 0.0 and 0 not in sol.active_set
+        assert kkt_verify(sol, cnir, 1e-4,
+                          make_caps(6, 3.62, aci_caps, omega)).passed
+
+    def test_four_band_fuzz_scenario_zero(self, monkeypatch):
+        # A provisional active set holds tones whose k/mu and q cancel:
+        # load terms near 0.36 W against a 1.4e-4 W total-power cap.  A
+        # tolerance relative to the cap alone sits below the rounding of
+        # that sum, and no method could meet it.
+        cfg = adjacent_band_scenario(np.random.default_rng(1066))
+        caps = build_caps(cfg)
+        cnir = experiments._draw(cfg, 0, [0])[0][0]
+        su = cfg.su
+        got = solve_continuous(cnir, caps, su)
+        shapes = self._spy(monkeypatch)
+        monkeypatch.setattr(solver, "_solve_duals", _newton_only_duals)
+        ref = solve_continuous(cnir, caps, su)
+        assert shapes
+        for sol in (got, ref):
+            assert kkt_verify(sol, cnir, su.ber_threshold, caps).passed
+        np.testing.assert_array_equal(got.active_set, ref.active_set)
+        np.testing.assert_allclose(ref.powers, got.powers, rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
