@@ -146,12 +146,11 @@ def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _met(excess, size, caps, at_zero):
-    """Whether each cap's excess is within _DUAL_TOL of its cap or, if
-    larger, of ``size``, its load's terms in magnitude (k/mu and q cancel on
-    a tone the active set will yet null), or below it where ``at_zero``."""
-    tol = _DUAL_TOL * np.maximum(caps, size)
-    return (excess <= tol) & ((excess >= -tol) | at_zero)
+def _tol(caps, load, wq):
+    """How far a load may miss its cap and count as met: _DUAL_TOL times the
+    cap or, if larger, the load's terms in magnitude, sum w (k/mu - q) =
+    load - 2 sum w q (k/mu and q cancel on a tone that will yet be nulled)."""
+    return _DUAL_TOL * np.maximum(caps, load - 2.0 * wq)
 
 
 def _newton_duals(lam, w, q, alpha, caps):
@@ -173,7 +172,8 @@ def _newton_duals(lam, w, q, alpha, caps):
         mu = alpha + w @ lam
         load = w.T @ (k / mu + q)
         g = load - caps
-        if _met(g, load - 2.0 * wq, caps, lam == 0.0).all():
+        tol = _tol(caps, load, wq)
+        if np.all((g <= tol) & ((g >= -tol) | (lam == 0.0))):
             return lam
         wm = w / mu[:, None]
         hess = k * wm.T @ wm            # minus the Hessian of phi
@@ -182,15 +182,13 @@ def _newton_duals(lam, w, q, alpha, caps):
         free = lam + step > 0.0
         step[free] = np.linalg.solve(
             hess[np.ix_(free, free)] + nu * np.diag(diag[free]), g[free])
-        t = 1.0
-        for _ in range(50):
+        for t in 0.5 ** np.arange(50):
             trial = np.maximum(lam + t * step, 0.0)
             d = trial - lam
             # phi(trial) - phi(lam), free of phi's own rounding
             gain = k * np.log1p((w @ d) / mu).sum() - d @ (caps - wq)
             if gain >= 1e-4 * (t * g[free] @ step[free] + g[~free] @ d[~free]):
                 break
-            t *= 0.5
         else:
             break
         lam = trial
@@ -246,9 +244,11 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
         # alpha + w * lam of the candidate: its other multipliers are 0.
         p = np.where(active, k / (alpha + wt[col] * x[:, None]) + q, 0.0)
         load = (p[:, None, :] * wt).sum(2)
-        met = _met(load - caps, load - 2.0 * wq, caps,
-                   (np.arange(wt.shape[0]) != col) | (x == 0.0)[:, None])
-        ok = need & (met | ~enforced).all(1)
+        excess, tol = load - caps, _tol(caps, load, wq)
+        # Settled: no enforced cap above it, this one not below it unless
+        # its multiplier is 0.
+        ok = (need & ~((excess > tol) & enforced).any(1)
+              & ((excess[:, col] >= -tol[:, col]) | (x == 0.0)))
         out[ok, col] = x[ok]
         todo &= ~ok
     for i in np.flatnonzero(todo):
