@@ -9,15 +9,3 @@ class SolverError(Exception):
     """Raised when a numerical routine fails to converge or is handed an
     infeasible/ill-posed problem."""
 
-
-class QuadratureError(SolverError):
-    """Adaptive quadrature ran out of depth budget.
-
-    Carries the best value obtained and the tolerance actually achieved so
-    callers can decide whether the partial result is usable.
-    """
-
-    def __init__(self, message, value=None, achieved_tol=None):
-        super().__init__(message)
-        self.value = value
-        self.achieved_tol = achieved_tol

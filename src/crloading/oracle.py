@@ -1,8 +1,8 @@
 """Discrete exhaustive-search baseline (small N only).
 
-Enumerates every bit vector over {0, 2, 3, ..., b_max} per subcarrier (or
-even sizes only), with BER-exact powers, and returns the feasible vector
-minimizing the scalarized objective.  Two equivalent engines:
+Enumerates every bit vector over {0, 2, 3, ..., b_max} per subcarrier, with
+BER-exact powers, and returns the feasible vector minimizing the scalarized
+objective.  Two equivalent engines:
 
 * ``prune=True``: depth-first search with branch-and-bound.  Feasibility
   pruning uses that power grows with bits; objective pruning uses the sum
@@ -35,18 +35,8 @@ class OracleResult:
     nodes_visited: int
 
 
-def _bit_domain(b_max, even_only):
-    if b_max < 2:
-        raise SolverError("b_max must be at least 2")
-    if even_only:
-        vals = [0] + list(range(2, b_max + 1, 2))
-    else:
-        vals = [0] + list(range(2, b_max + 1))
-    return vals
-
-
 def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
-                      even_only=False, prune=True, n_limit=10) -> OracleResult:
+                      prune=True, n_limit=10) -> OracleResult:
     """Globally optimal discrete loading by enumeration.
 
     Refuses more than ``n_limit`` subcarriers (the search is exponential).
@@ -67,7 +57,9 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
                            n, aci_caps.size)
     total_cap = caps.total_cap
 
-    bvals = _bit_domain(b_max, even_only)
+    if b_max < 2:
+        raise SolverError("b_max must be at least 2")
+    bvals = [0] + list(range(2, b_max + 1))
     # Candidate powers per subcarrier, aligned with bvals.
     pcand = np.stack([
         power_for_bits(np.full(n, b), c, ber, max_bits=b_max) for b in bvals

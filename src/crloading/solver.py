@@ -70,7 +70,11 @@ def _as_arrays(cnir, ber_threshold):
     c = np.atleast_1d(np.asarray(cnir, dtype=float))
     if np.count_nonzero((c > 0.0) & (c < math.inf)) < c.size:
         raise SolverError("CNIR values must be finite and positive")
-    ber = np.zeros(c.shape[-1]) + ber_threshold
+    ber = np.asarray(ber_threshold, dtype=float)
+    if ber.ndim and ber.shape != c.shape[-1:]:
+        raise SolverError(f"BER thresholds must be one value or one per "
+                          f"tone: got {ber.shape} for {c.shape[-1]} tones")
+    ber = np.zeros(c.shape[-1]) + ber
     if np.count_nonzero((ber <= 0) | (ber >= 0.2)):
         raise SolverError("BER thresholds must lie in (0, 0.2)")
     return c, ber

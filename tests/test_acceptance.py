@@ -14,8 +14,7 @@ import types
 import numpy as np
 import pytest
 
-from crloading.channel import (adaptive_simpson, path_loss_db,
-                               spectral_overlap_factor)
+from crloading.channel import _sinc2_windows, path_loss_db
 from crloading.constraints import build_caps, cci_power_cap
 from crloading.discretizer import round_and_repair
 from crloading.experiments import (compare_with_oracle, run_monte_carlo,
@@ -285,19 +284,21 @@ def test_c08_repair_correctness():
 
 
 def test_c09_quadrature():
+    # the rule that builds the overlap matrix, on windows [lo, hi] of sinc^2
+    def integral(lo, hi):
+        return float(_sinc2_windows(np.zeros(1), lo, hi - lo)[0])
+
     # full overlap of an entire (wide) band with itself: factor -> 1
-    wide = spectral_overlap_factor(0.0, 1.0e8, 1.024e-4, 0.0)
+    width = 1.024e-4 * 1.0e8
+    wide = integral(-0.5 * width, 0.5 * width)
     wide_ok = abs(wide - 1.0) <= 1e-4
     # central unit-width window of the squared-sinc kernel, frozen from an
     # independent high-order quadrature
-    main = adaptive_simpson(
-        lambda t: np.sinc(t) ** 2, -0.5, 0.5, rel_tol=1e-10)
+    main = integral(-0.5, 0.5)
     main_ok = abs(main - 0.7736950099028163) <= 1e-6
     # splitting an interval must not change the integral
-    f = lambda t: np.sinc(t) ** 2
-    whole = adaptive_simpson(f, -3.0, 5.0, rel_tol=1e-11)
-    parts = (adaptive_simpson(f, -3.0, 0.7, rel_tol=1e-11)
-             + adaptive_simpson(f, 0.7, 5.0, rel_tol=1e-11))
+    whole = integral(-3.0, 5.0)
+    parts = integral(-3.0, 0.7) + integral(0.7, 5.0)
     add_ok = abs(whole - parts) <= 1e-9
     ok = wide_ok and main_ok and add_ok
     _report(9, f"quadrature: wide-band limit {wide:.6f} (tol 1e-4), "

@@ -1,6 +1,7 @@
 """Fading draws, CNIR assembly, and the spectral-overlap quadrature."""
 
 import dataclasses
+import math
 
 import mpmath
 import numpy as np
@@ -8,17 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading.channel import (
-    _sinc2,
+    _sinc2_windows,
     aci_overlap_matrix,
-    adaptive_simpson,
     pu_interference_to_su,
     sample_sp_gain,
     sample_su_channel,
-    spectral_overlap_factor,
     subcarrier_center_frequencies,
 )
-from crloading.errors import ConfigError, QuadratureError
-from crloading.scenario import load_scenario, path_loss_db
+from crloading.errors import ConfigError
+from crloading.scenario import PuDescriptor, load_scenario, path_loss_db
 
 # integral of sinc^2 over [-1/2, 1/2]; frozen from an independent
 # high-order quadrature run (scipy.integrate.quad at 1e-14, cross-checked
@@ -37,6 +36,15 @@ def sinc2_integral(lo, hi):
                     - mpmath.sin(mpmath.pi * x) ** 2 / (mpmath.pi ** 2 * x))
         return float(antiderivative(mpmath.mpf(hi))
                      - antiderivative(mpmath.mpf(lo)))
+
+
+def overlap_factor(center_distance, bandwidth, symbol_duration, loss_db):
+    """Overlap factor of one subcarrier into one PU band ``center_distance``
+    Hz away, by the rule ``aci_overlap_matrix`` uses."""
+    width = symbol_duration * bandwidth
+    return float(_sinc2_windows(np.array([symbol_duration * center_distance]),
+                                -0.5 * width, width,
+                                10.0 ** (-0.1 * loss_db))[0])
 
 
 def su_params(**over):
@@ -112,65 +120,28 @@ class TestSpGain:
             sample_sp_gain(rate, np.random.default_rng(0))
 
 
-class TestAdaptiveSimpson:
-    def test_main_lobe_value(self):
-        v = adaptive_simpson(_sinc2, -0.5, 0.5, rel_tol=1e-12)
-        assert v == pytest.approx(MAIN_LOBE, rel=1e-12)
-
-    def test_removable_singularity(self):
-        assert _sinc2(0.0) == 1.0
-
-    def test_smooth_reference(self):
-        # integral of x^2 over [0, 2] = 8/3 exactly
-        assert adaptive_simpson(lambda x: x * x, 0.0, 2.0) == pytest.approx(
-            8.0 / 3.0, rel=1e-13)
-
-    def test_orientation(self):
-        fwd = adaptive_simpson(_sinc2, -0.5, 1.5)
-        rev = adaptive_simpson(_sinc2, 1.5, -0.5)
-        assert rev == pytest.approx(-fwd, rel=1e-12)
-
-    def test_empty_interval(self):
-        assert adaptive_simpson(_sinc2, 0.3, 0.3) == 0.0
-
-    @given(st.floats(min_value=-2.9, max_value=3.9))
-    @settings(max_examples=40, deadline=None)
-    def test_partition_additivity(self, split):
-        whole = adaptive_simpson(_sinc2, -3.0, 4.0, rel_tol=1e-11)
-        left = adaptive_simpson(_sinc2, -3.0, split, rel_tol=1e-11)
-        right = adaptive_simpson(_sinc2, split, 4.0, rel_tol=1e-11)
-        assert left + right == pytest.approx(whole, abs=1e-9)
-
-    def test_budget_exhaustion_reports_progress(self):
-        with pytest.raises(QuadratureError) as exc:
-            adaptive_simpson(_sinc2, 0.0, 200.0, rel_tol=1e-13, max_depth=1)
-        err = exc.value
-        assert err.achieved_tol > 1e-13
-        assert np.isfinite(err.value)
-
-
 class TestOverlapFactor:
     def test_wide_band_totals_one(self):
-        w = spectral_overlap_factor(0.0, 2e4, 1.0, 0.0, rel_tol=1e-7)
+        w = overlap_factor(0.0, 2e4, 1.0, 0.0)
         assert w <= 1.0 + 1e-12
         assert w == pytest.approx(1.0, abs=1e-4)
 
     def test_main_interval(self):
         # band of one subcarrier spacing centred on the subcarrier
         ts = 1.024e-4
-        w = spectral_overlap_factor(0.0, 1.0 / ts, ts, 0.0)
+        w = overlap_factor(0.0, 1.0 / ts, ts, 0.0)
         assert w == pytest.approx(MAIN_LOBE, rel=1e-10)
 
     def test_symmetry_in_offset(self):
         ts = 1.024e-4
-        a = spectral_overlap_factor(3.7e4, 1e4, ts, 0.0)
-        b = spectral_overlap_factor(-3.7e4, 1e4, ts, 0.0)
+        a = overlap_factor(3.7e4, 1e4, ts, 0.0)
+        b = overlap_factor(-3.7e4, 1e4, ts, 0.0)
         assert a == pytest.approx(b, rel=1e-10)
 
     def test_path_loss_attenuates(self):
         ts = 1.024e-4
-        w0 = spectral_overlap_factor(1e4, 1e4, ts, 0.0)
-        w20 = spectral_overlap_factor(1e4, 1e4, ts, 20.0)
+        w0 = overlap_factor(1e4, 1e4, ts, 0.0)
+        w20 = overlap_factor(1e4, 1e4, ts, 20.0)
         assert w20 == pytest.approx(0.01 * w0, rel=1e-10)
 
     def test_upper_bound_is_attenuation(self, rng):
@@ -179,15 +150,24 @@ class TestOverlapFactor:
             fc = float(rng.uniform(-5e4, 5e4))
             bw = float(rng.uniform(1e3, 5e5))
             loss = float(rng.uniform(0.0, 60.0))
-            w = spectral_overlap_factor(fc, bw, ts, loss)
+            w = overlap_factor(fc, bw, ts, loss)
             assert 0.0 <= w <= 10.0 ** (-0.1 * loss) * (1.0 + 1e-9)
+
+    @given(st.floats(min_value=-2.9, max_value=3.9))
+    @settings(max_examples=40, deadline=None)
+    def test_partition_additivity(self, split):
+        def integral(lo, hi):
+            return _sinc2_windows(np.zeros(1), lo, hi - lo)[0]
+        whole = integral(-3.0, 4.0)
+        assert integral(-3.0, split) + integral(split, 4.0) == pytest.approx(
+            whole, abs=1e-9)
 
     def test_decays_beyond_band_edge(self):
         ts = 1.024e-4
         b = 1e4
         start = b / 2.0 + 1.0 / ts
         grid = start + np.linspace(0.0, 3e5, 25)
-        vals = [spectral_overlap_factor(f, b, ts, 0.0) for f in grid]
+        vals = _sinc2_windows(ts * grid, -0.5 * ts * b, ts * b)
         # sidelobe envelope decay: non-increasing on a coarse grid
         assert all(v2 <= v1 * (1 + 1e-6) for v1, v2 in zip(vals, vals[1:]))
 
@@ -256,6 +236,21 @@ class TestOverlapMatrix:
                 # abs=0: the far-tone factors (~1e-16) sit below approx's
                 # default absolute tolerance of 1e-12
                 assert om[i, col] == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [0.0, -1e6, math.nan, math.inf])
+    def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
+        cfg = one_pu_cfg(4, 1e4, 1e4)
+        bad = dataclasses.replace(cfg.pus[0], bandwidth=bandwidth)
+        with pytest.raises(ConfigError, match="bandwidth"):
+            aci_overlap_matrix(dataclasses.replace(cfg, pus=(bad,)))
+
+    def test_adjacent_pu_built_in_code_needs_a_bandwidth(self):
+        # the dataclass default bandwidth is 0.0
+        pu = PuDescriptor(kind="adjacent", distance=1000.0,
+                          interference_cap=1e-14)
+        cfg = dataclasses.replace(one_pu_cfg(4, 1e4, 1e4), pus=(pu,))
+        with pytest.raises(ConfigError, match="bandwidth"):
+            aci_overlap_matrix(cfg)
 
     def test_nearest_subcarrier_leaks_most(self):
         om = aci_overlap_matrix(two_pu_cfg()).omega

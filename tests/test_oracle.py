@@ -43,12 +43,6 @@ class TestFrozenInstances:
         assert list(res.bits) == [3, 4]
         assert res.objective == pytest.approx(-2.977437955906482, rel=1e-12)
 
-    def test_even_only_domain(self):
-        res = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=4,
-                                even_only=True)
-        assert list(res.bits) == [4, 2]
-        assert res.objective == pytest.approx(-2.501190776092551, rel=1e-12)
-
     def test_zero_cap_transmits_nothing(self):
         res = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 0.0), b_max=4)
         assert list(res.bits) == [0, 0]

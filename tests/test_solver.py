@@ -301,20 +301,21 @@ class TestOverlapShape:
 
 class TestBerCeiling:
     """BER = 0.2 makes -ln(5 BER) zero: every entry point must refuse it
-    (solve_capped used to divide by zero and return an empty solution)."""
+    (solve_capped used to divide by zero and return an empty solution).
+    A BER vector must also hold one value per tone."""
 
     CNIR = np.array([10.0, 20.0])
     ENTRY_POINTS = {
         "solve_capped": lambda c, ber: solve_capped(c, 0.5, ber, 1.0),
         "solve_continuous": lambda c, ber: solve_continuous(
-            c, make_caps(2, 1.0), su(alpha=0.5, ber=ber)),
+            c, make_caps(c.size, 1.0), su(alpha=0.5, ber=ber)),
         "lambda_total_power": lambda c, ber: lambda_total_power(
             [0, 1], c, 0.5, ber, 1.0),
         "round_and_repair": lambda c, ber: round_and_repair(
-            types.SimpleNamespace(bits=np.array([4.0, 4.0]), alpha=0.5),
-            make_caps(2, 1.0), None, c, ber),
+            types.SimpleNamespace(bits=np.full(c.size, 4.0), alpha=0.5),
+            make_caps(c.size, 1.0), None, c, ber),
         "exhaustive_search": lambda c, ber: exhaustive_search(
-            c, 0.5, ber, make_caps(2, 1.0)),
+            c, 0.5, ber, make_caps(c.size, 1.0)),
     }
 
     @pytest.mark.parametrize("ber", [0.2, [1e-4, 0.2]],
@@ -323,6 +324,12 @@ class TestBerCeiling:
     def test_ber_of_one_fifth_rejected(self, entry, ber):
         with pytest.raises(SolverError, match=r"\(0, 0\.2\)"):
             self.ENTRY_POINTS[entry](self.CNIR, np.asarray(ber))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_ber_vector_of_wrong_length_rejected(self, entry):
+        with pytest.raises(SolverError, match="one per tone"):
+            self.ENTRY_POINTS[entry](np.array([10.0, 20.0, 30.0]),
+                                     [1e-4, 1e-4])
 
 
 def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
