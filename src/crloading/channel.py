@@ -55,20 +55,30 @@ def pu_interference_to_su(su: SuParams) -> np.ndarray:
     return out
 
 
+def _cnir(su: SuParams, gains, j) -> np.ndarray:
+    """C = |H|^2 g / (sigma^2 + J) of one row or a block of SU-link gains."""
+    return gains * su.su_link_gain / (su.noise_variance + j)
+
+
+def _sp_mean(fading_rate: float) -> float:
+    """Mean 1/rate of an SU->PU power gain; the rate must be positive."""
+    if fading_rate <= 0:
+        raise ConfigError(f"fading rate must be positive, got {fading_rate}")
+    return 1.0 / fading_rate
+
+
 def sample_su_channel(su: SuParams, rng: np.random.Generator) -> ChannelRealization:
     """Draw one Rayleigh realization of the SU link and form the CNIR."""
     gains = rng.exponential(1.0, su.num_subcarriers)
     j = pu_interference_to_su(su)
-    cnir = gains * su.su_link_gain / (su.noise_variance + j)
-    return ChannelRealization(gains=gains, pu_interference=j, cnir=cnir)
+    return ChannelRealization(gains=gains, pu_interference=j,
+                              cnir=_cnir(su, gains, j))
 
 
 def sample_sp_gain(fading_rate: float, rng: np.random.Generator) -> float:
     """Power gain |H_sp|^2 of one SU->PU channel: exponential with the given
     rate (mean 1/rate)."""
-    if fading_rate <= 0:
-        raise ConfigError(f"fading rate must be positive, got {fading_rate}")
-    return rng.exponential(1.0 / fading_rate)
+    return rng.exponential(_sp_mean(fading_rate))
 
 
 def subcarrier_center_frequencies(su: SuParams) -> np.ndarray:

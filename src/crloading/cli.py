@@ -45,31 +45,20 @@ def _parse_values(text):
     return out
 
 
-def _open_out(path):
+def _emit(path, write):
+    """``write`` to the file at ``path``, or to stdout when none is given."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        return write(sys.stdout)
+    with open(path, "w", newline="") as fh:
+        write(fh)
 
 
 def _emit_json(obj, path):
-    fh, close = _open_out(path)
-    try:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
-    finally:
-        if close:
-            fh.close()
+    _emit(path, lambda fh: fh.write(json.dumps(obj, indent=2) + "\n"))
 
 
 def _emit_csv(header, rows, path):
-    fh, close = _open_out(path)
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    finally:
-        if close:
-            fh.close()
+    _emit(path, lambda fh: csv.writer(fh).writerows([header, *rows]))
 
 
 def _solve_one(cfg, seed, trial=0):
@@ -108,16 +97,12 @@ def cmd_sweep(args):
               else cfg.experiment.sweep_values)
     results = sweep_experiment(cfg, param, values, trials=args.trials,
                                master_seed=args.seed)
-    header = ["param_value", "avg_throughput", "avg_power",
-              "cci_violation_rate", "aci_violation_rate", "throughput_ci95",
-              "power_ci95", "cci_rate_ci95", "aci_rate_ci95"]
-    rows = [
-        [v, s.avg_throughput, s.avg_power, s.cci_violation_rate,
-         s.aci_violation_rate, s.throughput_ci95, s.power_ci95,
-         s.cci_rate_ci95, s.aci_rate_ci95]
-        for v, s in results
-    ]
-    _emit_csv(header, rows, args.output)
+    stats = ("avg_throughput", "avg_power", "cci_violation_rate",
+             "aci_violation_rate", "throughput_ci95", "power_ci95",
+             "cci_rate_ci95", "aci_rate_ci95")
+    _emit_csv(["param_value", *stats],
+              [[v, *(getattr(s, k) for k in stats)] for v, s in results],
+              args.output)
     return 0
 
 

@@ -157,6 +157,13 @@ def _tol(caps, load, wq):
     return _DUAL_TOL * np.maximum(caps, load - 2.0 * wq)
 
 
+def _meets(excess, tol, enforced, x, col):
+    """Rows whose enforced loads are within ``tol`` above their caps, and
+    whose cap ``col`` is within it below unless its multiplier ``x`` is 0."""
+    return (~((excess > tol) & enforced).any(1)
+            & ((excess[:, col] >= -tol[..., col]) | (x == 0.0)))
+
+
 def _newton_duals(lam, w, q, alpha, caps):
     """Multipliers of the caps weighted by ``w`` (active tones x caps), by
     projected Newton ascent from ``lam >= 0`` on the concave dual
@@ -237,8 +244,7 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     todo = enforced.any(1)
     if not np.count_nonzero(todo):
         return out
-    k = (1.0 - alpha) / _LN2
-    wq = (np.where(active, q, 0.0)[:, None, :] * wt).sum(2)
+    k, wq = (1.0 - alpha) / _LN2, None
     for col in range(wt.shape[0]):
         need = todo & enforced[:, col]
         if not np.count_nonzero(need):
@@ -248,11 +254,13 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
         # alpha + w * lam of the candidate: its other multipliers are 0.
         p = np.where(active, k / (alpha + wt[col] * x[:, None]) + q, 0.0)
         load = (p[:, None, :] * wt).sum(2)
-        excess, tol = load - caps, _tol(caps, load, wq)
-        # Settled: no enforced cap above it, this one not below it unless
-        # its multiplier is 0.
-        ok = (need & ~((excess > tol) & enforced).any(1)
-              & ((excess[:, col] >= -tol[:, col]) | (x == 0.0)))
+        excess = load - caps
+        # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails with that
+        ok = need & _meets(excess, _DUAL_TOL * caps, enforced, x, col)
+        if np.count_nonzero(need ^ ok):
+            if wq is None:
+                wq = (np.where(active, q, 0.0)[:, None, :] * wt).sum(2)
+            ok = need & _meets(excess, _tol(caps, load, wq), enforced, x, col)
         out[ok, col] = x[ok]
         todo &= ~ok
     for i in np.flatnonzero(todo):

@@ -1,13 +1,17 @@
 """Monte Carlo harness: reproducibility, aggregation, sweeps, benchmarks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crloading import experiments, solver
-from crloading.channel import sample_su_channel
+from crloading.channel import sample_sp_gain, sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import ConfigError, SolverError
 from crloading.experiments import (
+    AggregateStats,
     compare_with_oracle,
     run_monte_carlo,
     run_trial,
@@ -15,7 +19,7 @@ from crloading.experiments import (
     sweep_experiment,
     trial_rng,
 )
-from crloading.scenario import load_scenario
+from crloading.scenario import apply_parameter, load_scenario
 
 
 def small_cfg():
@@ -58,6 +62,112 @@ class TestTrialRng:
     def test_negative_seed_or_trial_rejected(self, seed, trial):
         with pytest.raises(ConfigError, match="non-negative"):
             trial_rng(seed, trial)
+
+
+def pu_count_cfg(num_pus):
+    """Eight tones under per-tone PU interference and ``num_pus`` PUs, with
+    fading rates other than 1."""
+    kinds = [("cochannel", 0.5), ("adjacent", 2.5), ("cochannel", 3.7)]
+    return load_scenario({
+        "su": {"num_subcarriers": 8, "symbol_duration": 1.024e-4,
+               "noise_variance": 1e-9, "ber_threshold": 1e-4,
+               "su_link_gain": 1e-7,
+               "pu_interference": [1e-10 * 3.0 ** i for i in range(8)]},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": [{"kind": kind, "distance": 2000.0,
+                 "interference_cap": 1e-11, "probability": 0.9,
+                 "fading_rate": rate,
+                 **({"bandwidth": 1e5, "center_offset": 1e5}
+                    if kind == "adjacent" else {})}
+                for kind, rate in kinds[:num_pus]],
+    })
+
+
+class TestBlockDrawEqualsTrialRng:
+    """A block of trials, however long and whichever way its generators are
+    seeded, draws bitwise what trial_rng, sample_su_channel and one
+    sample_sp_gain per PU draw for each trial alone."""
+
+    CFGS = [pu_count_cfg(k) for k in range(4)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**130])
+    # a block reaching 2^32 seeds each trial by trial_rng
+    @pytest.mark.parametrize("start", [0, 2**31, 2**32 - 8])
+    @pytest.mark.parametrize("length", [1, 15, 16, 17, 512])
+    def test_rows_equal_trial_rng_draws(self, seed, start, length):
+        trials = range(start, start + length)
+        for cfg in self.CFGS:
+            assert isinstance(cfg.su.pu_interference, tuple)
+            cnir, sp = experiments._draw(cfg, seed, trials)
+            assert cnir.shape == (length, 8)
+            assert sp.shape == (length, len(cfg.pus))
+            for row, t in enumerate(trials):
+                rng = trial_rng(seed, t)
+                np.testing.assert_array_equal(
+                    cnir[row], sample_su_channel(cfg.su, rng).cnir)
+                np.testing.assert_array_equal(
+                    sp[row], [sample_sp_gain(pu.fading_rate, rng)
+                              for pu in cfg.pus])
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**200),
+           trials=st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                           max_size=8))
+    def test_seed_words_equal_seed_sequence(self, seed, trials):
+        words = experiments._seed_words(seed, np.array(trials, np.uint32))
+        expected = [np.random.SeedSequence((seed, t)).generate_state(
+            4, np.uint64) for t in trials]
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, expected)
+
+    @pytest.mark.parametrize("trials", [4, 64])
+    def test_nonpositive_fading_rate_raises(self, trials):
+        cfg = cci_cfg()
+        pu = dataclasses.replace(cfg.pus[0], fading_rate=0.0)
+        cfg = dataclasses.replace(cfg, pus=(pu,))
+        with pytest.raises(ConfigError, match="fading rate must be positive"):
+            run_monte_carlo(cfg, trials=trials)
+
+
+# run_monte_carlo at 600 trials (several blocks), recorded from the
+# trial-by-trial draw that trial_rng defines.
+FROZEN_AGGREGATES = {
+    ("cci_binding", 5): (
+        600, 503.595, 0.015210474901216403, 0.11333333333333333, 0.0,
+        0.8239555195568051, 1.4606380981110433e-05, 0.02538643294271932, 0.0,
+        0.11, 0.0),
+    ("cci_binding", 1234): (
+        600, 503.47833333333335, 0.015199303516465914, 0.08333333333333333,
+        0.0, 0.8723686960008343, 1.67681100296466e-05, 0.022133890479809754,
+        0.0, 0.08, 0.0),
+    ("default_psi0.9", 5): (
+        600, 836.5766666666667, 9.962779505670362e-05, 0.0, 0.0,
+        1.5979285651681832, 3.3047005354018806e-08, 0.0, 0.0, 0.0, 0.0),
+    ("default_psi0.9", 1234): (
+        600, 836.835, 9.959974735699418e-05, 0.0, 0.0, 1.5682817349146094,
+        4.154260544783654e-08, 0.0, 0.0, 0.0, 0.0),
+    ("small_n6", 5): (
+        600, 11.16, 1.4527396241796662, 0.0, 0.07166666666666667,
+        0.2389261511163157, 0.028395766462770457, 0.0, 0.020656333424754453,
+        0.0, 0.05333333333333334),
+    ("small_n6", 1234): (
+        600, 11.253333333333334, 1.4821477286650844, 0.0, 0.09666666666666666,
+        0.24469153573615157, 0.029222573562571668, 0.0, 0.023664920499589712,
+        0.0, 0.08666666666666667),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(FROZEN_AGGREGATES))
+def test_monte_carlo_aggregates_frozen(name, seed):
+    if name == "default_psi0.9":
+        cfg = apply_parameter(load_scenario("configs/default.json"), "psi",
+                              0.9)
+    else:
+        cfg = load_scenario(f"configs/{name}.json")
+    stats = run_monte_carlo(cfg, trials=600, master_seed=seed)
+    assert stats == AggregateStats(*FROZEN_AGGREGATES[name, seed])
 
 
 class TestRunTrial:
