@@ -14,9 +14,8 @@ from .kkt import KktReport, KktTolerances, kkt_verify
 from .oracle import OracleResult, exhaustive_search
 from .scenario import (ExperimentParams, PathLossParams, PuDescriptor,
                        ScenarioConfig, SuParams, apply_parameter,
-                       load_scenario, path_loss_db, scenario_to_dict,
-                       serialize_scenario)
-from .solver import (ContinuousSolution, cnir_threshold, lambda_total_power,
-                     objective_value, solve_capped, solve_continuous)
+                       load_scenario, path_loss_db)
+from .solver import (ContinuousSolution, cnir_threshold, objective_value,
+                     solve_capped, solve_continuous)
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ from .errors import ConfigError
 from .scenario import ScenarioConfig, SuParams, path_loss_db
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+# Widest window, in periods of sin^2(pi x), integrated panel by panel.
+_PANELS = 512
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,11 @@ def sample_sp_gain(fading_rate: float, rng: np.random.Generator) -> float:
     return rng.exponential(_sp_mean(fading_rate))
 
 
-def subcarrier_center_frequencies(su: SuParams) -> np.ndarray:
-    """Subcarrier centres in Hz measured from the lower SU band edge:
-    subcarrier i (0-based) sits at (i + 1/2) * subcarrier_spacing."""
-    n = su.num_subcarriers
-    return (np.arange(n) + 0.5) * su.subcarrier_spacing
+def _sinc2_tail(x):
+    """Integral of sinc^2 over [x, inf), x >= _PANELS / 2: the sidelobes'
+    mean 1/(2 pi^2 t^2) and two terms of their oscillation, to 1e-3 / x^4."""
+    z = 2.0 * np.pi * x
+    return (1.0 + np.sin(z) / z - np.cos(z) / (np.pi * z * x)) / (np.pi * z)
 
 
 def _sinc2_windows(shift, start, width, gain=1.0):
@@ -94,16 +96,27 @@ def _sinc2_windows(shift, start, width, gain=1.0):
 
     The window is split into ceil(width) equal panels, none wider than one
     period of sin^2(pi x), each integrated by a 12-node Gauss-Legendre rule
-    one (len(shift) x 12) panel at a time to keep memory small.
+    one (len(shift) x 12) panel at a time to keep memory small.  A window
+    wider than _PANELS periods takes panels only within _PANELS / 2 of the
+    main lobe and ``_sinc2_tail`` beyond, so its cost stays bounded.
     """
-    panels = math.ceil(width)
+    tails, panels = 0.0, math.ceil(width)
+    if width > _PANELS:
+        r, lo, hi = 0.5 * _PANELS, shift + start, shift + start + width
+        tails = (_sinc2_tail(np.maximum(lo, r))
+                 - _sinc2_tail(np.maximum(hi, r))
+                 + _sinc2_tail(-np.minimum(hi, -r))
+                 - _sinc2_tail(-np.minimum(lo, -r)))
+        shift, start = np.clip(lo, -r, r), 0.0
+        width = np.clip(hi, -r, r) - shift          # one width per window
+        panels = max(math.ceil(width.max()), 1)
     h = width / panels
-    offsets = 0.5 * h * (_GL_NODES + 1.0)
+    offsets = np.multiply.outer(0.5 * h, _GL_NODES + 1.0)
     total = np.zeros(len(shift))
     for p in range(panels):
         a = shift + (start + p * h)
         total += np.sinc(a[:, None] + offsets) ** 2 @ _GL_WEIGHTS
-    return gain * 0.5 * h * total
+    return gain * 0.5 * h * total + gain * tails
 
 
 def aci_overlap_matrix(cfg: ScenarioConfig) -> AciFactors:

@@ -15,14 +15,14 @@ infinite interference limit makes the constraint vacuous regardless of Psi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import AciFactors, aci_overlap_matrix
 from .errors import ConfigError
 from .scenario import ScenarioConfig, path_loss_db
-from .solver import FEAS_TOL
+from .solver import FEAS_TOL, Plan, prepare
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,25 @@ class ConstraintCaps:
     total_cap: float            # watts; min of P_th and every CCI-derived cap
     aci_caps: np.ndarray        # watts, one per adjacent PU, shape (L,)
     aci_weights: AciFactors     # overlap matrix, shape (N, L)
+    _plan: tuple = field(default=(None, None), init=False, repr=False,
+                         compare=False)
+
+    def plan(self, alpha, ber_threshold) -> Plan:
+        """The solve-and-repair plan at ``alpha`` and this BER ceiling, kept
+        until alpha, the BER or the contents of a caps array change."""
+        omega = self.aci_weights.omega
+        key = (alpha, *map(_frozen, (ber_threshold, self.aci_caps, omega)))
+        if self._plan[0] != key:
+            object.__setattr__(self, "_plan", (key, prepare(
+                alpha, ber_threshold, self.total_cap, omega, self.aci_caps,
+                len(omega))))
+        return self._plan[1]
+
+
+def _frozen(x):
+    """A float or tuple as it is; anything else by shape and bytes."""
+    return x if isinstance(x, (float, tuple)) else (
+        np.shape(x), np.asarray(x, dtype=float).tobytes())
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ together, in rounds of batched greedy steps; ``round_and_repair`` is T = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import SolverError
-from .solver import FEAS_TOL, _as_arrays, objective_value, overlap_matrix
+from .solver import objective_value, prepare
+
+# Rounds over at most this many (row, tone) savings sort them all: below
+# it a full stable sort is cheaper than partitioning out the live tones.
+_SORT_ALL = 1024
 
 
 @dataclass(frozen=True)
@@ -61,14 +66,18 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
     return p if p.ndim else float(p)
 
 
+@lru_cache(maxsize=64)
 def _pricing(top):
-    """Tables over b = 0..max(top, 2) of factors of ln(5 BER) / (1.6 C) < 0:
-    minus the power, 1 - 2^b, and minus the top bit's saving, 2^(b-1) from
-    b = 3, 3 at b = 2, -inf at 0.  2^b is exact for any b (``np.ldexp``)."""
+    """Read-only tables over b = 0..max(top, 2): factors of ln(5 BER) /
+    (1.6 C) < 0 giving minus the power, 1 - 2^b, and minus the top bit's
+    saving, 2^(b-1) (3 at 2, -inf at 0); the bits a step leaves (0 from 2)."""
     pow2 = np.ldexp(1.0, np.arange(max(int(top), 2) + 1))
     head = 0.5 * pow2
     head[:3] = (-np.inf, -np.inf, 3.0)
-    return 1.0 - pow2, head
+    tables = 1.0 - pow2, head, np.arange(-1, head.size - 1) * (head > 3.0)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _cap_sums(powers, omega):
@@ -83,31 +92,31 @@ def _cap_sums(powers, omega):
     return sums
 
 
-def _strip(bits, lg, den, sums, limits, omega, head):
+def _strip(bits, den, sums, plan, head, down):
     """Greedy steps of each row of ``bits`` (stripped in place), in rounds
-    over all rows still over a cap.  A round sorts each row's savings
-    (``head[b] * lg / den``, negated) by (-saving, index) and takes those
-    above 0.8x the largest: a removal leaves that tone at most 3/4 of its
-    old saving, so these are exactly the greedy's next picks, in order.  A
-    row takes its picks up to the first feasible running ``sums`` (the
+    over all rows still over a cap.  A round orders each row's savings by
+    (saving descending, index); those above 0.8x the largest are exactly the
+    greedy's next picks (a removal leaves a tone at most 3/4 of its saving).
+    A row takes its picks up to the first feasible running ``sums`` (the
     loop's sequential subtractions), or all of them and another round."""
-    # (-saving) * -[1, omega[tone]] is bitwise saving * [1, omega[tone]]
-    nweights = np.empty((omega.shape[0], 1 + omega.shape[1]))
-    nweights[:, 0] = -1.0
-    np.negative(omega, out=nweights[:, 1:])
-    down = np.arange(-1, head.size - 1) * (head > 3.0)  # b - 1, 0 from 2
     run, b, s, steps = np.arange(bits.shape[0]), bits, sums, 0
     rows = run[:, None]                     # row positions, as a column
     while True:
-        neg = head[b] * lg / den                # -saving, +inf when empty
-        order = np.argsort(neg, axis=1, kind="stable")
-        neg = neg[rows[:run.size], order]
-        live = neg < 0.8 * neg[:, :1]
-        width = np.count_nonzero(live.any(0))
-        order, neg, live = order[:, :width], neg[:, :width], live[:, :width]
-        dpw = np.where(live, neg, 0.0)[..., None] * nweights[order]
-        acc = np.subtract.accumulate(np.concatenate([s[:, None], dpw], 1), 1)
-        over = (acc > limits).any(2)
+        neg = head[b] * plan.lg / den           # -saving, +inf when empty
+        cut = 0.8 * np.minimum.reduce(neg, 1, keepdims=True)
+        rws = rows[:run.size]
+        if neg.size > _SORT_ALL:    # the live tones lead any width smallest
+            width = int((neg < cut).sum(1).max())
+            part = np.sort(np.argpartition(neg, width - 1, 1)[:, :width], 1)
+            order = part[rws, np.argsort(neg[rws, part], 1, kind="stable")]
+        else:
+            order = np.argsort(neg, 1, kind="stable")
+        neg = neg[rws, order]
+        live = neg < cut
+        # sums - saving * [1, omega[tone]], one pick after another
+        dpw = np.where(live, neg, 0.0)[..., None] * plan.wt.T[order]
+        acc = np.add.accumulate(np.concatenate([s[:, None], dpw], 1), 1)
+        over = (acc > plan.limits).any(2)
         take = live & over[:, :-1]
         r, j = np.nonzero(take)
         t, rr = order[r, j], run[r]
@@ -120,33 +129,38 @@ def _strip(bits, lg, den, sums, limits, omega, head):
         b = bits[run]
 
 
-def _repair_block(cont_bits, cnir, ber_threshold, caps, omega, max_bits):
+def _repair_block(cont_bits, cnir, plan, max_bits):
     """(bits, powers, steps) of each row of a (T, N) block of continuous
-    bits, row t bitwise the repair of ``cnir[t]`` alone; the rows over a
-    cap are stripped together (``_strip``).  The BER, one value or one per
-    tone, must lie in (0, 0.2) (``_as_arrays`` checks it)."""
+    bits over its checked CNIR, under ``plan``; row t is bitwise the
+    repair of ``cnir[t]`` alone, and the rows over a cap are stripped
+    together (``_strip``)."""
     bits = np.floor(cont_bits + 0.5)
     bits = np.where(bits < 2.0, 0.0, np.minimum(bits, float(max_bits)))
     bits = bits.astype(int)
-    lg, den = np.log(5.0 * np.asarray(ber_threshold, float)), 1.6 * cnir
-    cost, head = _pricing(bits.max())
-    powers = cost[bits] * lg / den
-    limits = (np.concatenate([[caps.total_cap], caps.aci_caps])
-              * (1.0 + FEAS_TOL))
-    sums = _cap_sums(powers, omega)
+    den = 1.6 * cnir
+    cost, head, down = _pricing(bits.max())
+    powers = cost[bits] * plan.lg / den
+    sums = _cap_sums(powers, plan.omega)
     steps = np.zeros(bits.shape[0], dtype=int)
-    todo = np.flatnonzero((sums > limits).any(1))
+    todo = (sums > plan.limits).any(1).nonzero()[0]
     if todo.size:
         b, d = bits[todo], den[todo]
-        steps[todo] = _strip(b, lg, d, sums[todo], limits, omega, head)
+        steps[todo] = _strip(b, d, sums[todo], plan, head, down)
         bits[todo] = b
-        powers[todo] = cost[b] * lg / d
+        powers[todo] = cost[b] * plan.lg / d
         # Recompute the sums from scratch to shed accumulated rounding.
-        sums[todo] = _cap_sums(powers[todo], omega)
-    if np.count_nonzero(sums <= limits) < sums.size:
+        sums[todo] = _cap_sums(powers[todo], plan.omega)
+    if np.count_nonzero(sums <= plan.limits) < sums.size:
         raise SolverError("repair emptied the allocation without reaching "
                           "feasibility")
     return bits, powers, steps
+
+
+def _allocation(bits, powers, steps, alpha) -> Allocation:
+    """Row 0 of a block repair's (bits, powers, steps)."""
+    return Allocation(bits=bits[0], powers=powers[0],
+                      objective=objective_value(bits[0], powers[0], alpha),
+                      feasible=True, repair_steps=int(steps[0]))
 
 
 def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
@@ -158,16 +172,16 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     Powers are recomputed to hit the BER ceiling exactly.  While the total
     or any weighted power sum exceeds its cap, the subcarrier whose current
     top bit saves the most power loses it (ties broken by lowest index).
-    ``omega`` defaults to the caps' own overlap matrix.  CNIR must be finite
-    and positive.  This is the one-row case of the block repair.
+    ``omega`` defaults to the caps' own overlap matrix, whose plan the
+    repair then shares with ``solve_continuous``.  CNIR must be finite and
+    positive.  This is the one-row case of the block repair.
     """
-    c, _ = _as_arrays(cnir, ber_threshold)
-    omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
-                           c.size, np.size(caps.aci_caps))
-    bits, powers, steps = _repair_block(
-        np.asarray(continuous.bits, dtype=float)[None], c[None],
-        ber_threshold, caps, omega, max_bits)
-    return Allocation(bits=bits[0], powers=powers[0],
-                      objective=objective_value(bits[0], powers[0],
-                                                continuous.alpha),
-                      feasible=True, repair_steps=int(steps[0]))
+    alpha = continuous.alpha
+    if omega is None or omega is caps.aci_weights.omega:
+        plan = caps.plan(alpha, ber_threshold)
+    else:
+        plan = prepare(alpha, ber_threshold, caps.total_cap, omega,
+                       caps.aci_caps, np.shape(np.atleast_1d(cnir))[-1])
+    return _allocation(*_repair_block(
+        np.asarray(continuous.bits, dtype=float)[None], plan.rows(cnir), plan,
+        max_bits), alpha)

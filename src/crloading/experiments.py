@@ -29,11 +29,12 @@ from numpy.random.bit_generator import ISeedSequence
 from .channel import (_cnir, _sp_mean, aci_overlap_matrix,
                       pu_interference_to_su, sample_su_channel)
 from .constraints import ConstraintCaps, build_caps
-from .discretizer import _cap_sums, _repair_block, round_and_repair
+from .discretizer import (_allocation, _cap_sums, _repair_block,
+                          round_and_repair)
 from .errors import ConfigError, SolverError
 from .oracle import exhaustive_search
 from .scenario import ScenarioConfig, apply_parameter, path_loss_db
-from .solver import _solve_block, solve_continuous
+from .solver import _solution, _solve_block, solve_continuous
 
 # Trials per block in run_monte_carlo: about 2^14 CNIR entries, so each
 # (trials x N) array of a block stays near 128 KiB.
@@ -171,22 +172,32 @@ def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
                            viol.reshape(4, -1).T], axis=1)
 
 
+def _block(cfg: ScenarioConfig, caps: ConstraintCaps, master_seed: int,
+           trials):
+    """Draw, solve, repair and score ``trials`` as one block under the caps'
+    plan: the solve's, the repair's and ``_outcomes``'s arrays."""
+    su = cfg.su
+    plan = caps.plan(su.alpha, su.ber_threshold)
+    c, sp = _draw(cfg, master_seed, trials)
+    solved = _solve_block(c, plan)
+    repaired = _repair_block(solved[0], c, plan, su.max_bits)
+    return solved, repaired, _outcomes(cfg, plan.omega, sp, solved[1],
+                                       *repaired[:2])
+
+
 def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
               master_seed: int):
-    """One trial: sample, solve, discretize, sample interference outcomes.
+    """One trial: sample, solve, discretize, sample interference outcomes;
+    the one-trial block of ``run_monte_carlo``.
 
     Returns (throughput_bits, power_w, cci_viol, aci_viol,
     cci_viol_discrete, aci_viol_discrete, allocation, solution).
     """
-    c, sp = _draw(cfg, master_seed, [trial_index])
-    su, omega = cfg.su, caps.aci_weights.omega
-    sol = solve_continuous(c[0], caps, su)
-    alloc = round_and_repair(sol, caps, omega, c[0], su.ber_threshold,
-                             su.max_bits)
-    row = _outcomes(cfg, omega, sp, sol.powers[None], alloc.bits[None],
-                    alloc.powers[None])[0]
-    return (float(row[0]), float(row[1]), *(bool(x) for x in row[2:]),
-            alloc, sol)
+    solved, repaired, table = _block(cfg, caps, master_seed, [trial_index])
+    row = table[0].tolist()
+    return (row[0], row[1], *map(bool, row[2:]),
+            _allocation(*repaired, cfg.su.alpha),
+            _solution(solved, cfg.su.alpha))
 
 
 def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
@@ -204,18 +215,13 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     master_seed = _seed(cfg, master_seed)
     if caps is None:
         caps = build_caps(cfg)
-    su, omega = cfg.su, caps.aci_weights.omega
-    block = max(1, _BLOCK_ENTRIES // su.num_subcarriers)
+    block = max(1, _BLOCK_ENTRIES // cfg.su.num_subcarriers)
     table = np.empty((trials, 6))
     for first in range(0, trials, block):
         rows = range(first, min(first + block, trials))
-        c, sp = _draw(cfg, master_seed, rows)
         try:
-            cont_bits, cont_powers, _, _ = _solve_block(
-                c, su.alpha, su.ber_threshold, caps.total_cap, omega,
-                caps.aci_caps)
-            bits, powers, _ = _repair_block(cont_bits, c, su.ber_threshold,
-                                            caps, omega, su.max_bits)
+            table[rows.start:rows.stop] = _block(cfg, caps, master_seed,
+                                                 rows)[2]
         except SolverError:
             for t in rows:      # replay trial by trial: name the first failure
                 try:
@@ -224,8 +230,6 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
                     raise SolverError(f"trial {t} of master seed "
                                       f"{master_seed} failed: {exc}") from exc
             raise
-        table[rows.start:rows.stop] = _outcomes(cfg, omega, sp, cont_powers,
-                                                bits, powers)
 
     ci = [1.96 * float(np.std(col, ddof=1)) / math.sqrt(trials)
           if trials > 1 else 0.0 for col in table.T[:4]]

@@ -65,19 +65,24 @@ class ContinuousSolution:
     alpha: float                # trade-off weight the solution was solved for
 
 
-def _as_arrays(cnir, ber_threshold):
-    """CNIR (tones on the last axis) and one BER ceiling per tone."""
+def _checked_cnir(cnir):
+    """CNIR as a float array (tones on the last axis), finite and positive."""
     c = np.atleast_1d(np.asarray(cnir, dtype=float))
     if np.count_nonzero((c > 0.0) & (c < math.inf)) < c.size:
         raise SolverError("CNIR values must be finite and positive")
+    return c
+
+
+def _checked_ber(ber_threshold, n):
+    """One BER ceiling per tone of ``n``, each in (0, 0.2)."""
     ber = np.asarray(ber_threshold, dtype=float)
-    if ber.ndim and ber.shape != c.shape[-1:]:
+    if ber.ndim and ber.shape != (n,):
         raise SolverError(f"BER thresholds must be one value or one per "
-                          f"tone: got {ber.shape} for {c.shape[-1]} tones")
-    ber = np.zeros(c.shape[-1]) + ber
+                          f"tone: got {ber.shape} for {n} tones")
+    ber = np.zeros(n) + ber
     if np.count_nonzero((ber <= 0) | (ber >= 0.2)):
         raise SolverError("BER thresholds must lie in (0, 0.2)")
-    return c, ber
+    return ber
 
 
 def cnir_threshold(alpha, ber_threshold):
@@ -113,6 +118,52 @@ def objective_value(bits, powers, alpha) -> float:
                  - (1.0 - alpha) * np.add.reduce(bits, None))
 
 
+@dataclass(frozen=True, eq=False)
+class Plan:
+    """The read-only arrays that every solve and repair under one set of
+    caps, one alpha and one BER ceiling reads (``prepare``)."""
+
+    alpha: float
+    lg: np.ndarray              # ln(5 BER) < 0, per tone
+    neglog: np.ndarray          # -ln(5 BER)
+    threshold: np.ndarray       # smallest CNIR loaded; inf if a zero cap
+    wt: np.ndarray              # (1+L, N): ones, then omega.T
+    omega: np.ndarray           # (N, L) overlap matrix
+    caps: np.ndarray            # (1+L,) caps, 1 where never enforced
+    limit: np.ndarray           # enforce above caps * (1 + _DUAL_TOL), or inf
+    limits: np.ndarray          # caps * (1 + FEAS_TOL): repair above it
+
+    def rows(self, cnir):
+        """``cnir`` as a float (T, N) block once it is checked to be
+        finite, positive and one value per tone of the plan."""
+        c = np.atleast_2d(_checked_cnir(cnir))
+        overlap_matrix(self.omega, c.shape[1], self.omega.shape[1])
+        return c
+
+
+def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
+    """The plan of ``n`` tones under ``total_cap`` and ``aci_caps`` (with
+    overlap matrix ``omega``); checks alpha, the BER and the shapes."""
+    ber = _checked_ber(ber_threshold, n)
+    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
+    omega = np.array(overlap_matrix(omega, n, aci_caps.size))
+    wt = np.concatenate([np.ones((1, n)), omega.T])
+    caps = np.concatenate([[total_cap], aci_caps])
+    want = np.isfinite(caps)
+    zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
+    want &= ~zero
+    lg = np.log(5.0 * ber)
+    plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
+        (wt[zero] > 0.0).any(0), math.inf, cnir_threshold(alpha, ber)),
+        wt=wt, omega=omega, caps=np.where(want, caps, 1.0),
+        limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf),
+        limits=caps * (1.0 + FEAS_TOL))
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -130,19 +181,6 @@ def _power_dual(q, active, alpha, cap):
         )
     return np.maximum(active.sum(-1) * (1.0 - alpha) / _LN2 / denom - alpha,
                       0.0)
-
-
-def lambda_total_power(active, cnir, alpha, ber_threshold, cap) -> float:
-    """Closed-form multiplier that makes sum(P) over ``active`` equal ``cap``.
-
-    Clamped at 0: a slack cap is inactive.
-    """
-    c, ber = _as_arrays(cnir, ber_threshold)
-    idx = np.asarray(active, dtype=int)
-    if idx.size == 0:
-        raise SolverError("lambda_total_power needs a non-empty active set")
-    q = np.log(5.0 * ber[idx]) / (1.6 * c[idx])
-    return float(_power_dual(q, np.ones(q.size, dtype=bool), alpha, cap))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +277,20 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     pinning them at 0) on its fixed active set; ``caps`` holds 1 for a cap
     never enforced.  The one-multiplier closed forms come first, column by
     column and on every row at once (a row with no active tone gets 0); a
-    row none of them settles runs the coupled Newton alone, from its lam."""
-    out = np.zeros_like(lam)
+    row none of them settles runs the coupled Newton alone, from its lam.
+    A row that one closed form settled last round (its only positive
+    multiplier in ``lam``) tries that column first."""
+    out = np.zeros(lam.shape)
     todo = enforced.any(1)
-    if not np.count_nonzero(todo):
-        return out
     k, wq = (1.0 - alpha) / _LN2, None
-    for col in range(wt.shape[0]):
-        need = todo & enforced[:, col]
+    order = list(enumerate(enforced.T))     # (column, rows enforcing it)
+    if np.count_nonzero(lam):
+        first = lam > 0.0
+        first &= (first.sum(1) == 1)[:, None]
+        order = [(c, first[:, c]) for c, _ in order] + [
+            (c, rows & ~first[:, c]) for c, rows in order]
+    for col, rows in order:
+        need = todo & rows
         if not np.count_nonzero(need):
             continue
         x = (_power_dual(q, active, alpha, caps[0]) if col == 0
@@ -263,7 +307,7 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
             ok = need & _meets(excess, _tol(caps, load, wq), enforced, x, col)
         out[ok, col] = x[ok]
         todo &= ~ok
-    for i in np.flatnonzero(todo):
+    for i in todo.nonzero()[0]:
         # a cap no active tone loads is slack at 0
         cols = np.flatnonzero(enforced[i] & wt[:, active[i]].any(1))
         out[i, cols] = _newton_duals(
@@ -272,83 +316,82 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     return out
 
 
-def _solve_block(cnir, alpha, ber_threshold, total_cap, omega, aci_caps):
-    """(bits, powers, lam, active) of each row of a (T, N) CNIR block, the
-    total-power multiplier first in lam.  The active-set loop runs on all
-    unsettled rows at once, elementwise and by row sums, so row t is
-    bitwise the solve of ``cnir[t]`` alone."""
-    c, ber = _as_arrays(cnir, ber_threshold)
+def _solve_block(cnir, plan):
+    """(bits, powers, lam, active) of each row of a (T, N) CNIR block under
+    ``plan``, the total-power multiplier first in lam.  The active-set loop
+    runs on all unsettled rows at once, elementwise and by row sums, so row
+    t is bitwise the solve of ``cnir[t]`` alone."""
+    c = plan.rows(cnir)
     t, n = c.shape
-    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
-    wt = np.ones((1 + aci_caps.size, n))
-    wt[1:] = overlap_matrix(omega, n, aci_caps.size).T
-    caps = np.concatenate([[total_cap], aci_caps])
-    want = np.isfinite(caps)
-    zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
-    want &= ~zero
-    limit = caps * (1.0 + _DUAL_TOL)
-    caps = np.where(want, caps, 1.0)
-    neglog = -np.log(5.0 * ber)
+    alpha, wt, caps = plan.alpha, plan.wt, plan.caps
     k = (1.0 - alpha) / _LN2
-    active = (c >= cnir_threshold(alpha, ber)) & ~(wt[zero] > 0.0).any(0)
+    active = c >= plan.threshold
     lam = np.zeros((t, wt.shape[0]))
     enforced = np.zeros(lam.shape, dtype=bool)
     out = [np.zeros((t, n)), np.zeros((t, n)), lam.copy(), active.copy()]
     # State of the unsettled rows, compacted; idx maps them to block rows.
-    idx, num, q = np.arange(t), (1.0 - alpha) * 1.6 * c, -neglog / (1.6 * c)
-    for _ in range(4 * (n + aci_caps.size + 4)):
-        lam = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
+    idx, num, q = np.arange(t), (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
+    dropping = np.zeros(t, dtype=bool)
+    for it in range(4 * (n + wt.shape[0] + 3)):
         mu = alpha + lam[:, :1]
         for j in range(1, wt.shape[0]):     # no matmul: rows stay separate
             mu = mu + wt[j] * lam[:, j:j + 1]
-        arg = num / (_LN2 * mu * neglog)
-        # With every multiplier at 0 the threshold decided the active set;
-        # only a positive multiplier can push a rate under 2 bits.
-        drop = (arg < 4.0) & active & lam.any(1)[:, None]
-        dropping = drop.any(1)
-        active &= ~drop
+        arg = num / (_LN2 * mu * plan.neglog)
+        if it:  # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
+            drop = (arg < 4.0) & active & lam.any(1)[:, None]
+            dropping = drop.any(1)
+            active &= ~drop
         p = np.where(active, k / mu + q, 0.0)
-        newly = (((p[:, None, :] * wt).sum(2) > limit) & want & ~enforced
-                 & ~dropping[:, None])
+        newly = ((p[:, None, :] * wt).sum(2) > plan.limit) & ~(
+            enforced | dropping[:, None])
         enforced |= newly
         done = ~(dropping | newly.any(1))
-        if np.count_nonzero(done):
-            settled = (np.log2(arg, out=np.zeros_like(arg), where=active), p,
+        count = np.count_nonzero(done)
+        if count:
+            settled = (np.log2(arg, out=np.zeros(arg.shape), where=active), p,
                        lam, active)
-            if np.count_nonzero(done) == t:     # all rows in this round
+            if count == t:                      # all rows in this round
                 return settled
             for a, v in zip(out, settled):
                 a[idx[done]] = v[done]
-            if np.count_nonzero(done) == done.size:
+            if count == done.size:
                 return out
             idx, num, q, active, lam, enforced = (
                 x[~done] for x in (idx, num, q, active, lam, enforced))
+        # Every row left has a cap enforced: lam = 0 holds only in round 1.
+        lam = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
     raise SolverError("active-set iteration failed to settle")
+
+
+def _solution(block, alpha) -> ContinuousSolution:
+    """Row 0 of a block solve's (bits, powers, lam, active)."""
+    bits, powers, lam, active = (x[0] for x in block)
+    lam_pow, lam_aci = float(lam[0]), lam[1:].copy()
+    return ContinuousSolution(
+        bits=bits, powers=powers, lambda_power=lam_pow, lambda_aci=lam_aci,
+        active_set=active.nonzero()[0],
+        case_id=5 + (lam_pow > 0) + 2 * any(lam_aci > 0),
+        objective=objective_value(bits, powers, alpha), alpha=alpha,
+    )
 
 
 def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
                  aci_caps=()) -> ContinuousSolution:
     """Optimal continuous loading under every finite cap: the one-row case
-    of the block solve.
+    of the block solve, under a plan built for this call alone.
 
     ``omega`` (N, L) weights the powers into the adjacent-channel loads
     capped by ``aci_caps``.  An infinite cap is never enforced, so
     ``solve_capped(cnir, alpha, ber)`` is the unconstrained optimum.
     """
-    c = np.atleast_1d(np.asarray(cnir, dtype=float))
-    bits, powers, lam, active = _solve_block(c[None], alpha, ber_threshold,
-                                             total_cap, omega, aci_caps)
-    lam_pow, lam_aci = float(lam[0, 0]), lam[0, 1:].copy()
-    return ContinuousSolution(
-        bits=bits[0], powers=powers[0], lambda_power=lam_pow,
-        lambda_aci=lam_aci, active_set=np.flatnonzero(active[0]),
-        case_id=5 + (lam_pow > 0) + 2 * any(lam_aci > 0),
-        objective=objective_value(bits[0], powers[0], alpha), alpha=alpha,
-    )
+    plan = prepare(alpha, ber_threshold, total_cap, omega, aci_caps,
+                   np.shape(np.atleast_1d(cnir))[-1])
+    return _solution(_solve_block(cnir, plan), alpha)
 
 
 def solve_continuous(realization, caps, su_params) -> ContinuousSolution:
-    """Solve one channel realization under its total-power and ACI caps."""
-    return solve_capped(getattr(realization, "cnir", realization),
-                        su_params.alpha, su_params.ber_threshold,
-                        caps.total_cap, caps.aci_weights.omega, caps.aci_caps)
+    """Solve one channel realization under its total-power and ACI caps,
+    with the caps' plan at the SU's alpha and BER."""
+    plan = caps.plan(su_params.alpha, su_params.ber_threshold)
+    return _solution(_solve_block(getattr(realization, "cnir", realization),
+                                  plan), su_params.alpha)

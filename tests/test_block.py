@@ -14,7 +14,8 @@ from crloading.discretizer import _repair_block, round_and_repair
 from crloading.experiments import run_monte_carlo, run_trial
 from crloading.kkt import kkt_verify
 from crloading.scenario import load_scenario
-from crloading.solver import _solve_block, cnir_threshold, solve_capped
+from crloading.solver import (_solve_block, cnir_threshold, prepare,
+                              solve_capped)
 
 from conftest import adjacent_band_scenario, make_caps
 
@@ -26,10 +27,9 @@ def assert_rows_match_one_row_solves(cnir, alpha, ber, total_cap, omega,
     """Every row of the block solve and repair equals its one-row call;
     returns the case ids of the rows."""
     caps = make_caps(cnir.shape[1], total_cap, aci_caps, omega)
-    bits, powers, lam, active = _solve_block(cnir, alpha, ber, total_cap,
-                                             omega, aci_caps)
-    d_bits, d_powers, steps = _repair_block(bits, cnir, ber, caps, omega,
-                                            max_bits)
+    plan = prepare(alpha, ber, total_cap, omega, aci_caps, cnir.shape[1])
+    bits, powers, lam, active = _solve_block(cnir, plan)
+    d_bits, d_powers, steps = _repair_block(bits, cnir, plan, max_bits)
     cases = []
     for t, c in enumerate(cnir):
         sol = solve_capped(c, alpha, ber, total_cap, omega, aci_caps)
@@ -138,8 +138,7 @@ class TestFuzzFourAdjacentBands:
             su = cfg.su
             cnir, _ = experiments._draw(cfg, k, range(self.TRIALS))
             bits, powers, lam, _ = _solve_block(
-                cnir, su.alpha, su.ber_threshold, caps.total_cap,
-                caps.aci_weights.omega, caps.aci_caps)
+                cnir, caps.plan(su.alpha, su.ber_threshold))
             assert k < 12 or not bits.any()
             for t in range(self.TRIALS):
                 row = types.SimpleNamespace(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -14,7 +15,6 @@ from crloading.channel import (
     pu_interference_to_su,
     sample_sp_gain,
     sample_su_channel,
-    subcarrier_center_frequencies,
 )
 from crloading.errors import ConfigError
 from crloading.scenario import PuDescriptor, load_scenario, path_loss_db
@@ -23,6 +23,7 @@ from crloading.scenario import PuDescriptor, load_scenario, path_loss_db
 # high-order quadrature run (scipy.integrate.quad at 1e-14, cross-checked
 # against the Si closed form)
 MAIN_LOBE = 0.7736950099028163
+NODES, WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
 def sinc2_integral(lo, hi):
@@ -237,6 +238,47 @@ class TestOverlapMatrix:
                 # default absolute tolerance of 1e-12
                 assert om[i, col] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("center_offset", [6.25e5, 2e10],
+                             ids=["over_the_su_band", "far_beyond_it"])
+    def test_very_wide_band_is_quick_and_exact(self, center_offset):
+        # 1e10 Hz spans ~1e6 periods of sinc^2: past _PANELS of them the
+        # sidelobes are summed by their asymptotic series, not by panels
+        cfg = one_pu_cfg(128, 1e10, center_offset)
+        t0 = time.perf_counter()
+        om = aci_overlap_matrix(cfg).omega
+        assert time.perf_counter() - t0 < 1.0
+        su, pu = cfg.su, cfg.pus[0]
+        gain = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
+        for i in (0, 1, 64, 126, 127):
+            fc = pu.center_offset + (128 - i - 0.5) * su.subcarrier_spacing
+            ts = su.symbol_duration
+            direct = gain * sinc2_integral(ts * (fc - 0.5 * pu.bandwidth),
+                                           ts * (fc + 0.5 * pu.bandwidth))
+            assert om[i, 0] == pytest.approx(direct, rel=1e-9, abs=0.0)
+
+    @pytest.mark.parametrize("config", ["default", "small_n6"])
+    def test_shipped_matrices_keep_their_panels(self, config):
+        # the shipped bands are at most 128 periods wide, far below
+        # _PANELS: their matrices are the plain panel sums, bit for bit
+        cfg = load_scenario(f"configs/{config}.json")
+        su = cfg.su
+        ts = su.symbol_duration
+        shift = ts * (np.arange(su.num_subcarriers, 0, -1) - 0.5) \
+            * su.subcarrier_spacing
+        om = aci_overlap_matrix(cfg).omega
+        for col, pu in enumerate(cfg.adjacent_pus()):
+            width = ts * pu.bandwidth
+            panels = math.ceil(width)
+            assert panels <= 128
+            h = width / panels
+            total = np.zeros(shift.size)
+            for p in range(panels):
+                a = shift + (ts * pu.center_offset - 0.5 * width + p * h)
+                total += np.sinc(a[:, None] + 0.5 * h * (NODES + 1.0)) ** 2 \
+                    @ WEIGHTS
+            gain = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
+            assert np.array_equal(om[:, col], gain * 0.5 * h * total)
+
     @pytest.mark.parametrize("bandwidth", [0.0, -1e6, math.nan, math.inf])
     def test_bandwidth_must_be_finite_and_positive(self, bandwidth):
         cfg = one_pu_cfg(4, 1e4, 1e4)
@@ -266,8 +308,3 @@ class TestOverlapMatrix:
         })
         assert aci_overlap_matrix(cfg).omega.shape == (4, 0)
 
-    def test_center_frequencies_half_spacing_grid(self):
-        su = su_params(num_subcarriers=4)
-        f = subcarrier_center_frequencies(su)
-        df = su.subcarrier_spacing
-        np.testing.assert_allclose(f, [0.5 * df, 1.5 * df, 2.5 * df, 3.5 * df])

@@ -13,7 +13,8 @@ import pytest
 from crloading.discretizer import (Allocation, _pricing, _repair_block,
                                    power_for_bits, round_and_repair)
 from crloading.errors import SolverError
-from crloading.solver import FEAS_TOL, objective_value, solve_continuous
+from crloading.solver import (FEAS_TOL, objective_value, prepare,
+                              solve_continuous)
 
 from conftest import make_caps, random_instance
 
@@ -81,7 +82,7 @@ class TestPowerForBits:
         old = -(np.power(2.0, b) - 1.0) * np.log(5.0 * ber) / (1.6 * c)
         old = np.where(b == 0, 0.0, old)
         assert np.array_equal(power_for_bits(b, c, ber, max_bits=100), old)
-        cost, head = _pricing(100)
+        cost, head, _ = _pricing(100)
         lg, den = np.log(5.0 * ber), 1.6 * c
         assert np.array_equal(np.where(b == 0, 0.0, cost[b] * lg / den), old)
         assert np.array_equal(-(head[b] * lg / den),
@@ -440,9 +441,10 @@ class TestMatchesReferenceLoop:
 def assert_block_matches_reference(conts, cnirs, caps, omega, ber, max_bits):
     """Each row of one block repair equals the reference loop on it alone;
     returns the reference allocations."""
+    plan = prepare(conts[0].alpha, ber, caps.total_cap, omega, caps.aci_caps,
+                   len(cnirs[0]))
     bits, powers, steps = _repair_block(
-        np.array([c.bits for c in conts]), np.array(cnirs), ber, caps,
-        omega, max_bits)
+        np.array([c.bits for c in conts]), np.array(cnirs), plan, max_bits)
     refs = [reference_round_and_repair(c, caps, omega, cn, ber, max_bits)
             for c, cn in zip(conts, cnirs)]
     for t, ref in enumerate(refs):
@@ -479,6 +481,19 @@ class TestBlockMatchesReferenceLoop:
         assert steps > 5000
         assert emptied > 20
         assert tied > 50
+
+    def test_tied_savings(self):
+        # Equal CNIR, so equal bits offer equal savings: the 7-bit tones tie
+        # at the top, the 6-bit ones tie at the 0.8x cut's far side, and a
+        # round's picks are partitioned out of the row, then ordered by
+        # saving and index.  Row 1 ties on every tone.
+        conts = [cont([7.0, 6.0, 7.0, 5.0, 6.0, 7.0, 6.0, 5.0, 7.0, 6.0]),
+                 cont([6.0] * 10)]
+        cnirs = [np.full(10, 100.0)] * 2
+        refs = assert_block_matches_reference(conts, cnirs, make_caps(10, 20.0),
+                                              np.zeros((10, 0)), 1e-4, 16)
+        assert [r.repair_steps for r in refs] == [9, 7]
+        assert list(refs[1].bits) == [5] * 7 + [6] * 3  # lowest index first
 
     def test_row_needing_several_rounds(self):
         # Row 0 strips one tone from 10 bits to 3: each round's batch is

@@ -20,7 +20,6 @@ from crloading.oracle import exhaustive_search
 from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
-    lambda_total_power,
     objective_value,
     solve_capped,
     solve_continuous,
@@ -135,24 +134,6 @@ class TestUnconstrained:
         assert sol.active_set.size == 0
         assert sol.objective == 0.0
         assert np.all(sol.powers == 0.0)
-
-
-class TestTotalPowerMultiplier:
-    def test_closed_form_value(self):
-        lam = lambda_total_power(np.array([0, 1]), C2, 0.5, 1e-4, 1.0)
-        assert lam == pytest.approx(LAM6, rel=1e-12)
-
-    def test_loose_cap_clamps_to_zero(self):
-        lam = lambda_total_power(np.array([0, 1]), C2, 0.5, 1e-4,
-                                 sum(P5) * 1.01)
-        assert lam == 0.0
-
-    def test_monotone_in_cap(self, rng):
-        c = cnir_threshold(0.5, 1e-4) * rng.lognormal(0.8, 0.4, size=6)
-        act = np.arange(6)
-        lams = [lambda_total_power(act, c, 0.5, 1e-4, cap)
-                for cap in (0.5, 1.0, 2.0, 4.0)]
-        assert all(x > y for x, y in zip(lams, lams[1:]))
 
 
 class TestTotalPowerCap:
@@ -309,8 +290,6 @@ class TestBerCeiling:
         "solve_capped": lambda c, ber: solve_capped(c, 0.5, ber, 1.0),
         "solve_continuous": lambda c, ber: solve_continuous(
             c, make_caps(c.size, 1.0), su(alpha=0.5, ber=ber)),
-        "lambda_total_power": lambda c, ber: lambda_total_power(
-            [0, 1], c, 0.5, ber, 1.0),
         "round_and_repair": lambda c, ber: round_and_repair(
             types.SimpleNamespace(bits=np.full(c.size, 4.0), alpha=0.5),
             make_caps(c.size, 1.0), None, c, ber),
