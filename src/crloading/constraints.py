@@ -35,22 +35,22 @@ class ConstraintCaps:
     _plan: tuple = field(default=(None, None), init=False, repr=False,
                          compare=False)
 
+    def __post_init__(self):
+        # read-only, so no plan built from them can go stale
+        self.aci_caps.flags.writeable = False
+        self.aci_weights.omega.flags.writeable = False
+
     def plan(self, alpha, ber_threshold) -> Plan:
         """The solve-and-repair plan at ``alpha`` and this BER ceiling, kept
-        until alpha, the BER or the contents of a caps array change."""
-        omega = self.aci_weights.omega
-        key = (alpha, *map(_frozen, (ber_threshold, self.aci_caps, omega)))
+        until another alpha or BER asks for one."""
+        ber = np.asarray(ber_threshold, dtype=float)
+        key = (alpha, ber.shape, ber.tobytes())
         if self._plan[0] != key:
+            omega = self.aci_weights.omega
             object.__setattr__(self, "_plan", (key, prepare(
                 alpha, ber_threshold, self.total_cap, omega, self.aci_caps,
                 len(omega))))
         return self._plan[1]
-
-
-def _frozen(x):
-    """A float or tuple as it is; anything else by shape and bytes."""
-    return x if isinstance(x, (float, tuple)) else (
-        np.shape(x), np.asarray(x, dtype=float).tobytes())
 
 
 @dataclass(frozen=True)

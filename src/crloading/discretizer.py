@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .solver import objective_value, prepare
+from .solver import _one_row, objective_value, prepare
 
 # Rounds over at most this many (row, tone) savings sort them all: below
 # it a full stable sort is cheaper than partitioning out the live tones.
@@ -176,12 +176,12 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     repair then shares with ``solve_continuous``.  CNIR must be finite and
     positive.  This is the one-row case of the block repair.
     """
-    alpha = continuous.alpha
+    alpha, c = continuous.alpha, _one_row(cnir)
     if omega is None or omega is caps.aci_weights.omega:
         plan = caps.plan(alpha, ber_threshold)
     else:
         plan = prepare(alpha, ber_threshold, caps.total_cap, omega,
-                       caps.aci_caps, np.shape(np.atleast_1d(cnir))[-1])
+                       caps.aci_caps, c.shape[1])
     return _allocation(*_repair_block(
-        np.asarray(continuous.bits, dtype=float)[None], plan.rows(cnir), plan,
+        np.asarray(continuous.bits, dtype=float)[None], plan.rows(c), plan,
         max_bits), alpha)

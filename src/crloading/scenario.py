@@ -41,6 +41,11 @@ class SuParams:
     su_link_gain: float = 1.0       # deterministic SU tx->rx gain multiplier
     pu_interference: float | tuple[float, ...] = 0.0  # J, watts at SU receiver
 
+    @property
+    def band_width(self) -> float:
+        """Total SU band width in Hz."""
+        return self.num_subcarriers * self.subcarrier_spacing
+
 
 @dataclass(frozen=True)
 class PathLossParams:
@@ -127,8 +132,7 @@ def _reject_unknown(obj, allowed, path):
         _fail(path, f"unknown key(s): {', '.join(sorted(unknown))}")
 
 
-def _get_number(obj, key, path, *, required=True, default=None,
-                positive=False):
+def _get_number(obj, key, path, *, required=True, default=None):
     if key not in obj:
         if required:
             _fail(path, f"missing required key '{key}'")
@@ -136,8 +140,6 @@ def _get_number(obj, key, path, *, required=True, default=None,
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         _fail(f"{path}.{key}", f"expected a number, got {v!r}")
-    if positive and v <= 0:
-        _fail(f"{path}.{key}", "must be positive")
     return float(v)
 
 
@@ -216,12 +218,14 @@ def _parse_su(obj):
         _fail("su.num_subcarriers", f"must be a positive integer, got {n_raw!r}")
     n = n_raw
 
-    ts = _get_number(obj, "symbol_duration", path, required=False,
-                     positive=True)
-    df = _get_number(obj, "subcarrier_spacing", path, required=False,
-                     positive=True)
+    ts = _get_number(obj, "symbol_duration", path, required=False)
+    df = _get_number(obj, "subcarrier_spacing", path, required=False)
     if ts is None and df is None:
         _fail(path, "need symbol_duration and/or subcarrier_spacing")
+    if ts is not None and ts <= 0:
+        _fail("su.symbol_duration", "must be positive")
+    if df is not None and df <= 0:
+        _fail("su.subcarrier_spacing", "must be positive")
     if ts is None:
         ts = 1.0 / df
     elif df is None:
@@ -254,8 +258,9 @@ def _parse_su(obj):
     if not isinstance(bmax_raw, int) or isinstance(bmax_raw, bool) or bmax_raw < 2:
         _fail("su.max_bits", f"must be an integer >= 2, got {bmax_raw!r}")
 
-    gain = _get_number(obj, "su_link_gain", path, required=False, default=1.0,
-                       positive=True)
+    gain = _get_number(obj, "su_link_gain", path, required=False, default=1.0)
+    if gain <= 0:
+        _fail("su.su_link_gain", "must be positive")
 
     if "pu_interference" in obj:
         raw_j = obj["pu_interference"]
@@ -285,9 +290,16 @@ def _parse_path_loss(obj):
     if not isinstance(obj, dict):
         _fail(path, "must be an object")
     _reject_unknown(obj, ("exponent", "wavelength", "reference_distance"), path)
-    return PathLossParams(**{
-        key: _get_number(obj, key, path, positive=True)
-        for key in ("exponent", "wavelength", "reference_distance")})
+    gamma = _get_number(obj, "exponent", path)
+    wl = _get_number(obj, "wavelength", path)
+    d0 = _get_number(obj, "reference_distance", path)
+    if gamma <= 0:
+        _fail("path_loss.exponent", "must be positive")
+    if wl <= 0:
+        _fail("path_loss.wavelength", "must be positive")
+    if d0 <= 0:
+        _fail("path_loss.reference_distance", "must be positive")
+    return PathLossParams(exponent=gamma, wavelength=wl, reference_distance=d0)
 
 
 def _parse_pu(obj, idx):
@@ -304,19 +316,24 @@ def _parse_pu(obj, idx):
     else:
         _reject_unknown(obj, common, path)
 
-    d = _get_number(obj, "distance", path, positive=True)
+    d = _get_number(obj, "distance", path)
+    if d <= 0:
+        _fail(f"{path}.distance", "must be positive")
     if "interference_cap" not in obj:
         _fail(path, "missing required key 'interference_cap'")
     cap = _parse_power(obj["interference_cap"], f"{path}.interference_cap")
     psi = _get_number(obj, "probability", path, required=False, default=0.9)
     if not 0.0 < psi <= 1.0:
         _fail(f"{path}.probability", f"must lie in (0, 1], got {psi}")
-    nu = _get_number(obj, "fading_rate", path, required=False, default=1.0,
-                     positive=True)
+    nu = _get_number(obj, "fading_rate", path, required=False, default=1.0)
+    if nu <= 0:
+        _fail(f"{path}.fading_rate", "must be positive")
 
     bw = off = 0.0
     if kind == "adjacent":
-        bw = _get_number(obj, "bandwidth", path, positive=True)
+        bw = _get_number(obj, "bandwidth", path)
+        if bw <= 0:
+            _fail(f"{path}.bandwidth", "must be positive")
         off = _get_number(obj, "center_offset", path, required=False,
                           default=0.0)
         _check_nonneg(off, f"{path}.center_offset")

@@ -363,6 +363,16 @@ def _solve_block(cnir, plan):
     raise SolverError("active-set iteration failed to settle")
 
 
+def _one_row(cnir):
+    """``cnir`` (one value or one per tone) as a float (1, N) block; the
+    one-row entry points refuse a block of several rows."""
+    c = np.atleast_1d(np.asarray(cnir, dtype=float))
+    if c.ndim > 1:
+        raise SolverError(f"CNIR must be one row of tones, got shape "
+                          f"{c.shape}")
+    return c[None]
+
+
 def _solution(block, alpha) -> ContinuousSolution:
     """Row 0 of a block solve's (bits, powers, lam, active)."""
     bits, powers, lam, active = (x[0] for x in block)
@@ -384,14 +394,15 @@ def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
     capped by ``aci_caps``.  An infinite cap is never enforced, so
     ``solve_capped(cnir, alpha, ber)`` is the unconstrained optimum.
     """
+    c = _one_row(cnir)
     plan = prepare(alpha, ber_threshold, total_cap, omega, aci_caps,
-                   np.shape(np.atleast_1d(cnir))[-1])
-    return _solution(_solve_block(cnir, plan), alpha)
+                   c.shape[1])
+    return _solution(_solve_block(c, plan), alpha)
 
 
 def solve_continuous(realization, caps, su_params) -> ContinuousSolution:
     """Solve one channel realization under its total-power and ACI caps,
     with the caps' plan at the SU's alpha and BER."""
     plan = caps.plan(su_params.alpha, su_params.ber_threshold)
-    return _solution(_solve_block(getattr(realization, "cnir", realization),
-                                  plan), su_params.alpha)
+    c = _one_row(getattr(realization, "cnir", realization))
+    return _solution(_solve_block(c, plan), su_params.alpha)

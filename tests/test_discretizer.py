@@ -10,6 +10,7 @@ import types
 import numpy as np
 import pytest
 
+from crloading import discretizer
 from crloading.discretizer import (Allocation, _pricing, _repair_block,
                                    power_for_bits, round_and_repair)
 from crloading.errors import SolverError
@@ -482,11 +483,13 @@ class TestBlockMatchesReferenceLoop:
         assert emptied > 20
         assert tied > 50
 
-    def test_tied_savings(self):
+    @pytest.mark.parametrize("sort_all", [1024, 0])
+    def test_tied_savings(self, sort_all, monkeypatch):
         # Equal CNIR, so equal bits offer equal savings: the 7-bit tones tie
-        # at the top, the 6-bit ones tie at the 0.8x cut's far side, and a
-        # round's picks are partitioned out of the row, then ordered by
-        # saving and index.  Row 1 ties on every tone.
+        # at the top, the 6-bit ones tie at the 0.8x cut's far side.  With
+        # _SORT_ALL at 0 every round's picks are partitioned out of the
+        # row, then ordered by saving and index.  Row 1 ties on every tone.
+        monkeypatch.setattr(discretizer, "_SORT_ALL", sort_all)
         conts = [cont([7.0, 6.0, 7.0, 5.0, 6.0, 7.0, 6.0, 5.0, 7.0, 6.0]),
                  cont([6.0] * 10)]
         cnirs = [np.full(10, 100.0)] * 2
@@ -494,6 +497,18 @@ class TestBlockMatchesReferenceLoop:
                                               np.zeros((10, 0)), 1e-4, 16)
         assert [r.repair_steps for r in refs] == [9, 7]
         assert list(refs[1].bits) == [5] * 7 + [6] * 3  # lowest index first
+
+    def test_tied_savings_wide_block(self):
+        # Ten rows of the tied pattern over 110 tones: 1,100 savings in the
+        # first round, past _SORT_ALL, so it partitions without a patch.
+        pattern = np.tile([7.0, 6.0, 7.0, 5.0, 6.0, 7.0, 6.0, 5.0, 7.0, 6.0],
+                          11)
+        conts = [cont(np.roll(pattern, r)) for r in range(10)]
+        cnirs = [np.full(110, 100.0)] * 10
+        assert 10 * 110 > discretizer._SORT_ALL
+        refs = assert_block_matches_reference(
+            conts, cnirs, make_caps(110, 220.0), np.zeros((110, 0)), 1e-4, 16)
+        assert all(r.repair_steps > 10 for r in refs)
 
     def test_row_needing_several_rounds(self):
         # Row 0 strips one tone from 10 bits to 3: each round's batch is

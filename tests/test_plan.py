@@ -11,6 +11,7 @@ import pytest
 from crloading import constraints, experiments
 from crloading.constraints import build_caps
 from crloading.discretizer import _repair_block, round_and_repair
+from crloading.errors import SolverError
 from crloading.experiments import run_trial
 from crloading.scenario import load_scenario
 from crloading.solver import prepare, solve_capped, solve_continuous
@@ -105,14 +106,14 @@ class TestBuiltOnce:
 
 
 class TestNotStale:
-    def test_mutated_caps_get_a_new_plan(self):
+    def test_caps_arrays_are_read_only(self):
         caps = make_caps(2, 1.0, [0.5], [[0.6], [0.05]])
         plan = caps.plan(0.5, 1e-4)
+        with pytest.raises(ValueError):
+            caps.aci_caps[0] = 0.25
+        with pytest.raises(ValueError):
+            caps.aci_weights.omega[0, 0] = 0.3
         assert caps.plan(0.5, 1e-4) is plan
-        caps.aci_caps[0] = 0.25
-        assert caps.plan(0.5, 1e-4).caps[1] == 0.25
-        caps.aci_weights.omega[0, 0] = 0.3
-        assert caps.plan(0.5, 1e-4).omega[0, 0] == 0.3
         assert plan.caps[1] == 0.5 and plan.omega[0, 0] == 0.6
 
     def test_plan_arrays_are_read_only(self):
@@ -140,3 +141,17 @@ class TestNotStale:
         other = round_and_repair(cont, caps, [[0.06], [0.005]], cnir, 1e-4)
         assert list(own.bits) == [4, 4] and list(other.bits) == [5, 4]
         assert caps.plan(0.5, 1e-4).omega[0, 0] == 0.6
+
+
+class TestOneRowEntryPoints:
+    def test_block_of_rows_rejected(self):
+        caps = make_caps(2, 1.0)
+        cnir = np.array([[100.0, 50.0], [80.0, 40.0]])
+        cont = types.SimpleNamespace(bits=np.array([5.0, 4.0]), alpha=0.5)
+        with pytest.raises(SolverError, match="one row"):
+            solve_capped(cnir, 0.5, 1e-4, 1.0)
+        with pytest.raises(SolverError, match="one row"):
+            solve_continuous(cnir, caps, SU)
+        for omega in (None, np.zeros((2, 0))):
+            with pytest.raises(SolverError, match="one row"):
+                round_and_repair(cont, caps, omega, cnir, 1e-4)
