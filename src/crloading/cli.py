@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -23,7 +22,7 @@ from .errors import ConfigError, SolverError
 from .experiments import (compare_with_oracle, runtime_scaling,
                           sweep_experiment, trial_rng)
 from .kkt import kkt_verify
-from .scenario import SWEEPABLE, load_scenario
+from .scenario import SWEEPABLE, apply_parameter, load_scenario
 from .solver import solve_continuous
 
 
@@ -33,13 +32,10 @@ def _parse_values(text):
         part = part.strip()
         if not part:
             continue
-        if part.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-        else:
-            try:
-                out.append(float(part))
-            except ValueError:
-                raise ConfigError(f"bad sweep value {part!r}")
+        try:
+            out.append(float(part))     # 'inf' and 'infinity' included
+        except ValueError:
+            raise ConfigError(f"bad sweep value {part!r}")
     if not out:
         raise ConfigError("empty value list")
     return out
@@ -61,20 +57,24 @@ def _emit_csv(header, rows, path):
     _emit(path, lambda fh: csv.writer(fh).writerows([header, *rows]))
 
 
-def _solve_one(cfg, seed, trial=0):
+def _solve_one(args):
+    """(cfg, seed, caps, draw, solution, allocation) of ``args``' trial."""
+    cfg = load_scenario(args.config)
+    if (args.param is None) != (args.value is None):
+        raise ConfigError("--param and --value go together")
+    if args.param:
+        cfg = apply_parameter(cfg, args.param, args.value)
+    seed = cfg.experiment.seed if args.seed is None else args.seed
     caps = build_caps(cfg)
-    rng = trial_rng(seed, trial)
-    real = sample_su_channel(cfg.su, rng)
+    real = sample_su_channel(cfg.su, trial_rng(seed, args.trial))
     sol = solve_continuous(real, caps, cfg.su)
     alloc = round_and_repair(sol, caps, caps.aci_weights.omega, real.cnir,
                              cfg.su.ber_threshold, cfg.su.max_bits)
-    return caps, real, sol, alloc
+    return cfg, seed, caps, real, sol, alloc
 
 
 def cmd_solve(args):
-    cfg = load_scenario(args.config)
-    seed = cfg.experiment.seed if args.seed is None else args.seed
-    caps, real, sol, alloc = _solve_one(cfg, seed, args.trial)
+    cfg, seed, caps, real, sol, alloc = _solve_one(args)
     report = check_feasible(alloc, caps, real.cnir, cfg.su.ber_threshold)
     out = alloc.to_dict()
     out.update({
@@ -118,9 +118,7 @@ def cmd_oracle_compare(args):
 
 
 def cmd_kkt_check(args):
-    cfg = load_scenario(args.config)
-    seed = cfg.experiment.seed if args.seed is None else args.seed
-    caps, real, sol, _ = _solve_one(cfg, seed, args.trial)
+    cfg, seed, caps, real, sol, _ = _solve_one(args)
     report = kkt_verify(sol, real.cnir, cfg.su.ber_threshold, caps)
     out = report.to_dict()
     out["case_id"] = sol.case_id
@@ -155,10 +153,16 @@ def build_parser():
         p.add_argument("--output", default=None,
                        help="output file (default stdout)")
 
+    def replay(p, what):
+        p.add_argument("--trial", type=int, default=0,
+                       help=f"trial index to {what}, >= 0 (default 0)")
+        p.add_argument("--param", choices=SWEEPABLE)
+        p.add_argument("--value", type=float, default=None,
+                       help="--param's value ('inf' allowed): a sweep point")
+
     p = sub.add_parser("solve", help="solve one channel realization")
     common(p)
-    p.add_argument("--trial", type=int, default=0,
-                   help="trial index to replay, >= 0 (default 0)")
+    replay(p, "replay")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="Monte Carlo parameter sweep")
@@ -181,8 +185,7 @@ def build_parser():
     p = sub.add_parser("kkt-check",
                        help="verify first-order optimality of one solution")
     common(p)
-    p.add_argument("--trial", type=int, default=0,
-                   help="trial index to check, >= 0 (default 0)")
+    replay(p, "check")
     p.set_defaults(func=cmd_kkt_check)
 
     p = sub.add_parser("runtime", help="solver runtime vs band size")

@@ -95,10 +95,11 @@ def _cap_sums(powers, omega):
 def _strip(bits, den, sums, plan, head, down):
     """Greedy steps of each row of ``bits`` (stripped in place), in rounds
     over all rows still over a cap.  A round orders each row's savings by
-    (saving descending, index); those above 0.8x the largest are exactly the
-    greedy's next picks (a removal leaves a tone at most 3/4 of its saving).
-    A row takes its picks up to the first feasible running ``sums`` (the
-    loop's sequential subtractions), or all of them and another round."""
+    (saving descending, index); those above 0.8x the largest, or a prefix
+    of them, are the greedy's next picks (a removal leaves a tone at most
+    3/4 of its saving).  A row takes its picks up to the first feasible
+    running ``sums`` (the loop's sequential subtractions), or all of them
+    and another round."""
     run, b, s, steps = np.arange(bits.shape[0]), bits, sums, 0
     rows = run[:, None]                     # row positions, as a column
     while True:
@@ -106,7 +107,14 @@ def _strip(bits, den, sums, plan, head, down):
         cut = 0.8 * np.minimum.reduce(neg, 1, keepdims=True)
         rws = rows[:run.size]
         if neg.size > _SORT_ALL:    # the live tones lead any width smallest
-            width = int((neg < cut).sum(1).max())
+            if not np.logical_or.reduce(s[:, 1:] > plan.limits[1:], None):
+                # Only the total is over and a live pick saves more than
+                # -cut: a row's `need` best picks and their ties can end it.
+                need = int(min(neg.shape[1], 1 + np.ceil(np.max(
+                    (s[:, 0] - plan.limits[0]) / -cut[:, 0]))))
+                last = np.partition(neg, need - 1, 1)[:, need - 1:need]
+                neg[neg > last] = np.inf        # neg is this round's own
+            width = int(np.add.reduce(neg < cut, 1).max())
             part = np.sort(np.argpartition(neg, width - 1, 1)[:, :width], 1)
             order = part[rws, np.argsort(neg[rws, part], 1, kind="stable")]
         else:

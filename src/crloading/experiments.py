@@ -22,6 +22,7 @@ import math
 import numbers
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -90,12 +91,20 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
                                                          trial_index)))
 
 
+@lru_cache(maxsize=64)
+def _hash_constants(start, count, init, mult):
+    """``_hash``'s h_start .. h_(start+count), a read-only uint32 column."""
+    h = np.array([init * pow(mult, i, 1 << 32) & _MASK32
+                  for i in range(start, start + count + 1)], np.uint32)
+    h.flags.writeable = False
+    return h[:, None]
+
+
 def _hash(value, start, count, init=0x43B0D7E5, mult=0x931E8875):
     """SeedSequence's hash steps start .. start + count - 1, step i on row i
     of ``value``: xor h_i, times h_(i+1), fold; h_i = init*mult^i mod 2^32."""
-    h = np.array([init * pow(mult, i, 1 << 32) & _MASK32
-                  for i in range(start, start + count + 1)], np.uint32)
-    value = (value ^ h[:-1, None]) * h[1:, None]
+    h = _hash_constants(start, count, init, mult)
+    value = (value ^ h[:-1]) * h[1:]
     return value ^ value >> 16
 
 
@@ -208,7 +217,7 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     repaired in blocks of trials x N; row t of a block is bitwise trial t
     alone, so the result equals the reduction of ``run_trial`` rows.  A
     ``SolverError`` in trial t is re-raised naming t and the master seed, so
-    ``crloading solve --seed S --trial T`` replays it.
+    ``crloading solve --seed S --trial T [--param P --value V]`` replays it.
     """
     trials = _integer(cfg.experiment.trials if trials is None else trials,
                       "trials", 1)

@@ -49,6 +49,7 @@ _LN2 = math.log(2.0)
 _DUAL_TOL = 1e-12
 # Relative slack applied to every cap comparison ("is this violated?").
 FEAS_TOL = 1e-9
+_SPLIT = 4096       # smallest block whose total power ``_loads`` sums apart
 
 
 @dataclass(frozen=True)
@@ -173,19 +174,29 @@ def _power_dual(q, active, alpha, cap):
     """Total-power multiplier per row that makes sum(P) over the ``active``
     tones equal ``cap``, with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when
     the cap is slack."""
-    denom = cap - np.where(active, q, 0.0).sum(-1)
+    denom = cap - np.add.reduce(np.where(active, q, 0.0), -1)
     if np.count_nonzero(denom <= 0):
         raise SolverError(
             f"total-power cap {cap} incompatible with the active set "
             f"(denominator {denom.min()} <= 0)"
         )
-    return np.maximum(active.sum(-1) * (1.0 - alpha) / _LN2 / denom - alpha,
-                      0.0)
+    return np.maximum(np.add.reduce(active, -1) * (1.0 - alpha) / _LN2
+                      / denom - alpha, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Dual engine for the capped regimes
 # ---------------------------------------------------------------------------
+
+
+def _loads(p, wt):
+    """Row loads, bitwise ``(p[:, None, :] * wt).sum(2)``; the total (weights
+    1) sums ``p`` alone, save with ACI caps in blocks under _SPLIT entries."""
+    if wt.shape[0] > 1 and p.size < _SPLIT:
+        return np.add.reduce(p[:, None, :] * wt, 2)
+    load = np.add.reduce(p, 1, keepdims=True)
+    return (np.concatenate([load, np.add.reduce(p[:, None, :] * wt[1:], 2)],
+                           1) if wt.shape[0] > 1 else load)
 
 
 def _tol(caps, load, wq):
@@ -198,7 +209,7 @@ def _tol(caps, load, wq):
 def _meets(excess, tol, enforced, x, col):
     """Rows whose enforced loads are within ``tol`` above their caps, and
     whose cap ``col`` is within it below unless its multiplier ``x`` is 0."""
-    return (~((excess > tol) & enforced).any(1)
+    return (~np.logical_or.reduce((excess > tol) & enforced, 1)
             & ((excess[:, col] >= -tol[..., col]) | (x == 0.0)))
 
 
@@ -253,13 +264,13 @@ def _aci_dual(w, active, q, alpha, cap):
     """
     k = (1.0 - alpha) / _LN2
     wa = np.where(active, w, 0.0)
-    offset = (wa * q).sum(1, keepdims=True) - cap
+    offset = np.add.reduce(wa * q, 1, keepdims=True) - cap
     out = np.zeros(wa.shape[0])
     idx = np.arange(wa.shape[0])
     lam = np.zeros((wa.shape[0], 1))
     for _ in range(100):
         wm = wa / (alpha + wa * lam)
-        excess = k * wm.sum(1, keepdims=True) + offset
+        excess = k * np.add.reduce(wm, 1, keepdims=True) + offset
         go = excess[:, 0] > _DUAL_TOL * cap
         if np.count_nonzero(go) < go.size:
             out[idx[~go]] = lam[~go, 0]
@@ -267,7 +278,7 @@ def _aci_dual(w, active, q, alpha, cap):
                 x[go] for x in (idx, wa, offset, lam, wm, excess))
             if not idx.size:
                 return out
-        lam = lam + excess / (k * (wm * wm).sum(1, keepdims=True))
+        lam = lam + excess / (k * np.add.reduce(wm * wm, 1, keepdims=True))
     out[idx] = lam[:, 0]
     return out
 
@@ -281,7 +292,7 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     A row that one closed form settled last round (its only positive
     multiplier in ``lam``) tries that column first."""
     out = np.zeros(lam.shape)
-    todo = enforced.any(1)
+    todo = np.logical_or.reduce(enforced, 1)
     k, wq = (1.0 - alpha) / _LN2, None
     order = list(enumerate(enforced.T))     # (column, rows enforcing it)
     if np.count_nonzero(lam):
@@ -295,15 +306,15 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
             continue
         x = (_power_dual(q, active, alpha, caps[0]) if col == 0
              else _aci_dual(wt[col], active, q, alpha, caps[col]))
-        # alpha + w * lam of the candidate: its other multipliers are 0.
-        p = np.where(active, k / (alpha + wt[col] * x[:, None]) + q, 0.0)
-        load = (p[:, None, :] * wt).sum(2)
+        # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
+        mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
+        load = _loads(np.where(active, k / mu + q, 0.0), wt)
         excess = load - caps
         # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails with that
         ok = need & _meets(excess, _DUAL_TOL * caps, enforced, x, col)
         if np.count_nonzero(need ^ ok):
             if wq is None:
-                wq = (np.where(active, q, 0.0)[:, None, :] * wt).sum(2)
+                wq = _loads(np.where(active, q, 0.0), wt)
             ok = need & _meets(excess, _tol(caps, load, wq), enforced, x, col)
         out[ok, col] = x[ok]
         todo &= ~ok
@@ -333,27 +344,30 @@ def _solve_block(cnir, plan):
     idx, num, q = np.arange(t), (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
     dropping = np.zeros(t, dtype=bool)
     for it in range(4 * (n + wt.shape[0] + 3)):
-        mu = alpha + lam[:, :1]
+        mu, pos = alpha + lam[:, :1], np.logical_or.reduce(lam, 0)
         for j in range(1, wt.shape[0]):     # no matmul: rows stay separate
-            mu = mu + wt[j] * lam[:, j:j + 1]
+            if pos[j]:          # w * 0 adds nothing, so mu may stay (T, 1)
+                mu = mu + wt[j] * lam[:, j:j + 1]
         arg = num / (_LN2 * mu * plan.neglog)
         if it:  # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
-            drop = (arg < 4.0) & active & lam.any(1)[:, None]
-            dropping = drop.any(1)
+            drop = (arg < 4.0) & active & np.logical_or.reduce(lam, 1)[:, None]
+            dropping = np.logical_or.reduce(drop, 1)
             active &= ~drop
         p = np.where(active, k / mu + q, 0.0)
-        newly = ((p[:, None, :] * wt).sum(2) > plan.limit) & ~(
-            enforced | dropping[:, None])
+        newly = (_loads(p, wt) > plan.limit) & ~(enforced
+                                                 | dropping[:, None])
         enforced |= newly
-        done = ~(dropping | newly.any(1))
+        done = ~(dropping | np.logical_or.reduce(newly, 1))
         count = np.count_nonzero(done)
+        if count == t:                          # all rows in this round
+            return (np.log2(arg, out=np.zeros(arg.shape), where=active), p,
+                    lam, active)
         if count:
-            settled = (np.log2(arg, out=np.zeros(arg.shape), where=active), p,
-                       lam, active)
-            if count == t:                      # all rows in this round
-                return settled
-            for a, v in zip(out, settled):
-                a[idx[done]] = v[done]
+            rows, arg = idx[done], arg[done]    # bits of the settled alone
+            out[0][rows] = np.log2(arg, out=np.zeros(arg.shape),
+                                   where=active[done])
+            for a, v in zip(out[1:], (p, lam, active)):
+                a[rows] = v[done]
             if count == done.size:
                 return out
             idx, num, q, active, lam, enforced = (

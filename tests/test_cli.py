@@ -12,7 +12,7 @@ from crloading.constraints import build_caps
 from crloading.errors import SolverError
 from crloading.experiments import run_trial, trial_rng
 from crloading.kkt import kkt_verify
-from crloading.scenario import load_scenario
+from crloading.scenario import apply_parameter, load_scenario
 
 SMALL = "configs/small_n6.json"
 CCI = "configs/cci_binding.json"
@@ -65,6 +65,23 @@ class TestSolve:
         assert doc["powers"] == [float(p) for p in alloc.powers]
         first = json.loads(run(capsys, "solve", "--config", SMALL)[1])
         assert first["bits"] != doc["bits"]
+
+    def test_param_value_replays_sweep_trial(self, capsys):
+        # a sweep failure names "psi=0.99" and the trial; --param/--value
+        # replays that trial at that point
+        cfg = apply_parameter(load_scenario(CCI), "psi", 0.99)
+        seed = cfg.experiment.seed
+        alloc, sol = run_trial(cfg, build_caps(cfg), 5, seed)[6:]
+        code, out, _ = run(capsys, "solve", "--config", CCI, "--trial", "5",
+                           "--param", "psi", "--value", "0.99")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["bits"] == [int(b) for b in alloc.bits]
+        assert doc["powers"] == [float(p) for p in alloc.powers]
+        assert doc["lambda_power"] == sol.lambda_power
+        own = json.loads(run(capsys, "solve", "--config", CCI,
+                             "--trial", "5")[1])
+        assert own["lambda_power"] != doc["lambda_power"]
 
 
 class TestSweep:
@@ -150,6 +167,18 @@ class TestKktCheck:
         first = json.loads(run(capsys, "kkt-check", "--config", SMALL)[1])
         assert first["stationarity_power"] != doc["stationarity_power"]
 
+    def test_param_value_checks_that_sweep_point(self, capsys):
+        code, out, _ = run(capsys, "kkt-check", "--config", CCI, "--trial",
+                           "5", "--param", "psi", "--value", "0.99")
+        assert code == 0
+        cfg = apply_parameter(load_scenario(CCI), "psi", 0.99)
+        caps = build_caps(cfg)
+        seed = cfg.experiment.seed
+        sol = run_trial(cfg, caps, 5, seed)[7]
+        cnir = sample_su_channel(cfg.su, trial_rng(seed, 5)).cnir
+        want = kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
+        assert {k: json.loads(out)[k] for k in want} == want
+
     def test_failed_report_exits_three(self, capsys, monkeypatch):
         fake = types.SimpleNamespace(passed=False,
                                      to_dict=lambda: {"pass": False})
@@ -216,6 +245,19 @@ class TestErrorPaths:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("config error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "kkt-check"])
+    @pytest.mark.parametrize("flags,message", [
+        (("--param", "psi"), "--param and --value go together"),
+        (("--value", "0.9"), "--param and --value go together"),
+        (("--param", "alpha", "--value", "1.5"), "alpha sweep value 1.5"),
+    ], ids=["param_alone", "value_alone", "out_of_range"])
+    def test_bad_replay_point_exits_two(self, capsys, command, flags,
+                                        message):
+        code, out, err = run(capsys, command, "--config", CCI, *flags)
+        assert code == 2
+        assert err.startswith(f"config error: {message}")
         assert out == ""
 
     @pytest.mark.parametrize("sizes", ["-4", "0", "2.7", "8,inf"])

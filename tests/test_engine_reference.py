@@ -1,0 +1,172 @@
+"""The block engine equals its reference copy bit for bit.
+
+``engine_reference`` keeps ``_solve_block``, ``_solve_duals`` and ``_strip``
+as they stood before each round was made only as wide as its work: there,
+mu is (T, N) whatever the multipliers, every load column multiplies by its
+weights, bits are taken on every row still looping, and a repair round
+orders all of a row's live tones.  Every test here requires the shipped
+engine's bits, powers, multipliers, active sets and repair steps to be
+``np.array_equal`` to the reference's.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import engine_reference as ref
+from crloading import discretizer, experiments
+from crloading.constraints import build_caps
+from crloading.discretizer import _pricing, _repair_block
+from crloading.scenario import apply_parameter, load_scenario
+from crloading.solver import (_solve_block, cnir_threshold, prepare,
+                              solve_capped)
+
+CONFIGS = [("cci_binding", None), ("default", None), ("small_n6", None),
+           ("default", 1024)]
+
+
+def assert_engine_matches_reference(cnir, plan, max_bits, monkeypatch):
+    """Solve and repair the (T, N) block with the shipped engine, then with
+    the reference solve and the reference ``_strip``; every array must be
+    equal.  Returns the solve's (bits, powers, lam, active)."""
+    solved = _solve_block(cnir, plan)
+    for got, want in zip(solved, ref._solve_block(cnir, plan)):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    repaired = _repair_block(solved[0], cnir, plan, max_bits)
+    with monkeypatch.context() as m:
+        m.setattr(discretizer, "_strip", ref._strip)
+        expected = _repair_block(solved[0], cnir, plan, max_bits)
+    for got, want in zip(repaired, expected):
+        assert np.array_equal(got, want)
+    return solved
+
+
+def config(name, n, psi):
+    cfg = load_scenario(f"configs/{name}.json")
+    if n:
+        cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
+    return apply_parameter(cfg, "psi", psi)
+
+
+def monte_carlo_block(cfg, seed):
+    """A Monte Carlo block of ``cfg``'s draws and the caps' plan."""
+    su = cfg.su
+    plan = build_caps(cfg).plan(su.alpha, su.ber_threshold)
+    trials = max(1, experiments._BLOCK_ENTRIES // su.num_subcarriers)
+    return experiments._draw(cfg, seed, range(trials))[0], plan
+
+
+@pytest.mark.parametrize("psi", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("name,n", CONFIGS,
+                         ids=[f"{c}-{n or 'own'}" for c, n in CONFIGS])
+def test_shipped_configs(name, n, psi, monkeypatch):
+    cfg = config(name, n, psi)
+    cnir, plan = monte_carlo_block(cfg, 1234)
+    assert_engine_matches_reference(cnir, plan, cfg.su.max_bits, monkeypatch)
+    for row in cnir[:3]:                    # one-row calls, as run_trial's
+        assert_engine_matches_reference(row[None], plan, cfg.su.max_bits,
+                                        monkeypatch)
+
+
+@pytest.mark.parametrize("psi", [0.5, 0.6, 0.7])
+def test_small_n6_mixes_rows_with_and_without_aci_multiplier(psi,
+                                                             monkeypatch):
+    # mu takes the ACI column on every row once one row's multiplier is
+    # positive, and drops it again when the rows left have none
+    cfg = config("small_n6", None, psi)
+    cnir, plan = monte_carlo_block(cfg, 42)
+    lam = assert_engine_matches_reference(cnir[:500], plan, cfg.su.max_bits,
+                                          monkeypatch)[2]
+    assert np.count_nonzero(lam[:, 1] > 0) > 50
+    assert np.count_nonzero(lam[:, 1] == 0) > 50
+
+
+def test_four_bands_where_only_a_later_column_binds(monkeypatch):
+    # Four ACI columns; only column 2, 3 or 4 (or 2 and 4) is tight, the
+    # others loose or never enforced.  Rows scale the CNIR, so one block
+    # mixes rows that bind it with rows that do not.
+    rng = np.random.default_rng(1492)
+    later = 0
+    for k in range(24):
+        n = int(rng.integers(2, 257))
+        alpha = float(rng.uniform(0.25, 0.75))
+        ber = float(10.0 ** rng.uniform(-5.0, -2.3))
+        base = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.3, 3.0, n)
+        cnir = base * 10.0 ** rng.uniform(-1.0, 1.0, (8, 1))
+        omega = rng.uniform(0.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(
+            -3.0, 0.0, (n, 4))
+        free = solve_capped(base, alpha, ber).powers
+        tight = [(1,), (2,), (3,), (1, 3)][k % 4]
+        loose = np.setdiff1d(np.arange(4), tight)
+        aci = omega.T @ free * rng.uniform(0.05, 0.6, 4)
+        aci[loose] *= 100.0
+        aci[0] = math.inf if k % 2 else aci[0]
+        total = math.inf if k % 3 else 10.0 * float(np.sum(free))
+        plan = prepare(alpha, ber, total, omega, aci, n)
+        lam = assert_engine_matches_reference(cnir, plan, 16, monkeypatch)[2]
+        assert not np.count_nonzero(lam[:, 1 + loose])
+        later += np.count_nonzero(lam[:, 2:].any(1))
+    assert later > 50
+
+
+def test_zero_caps(monkeypatch):
+    # A zero total cap forbids every tone; a zero ACI cap forbids the tones
+    # it weights, here half of them, while the other cap still binds.
+    rng = np.random.default_rng(7)
+    n, alpha, ber = 64, 0.5, 1e-4
+    cnir = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.5, 3.0,
+                                                            (40, n))
+    omega = rng.uniform(0.1, 1.0, (n, 2))
+    omega[::2, 0] = 0.0
+    for total, aci in ((0.0, [1e-3, 1e-3]), (math.inf, [0.0, 1e-2]),
+                       (1e-2, [0.0, 0.0])):
+        plan = prepare(alpha, ber, total, omega, aci, n)
+        bits = assert_engine_matches_reference(cnir, plan, 16,
+                                               monkeypatch)[0]
+        assert not bits[:, omega[:, 0] > 0].any()
+        assert bits.any() == (total > 0 and aci[1] > 0)
+
+
+def tied_rows(rng, t, n, eights):
+    """(cont_bits, cnir, plan): t shuffles of one row of n tones at one
+    CNIR, ``eights`` of them at 8 bits (the tied top savings), the rest at
+    6 or 5; the total cap is 4.5 top savings under the rows' power."""
+    row = np.resize([6.0, 5.0], n)
+    row[:eights] = 8.0
+    bits = np.array([rng.permutation(row) for _ in range(t)])
+    cnir = np.full((t, n), 100.0)
+    lg = prepare(0.5, 1e-4, math.inf, None, (), n).lg
+    cost, head, _ = _pricing(16)
+    power = float(np.sum(cost[row.astype(int)] * lg / 160.0))
+    total = power - 4.5 * head[8] * -lg[0] / 160.0
+    return bits, cnir, prepare(0.5, 1e-4, total, None, (), n)
+
+
+@pytest.mark.parametrize("sort_all", [discretizer._SORT_ALL, 0])
+def test_narrowed_round_boundary_inside_tied_savings(sort_all, monkeypatch):
+    # Rows of 128 tones, 45 of them at 8 bits: their savings tie at the
+    # top.  The total is over by 4.5 top savings, so a round needs 7 picks
+    # (1 + ceil(4.5 / 0.8)), and the 7th largest saving of each row sits
+    # inside its tied group.  The round must keep that whole group: picks
+    # from an arbitrary part of it are not the lowest-index tones that the
+    # greedy takes.  12 x 128 savings exceed _SORT_ALL, so the shipped
+    # value partitions too.
+    monkeypatch.setattr(discretizer, "_SORT_ALL", sort_all)
+    rng = np.random.default_rng(1234)
+    cont, cnir, plan = tied_rows(rng, 12, 128, 45)
+    assert cont.size > 1024
+    bits, _, steps = _repair_block(cont, cnir, plan, 16)
+    with monkeypatch.context() as m:
+        m.setattr(discretizer, "_strip", ref._strip)
+        want_bits, _, want_steps = _repair_block(cont, cnir, plan, 16)
+    assert np.array_equal(bits, want_bits)
+    assert np.array_equal(steps, want_steps)
+    # the greedy strips the lowest-index 8-bit tones of each row first
+    for row, got in zip(cont, bits):
+        eight = np.flatnonzero(row == 8.0)
+        cut = np.flatnonzero(got != row)
+        assert 4 <= cut.size < eight.size
+        assert np.array_equal(cut, eight[:cut.size])

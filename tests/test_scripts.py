@@ -1,5 +1,6 @@
 """Smoke test: every script under scripts/ runs end to end on tiny counts."""
 
+import json
 import os
 import subprocess
 import sys
@@ -19,6 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
      "--sizes", "16,32", "--repeats", "2"],
 ], ids=lambda argv: argv[0])
 def test_script_runs(argv):
+    run_script(argv)
+
+
+def run_script(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -27,3 +32,20 @@ def test_script_runs(argv):
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_bench_layers_writes_every_figure(tmp_path):
+    out = tmp_path / "bench" / "BENCH.json"
+    run_script(["bench_layers.py", "--out", str(out), "--repeats", "1"])
+    doc = json.loads(out.read_text())
+    assert {"head", "python", "numpy", "nproc"} <= set(doc["provenance"])
+    assert set(doc["configs"]) == {"default", "cci_binding", "small_n6",
+                                   "default_n1024"}
+    for cfg in doc["configs"].values():
+        assert set(cfg["layers"]) == {
+            "draw_us_per_trial", "solve_block_us_per_row",
+            "repair_block_us_per_row", "solve_one_row_us",
+            "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s"}
+        for fig in cfg["layers"].values():
+            assert 0 < fig["q1"] <= fig["median"] <= fig["q3"]
+    assert doc["oracle_small_n6_call"]["median"] > 0
