@@ -13,7 +13,7 @@ config's own psi) each repeat times:
 plus one small_n6 ``exhaustive_search`` call.  Every figure is the median
 and quartiles of the repeats.  Run from the repository root:
 
-    PYTHONPATH=src python scripts/bench_layers.py --out bench/BENCH_<pr>.json
+    PYTHONPATH=src python scripts/bench_layers.py --out bench/BENCH_<n>.json
 """
 
 import argparse
