@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -32,10 +33,13 @@ def _parse_values(text):
         part = part.strip()
         if not part:
             continue
-        try:
-            out.append(float(part))     # 'inf' and 'infinity' included
-        except ValueError:
-            raise ConfigError(f"bad sweep value {part!r}")
+        if part.lower() in ("inf", "infinity"):
+            out.append(math.inf)
+        else:
+            try:
+                out.append(float(part))
+            except ValueError:
+                raise ConfigError(f"bad sweep value {part!r}")
     if not out:
         raise ConfigError("empty value list")
     return out

@@ -15,7 +15,7 @@ feasibility, complementary slackness, and dual sign complete the check.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,9 +38,14 @@ class KktReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["pass"] = out.pop("passed")
-        return out
+        return {
+            "stationarity_power": self.stationarity_power,
+            "stationarity_bits": self.stationarity_bits,
+            "primal": self.primal,
+            "complementarity": self.complementarity,
+            "dual_sign": self.dual_sign,
+            "pass": self.passed,
+        }
 
 
 def kkt_verify(solution, cnir, ber_threshold, caps,

@@ -17,6 +17,7 @@ Both return identical results; the flat engine is the cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +57,7 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     aci_caps = np.asarray(caps.aci_caps, dtype=float)
     omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
                            n, aci_caps.size)
-    # inf stays inf: a cap that is not finite never prunes
-    pow_slack = caps.total_cap * (1.0 + FEAS_TOL)
-    aci_slack = aci_caps * (1.0 + FEAS_TOL)
+    total_cap = caps.total_cap
 
     if b_max < 2:
         raise SolverError("b_max must be at least 2")
@@ -70,23 +69,22 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     fcand = alpha * pcand - (1.0 - alpha) * np.asarray(bvals)[:, None]
 
     if prune:
-        best, nodes = _search_dfs(pcand, fcand, omega, pow_slack, aci_slack)
-    else:
-        best, nodes = _search_flat(pcand, bvals, alpha, omega, pow_slack,
-                                   aci_slack)
-    bits = np.asarray([bvals[k] for k in best], dtype=int)
-    powers = power_for_bits(bits, c, ber, max_bits=b_max)
-    return OracleResult(bits=bits, powers=powers,
-                        objective=objective_value(bits, powers, alpha),
-                        nodes_visited=nodes)
+        return _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
+                           c, ber, alpha, b_max)
+    return _search_flat(n, bvals, pcand, omega, total_cap, aci_caps,
+                        c, ber, alpha, b_max)
 
 
-def _search_dfs(pcand, fcand, omega, pow_slack, aci_slack):
-    """(best choice per subcarrier, nodes visited) by branch-and-bound."""
-    d, n = pcand.shape
+def _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
+                c, ber, alpha, b_max):
+    d = len(bvals)
+    l = omega.shape[1]
     # Admissible bound: unconstrained per-subcarrier minima, suffix-summed.
     fmin = fcand.min(axis=0)
     bound = np.concatenate([np.cumsum(fmin[::-1])[::-1], [0.0]])
+    pow_slack = (total_cap * (1.0 + FEAS_TOL) if math.isfinite(total_cap)
+                 else math.inf)
+    aci_slack = aci_caps * (1.0 + FEAS_TOL)
 
     best_f = 0.0
     best = [0] * n
@@ -113,16 +111,24 @@ def _search_dfs(pcand, fcand, omega, pow_slack, aci_slack):
             dfs(i + 1, cur_f + fcand[k, i], cur_p + p, loads)
         choice[i] = 0
 
-    dfs(0, 0.0, 0.0, np.zeros(omega.shape[1]))
-    return best, nodes
+    dfs(0, 0.0, 0.0, np.zeros(l))
+    bits = np.asarray([bvals[k] for k in best], dtype=int)
+    powers = power_for_bits(bits, c, ber, max_bits=b_max)
+    return OracleResult(bits=bits, powers=powers,
+                        objective=objective_value(bits, powers, alpha),
+                        nodes_visited=nodes)
 
 
-def _search_flat(pcand, bvals, alpha, omega, pow_slack, aci_slack):
-    """(best choice per subcarrier, vectors enumerated), chunk by chunk."""
-    d, n = pcand.shape
+def _search_flat(n, bvals, pcand, omega, total_cap, aci_caps,
+                 c, ber, alpha, b_max):
+    d = len(bvals)
     total = d ** n
     shape = (d,) * n
     barr = np.asarray(bvals, dtype=float)
+    pow_slack = (total_cap * (1.0 + FEAS_TOL) if math.isfinite(total_cap)
+                 else math.inf)
+    aci_slack = np.where(np.isfinite(aci_caps),
+                         aci_caps * (1.0 + FEAS_TOL), np.inf)
 
     best_f = 0.0
     best_digits = np.zeros(n, dtype=int)
@@ -144,4 +150,8 @@ def _search_flat(pcand, bvals, alpha, omega, pow_slack, aci_slack):
         if f[k] < best_f:
             best_f = float(f[k])
             best_digits = digits[k]
-    return best_digits, total
+    bits = np.asarray([bvals[k] for k in best_digits], dtype=int)
+    powers = power_for_bits(bits, c, ber, max_bits=b_max)
+    return OracleResult(bits=bits, powers=powers,
+                        objective=objective_value(bits, powers, alpha),
+                        nodes_visited=total)

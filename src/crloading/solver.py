@@ -49,7 +49,7 @@ _LN2 = math.log(2.0)
 _DUAL_TOL = 1e-12
 # Relative slack applied to every cap comparison ("is this violated?").
 FEAS_TOL = 1e-9
-_SPLIT = 4096       # smallest block whose total power ``_loads`` sums apart
+_SPLIT = 4096       # entries from which ``_loads`` sums the total apart (timed)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """The block engine as it stood before each round was narrowed to its work:
-``_solve_block``, ``_solve_duals`` (with the ``_power_dual`` and ``_meets``
-they call) and ``_strip``, kept verbatim as the reference that
+``_solve_block``, ``_solve_duals`` (with the ``_power_dual``, ``_aci_dual``
+and ``_meets`` they call) and ``_strip``, kept verbatim as the reference that
 ``test_engine_reference.py`` requires the shipped engine to equal bit for
 bit.  Each round here runs on every tone of every row left: mu is (T, N)
 whatever the multipliers, every load column multiplies by its weights, bits
@@ -10,8 +10,7 @@ row's live tones."""
 import numpy as np
 
 from crloading.errors import SolverError
-from crloading.solver import (_DUAL_TOL, _LN2, _aci_dual, _newton_duals,
-                              _tol)
+from crloading.solver import _DUAL_TOL, _LN2, _newton_duals, _tol
 
 # Rounds over at most this many (row, tone) savings sort them all.
 _SORT_ALL = 1024
@@ -29,6 +28,33 @@ def _power_dual(q, active, alpha, cap):
         )
     return np.maximum(active.sum(-1) * (1.0 - alpha) / _LN2 / denom - alpha,
                       0.0)
+
+
+def _aci_dual(w, active, q, alpha, cap):
+    """Multiplier of one adjacent-channel cap per row, every other at 0.
+
+    The load is convex and decreasing in the multiplier, so Newton from 0
+    climbs monotonically to the root; each row stops at its own test.
+    """
+    k = (1.0 - alpha) / _LN2
+    wa = np.where(active, w, 0.0)
+    offset = (wa * q).sum(1, keepdims=True) - cap
+    out = np.zeros(wa.shape[0])
+    idx = np.arange(wa.shape[0])
+    lam = np.zeros((wa.shape[0], 1))
+    for _ in range(100):
+        wm = wa / (alpha + wa * lam)
+        excess = k * wm.sum(1, keepdims=True) + offset
+        go = excess[:, 0] > _DUAL_TOL * cap
+        if np.count_nonzero(go) < go.size:
+            out[idx[~go]] = lam[~go, 0]
+            idx, wa, offset, lam, wm, excess = (
+                x[go] for x in (idx, wa, offset, lam, wm, excess))
+            if not idx.size:
+                return out
+        lam = lam + excess / (k * (wm * wm).sum(1, keepdims=True))
+    out[idx] = lam[:, 0]
+    return out
 
 
 def _meets(excess, tol, enforced, x, col):
