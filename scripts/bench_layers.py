@@ -4,6 +4,8 @@
 For default, cci_binding, small_n6 and default at N=1024 (seed 1234, the
 config's own psi) each repeat times:
 
+- ``load_scenario`` on the config's parsed JSON (no file read), per call
+- ``aci_overlap_matrix``, and ``build_caps`` given that matrix, per call
 - the block draw (``_draw`` of one Monte Carlo block), per trial
 - ``_solve_block`` and ``_repair_block``, per row, on that block and on
   one-row blocks (T = 1, as ``run_trial`` calls them)
@@ -30,6 +32,7 @@ import numpy as np
 
 import crloading
 from crloading import experiments
+from crloading.channel import aci_overlap_matrix
 from crloading.constraints import build_caps
 from crloading.discretizer import _repair_block
 from crloading.oracle import exhaustive_search
@@ -40,7 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [("default", None), ("cci_binding", None), ("small_n6", None),
            ("default", 1024)]
 SEED = 1234
-ONE_ROW = 20                # one-row calls per repeat
+ONE_ROW = 20                # one-row (or per-call) calls per repeat
 
 
 def provenance(repeats):
@@ -70,11 +73,13 @@ def summary(samples, scale, unit):
 
 
 def config_layers(name, n, repeats):
-    cfg = load_scenario(ROOT / "configs" / f"{name}.json")
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    cfg = load_scenario(raw)
     if n:
         cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
     su = cfg.su
-    caps = build_caps(cfg)
+    omega = aci_overlap_matrix(cfg)
+    caps = build_caps(cfg, omega)
     plan = caps.plan(su.alpha, su.ber_threshold)
     block = range(max(1, experiments._BLOCK_ENTRIES // su.num_subcarriers))
     cnir = experiments._draw(cfg, SEED, block)[0]
@@ -83,6 +88,11 @@ def config_layers(name, n, repeats):
                                                bits[:ONE_ROW])]
     t = len(block)
     work = {
+        "load_scenario_us": (
+            lambda: [load_scenario(raw) for _ in range(ONE_ROW)], ONE_ROW),
+        "overlap_ms": (lambda: aci_overlap_matrix(cfg), 1),
+        "build_caps_us": (
+            lambda: [build_caps(cfg, omega) for _ in range(ONE_ROW)], ONE_ROW),
         "draw_us_per_trial": (
             lambda: experiments._draw(cfg, SEED, block), t),
         "solve_block_us_per_row": (lambda: _solve_block(cnir, plan), t),
@@ -104,7 +114,8 @@ def config_layers(name, n, repeats):
     for _ in range(repeats + 1):            # the first repeat warms up
         for key, (fn, per) in work.items():
             samples[key].append(timed(fn, per))
-    out = {key: summary(xs[1:], 1e6, "us") for key, xs in samples.items()}
+    out = {key: summary(xs[1:], 1e3, "ms") if key.endswith("_ms")
+           else summary(xs[1:], 1e6, "us") for key, xs in samples.items()}
     mc = out.pop("monte_carlo_us_per_trial")
     out["monte_carlo_trials_per_s"] = {
         "median": 1e6 / mc["median"], "q1": 1e6 / mc["q3"],

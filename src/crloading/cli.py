@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 import numpy as np
@@ -33,13 +32,10 @@ def _parse_values(text):
         part = part.strip()
         if not part:
             continue
-        if part.lower() in ("inf", "infinity"):
-            out.append(math.inf)
-        else:
-            try:
-                out.append(float(part))
-            except ValueError:
-                raise ConfigError(f"bad sweep value {part!r}")
+        try:
+            out.append(float(part))
+        except ValueError:
+            raise ConfigError(f"bad sweep value {part!r}")
     if not out:
         raise ConfigError("empty value list")
     return out

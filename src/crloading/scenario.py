@@ -4,7 +4,8 @@ Everything downstream (caps, solver, experiments) consumes the frozen
 dataclasses defined here.  All internal quantities are SI: watts, seconds,
 hertz, metres.  The JSON loader accepts power values either as bare numbers
 (watts) or as ``{"value": x, "unit": "W"|"mW"|"uW"}`` objects and rejects
-unknown keys so that typos fail loudly.
+unknown keys so that typos fail loudly.  Each field's rule is written once,
+in its ``_spec``; only the rules that tie fields together are hand-written.
 """
 
 from __future__ import annotations
@@ -12,14 +13,80 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .errors import ConfigError
 
 _UNIT_SCALE = {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "µW": 1e-6}
 
-# Parameters that `apply_parameter` / the sweep machinery know how to vary.
-SWEEPABLE = ("psi", "alpha", "p_cci", "p_aci")
+# Parameters that `apply_parameter` / the sweep machinery know how to vary,
+# each with the field it sets in the SU ("su"), the PUs of one kind or all.
+_SWEEP = {"psi": ("probability", None), "alpha": ("alpha", "su"),
+          "p_cci": ("interference_cap", "cochannel"),
+          "p_aci": ("interference_cap", "adjacent")}
+SWEEPABLE = tuple(_SWEEP)
+
+
+class _Bad(ValueError):
+    """A JSON value that breaks its field's spec (the caller adds the path)."""
+
+
+def _unknown(obj, allowed):
+    """The message for the keys of ``obj`` outside the set ``allowed``."""
+    return f"unknown key(s): {', '.join(sorted(obj.keys() - allowed))}"
+
+
+def _number(raw):
+    """A JSON number, or "inf", as a float; never NaN."""
+    if isinstance(raw, float) or (isinstance(raw, int)
+                                  and type(raw) is not bool):
+        if raw == raw:
+            return float(raw)
+    elif isinstance(raw, str) and raw.lower() in ("inf", "infinity"):
+        return math.inf
+    raise _Bad(f"expected a number, got {raw!r}")
+
+
+def _power(raw):
+    """Watts from a bare number or a ``{"value": x, "unit": u}`` object."""
+    scale = 1.0
+    if isinstance(raw, dict):
+        if not {"value", "unit"}.issuperset(raw):
+            raise _Bad(_unknown(raw, {"value", "unit"}))
+        if "value" not in raw:
+            raise _Bad("power object needs a 'value'")
+        unit = raw.get("unit", "W")
+        scale = _UNIT_SCALE.get(unit) if isinstance(unit, str) else None
+        if scale is None:
+            raise _Bad(f"unknown power unit {unit!r} (use W, mW or uW)")
+        raw = raw["value"]
+    return _number(raw) * scale
+
+
+def _spec(kind, ok, msg, tones=False, **default):
+    """A config field: ``kind`` reads its JSON value (as is if None; a list
+    of them, one per tone, if ``tones``), which must pass ``ok`` or fail
+    with ``msg``.  ``default`` is the dataclass default, if any."""
+    def read(raw):
+        v = raw if kind is None else kind(raw)
+        if ok(v):
+            return v
+        raise _Bad(f"{msg}, got {v!r}")
+
+    def read_tones(raw):
+        if isinstance(raw, (list, tuple)):
+            return tuple(map(read, raw))
+        return read(raw)
+    return field(metadata={"read": read_tones if tones else read}, **default)
+
+
+def _positive(**default):
+    return _spec(_number, lambda v: 0 < v < math.inf,
+                 "must be finite and positive", **default)
+
+
+def _count(low, msg, **default):
+    return _spec(None, lambda n: type(n) is int and n >= low, msg, **default)
 
 
 @dataclass(frozen=True)
@@ -30,16 +97,25 @@ class SuParams:
     tuples of length ``num_subcarriers``.
     """
 
-    num_subcarriers: int
-    symbol_duration: float          # T_s, seconds
-    subcarrier_spacing: float       # delta-f, Hz
-    noise_variance: float           # sigma_n^2, watts
-    ber_threshold: float | tuple[float, ...]
-    alpha: float = 0.5              # power-vs-rate trade-off weight, in (0, 1)
-    power_threshold: float = math.inf   # hard total-power limit P_th, watts
-    max_bits: int = 16              # largest constellation exponent b_max
-    su_link_gain: float = 1.0       # deterministic SU tx->rx gain multiplier
-    pu_interference: float | tuple[float, ...] = 0.0  # J, watts at SU receiver
+    num_subcarriers: int = _count(1, "must be a positive integer")
+    symbol_duration: float = _positive()        # T_s, seconds
+    subcarrier_spacing: float = _positive()     # delta-f, Hz
+    noise_variance: float = _spec(              # sigma_n^2, watts
+        _power, lambda p: 0 < p < math.inf, "power must be finite and positive")
+    ber_threshold: float | tuple[float, ...] = _spec(
+        _number, lambda b: 0.0 < b < 0.2, "BER threshold must lie in (0, 0.2)",
+        tones=True)
+    alpha: float = _spec(               # power-vs-rate trade-off weight
+        _number, lambda a: 0.0 < a < 1.0, "must lie strictly inside (0, 1)",
+        default=0.5)
+    power_threshold: float = _spec(     # hard total-power limit P_th, watts
+        _power, lambda p: p > 0, "power must be positive", default=math.inf)
+    # largest constellation exponent b_max
+    max_bits: int = _count(2, "must be an integer >= 2", default=16)
+    su_link_gain: float = _positive(default=1.0)  # SU tx->rx gain multiplier
+    pu_interference: float | tuple[float, ...] = _spec(  # J, watts at SU rx
+        _power, lambda p: 0 <= p < math.inf,
+        "power must be finite and non-negative", tones=True, default=0.0)
 
     @property
     def band_width(self) -> float:
@@ -51,9 +127,9 @@ class SuParams:
 class PathLossParams:
     """Log-distance path loss model parameters."""
 
-    exponent: float                 # gamma
-    wavelength: float               # carrier wavelength, metres
-    reference_distance: float       # d_0, metres
+    exponent: float = _positive()               # gamma
+    wavelength: float = _positive()             # carrier wavelength, metres
+    reference_distance: float = _positive()     # d_0, metres
 
 
 @dataclass(frozen=True)
@@ -68,21 +144,26 @@ class PuDescriptor:
     centre.
     """
 
-    kind: str                       # "cochannel" | "adjacent"
-    distance: float                 # SU tx -> PU rx, metres
-    interference_cap: float         # P_CCI or P_ACI, watts (may be inf)
-    probability: float = 0.9        # Psi, in (0, 1]
-    fading_rate: float = 1.0        # nu > 0
-    bandwidth: float = 0.0          # adjacent only, Hz
-    center_offset: float = 0.0      # adjacent only, Hz from nearest SU edge
+    kind: str = _spec(None, lambda k: k in ("cochannel", "adjacent"),
+                      "must be 'cochannel' or 'adjacent'")
+    distance: float = _positive()       # SU tx -> PU rx, metres
+    interference_cap: float = _spec(    # P_CCI or P_ACI, watts (may be inf)
+        _power, lambda p: p >= 0, "power must be non-negative")
+    probability: float = _spec(         # Psi
+        _number, lambda p: 0.0 < p <= 1.0, "must lie in (0, 1]", default=0.9)
+    fading_rate: float = _positive(default=1.0)     # nu
+    bandwidth: float = _positive(default=0.0)       # adjacent only, Hz
+    center_offset: float = _spec(       # adjacent only, Hz from nearest SU edge
+        _number, lambda f: 0 <= f < math.inf, "must be finite and non-negative",
+        default=0.0)
 
 
 @dataclass(frozen=True)
 class ExperimentParams:
     """Monte Carlo harness knobs."""
 
-    trials: int = 10000
-    seed: int = 1234
+    trials: int = _count(1, "must be a positive integer", default=10000)
+    seed: int = _count(0, "must be a non-negative integer", default=1234)
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
 
@@ -126,262 +207,99 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def _reject_unknown(obj, allowed, path):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        _fail(path, f"unknown key(s): {', '.join(sorted(unknown))}")
+def _table(cls, drop=(), need=(), free=(), extra=()):
+    """(name, read, required) of the spec'd fields of ``cls`` but ``drop``,
+    and the keys its section may hold (those and ``extra``)."""
+    table = tuple(
+        (f.name, f.metadata["read"],
+         f.name in need or (f.default is MISSING and f.name not in free))
+        for f in fields(cls) if "read" in f.metadata and f.name not in drop)
+    return table, {name for name, _, _ in table}.union(extra)
 
 
-def _get_number(obj, key, path, *, required=True, default=None):
-    if key not in obj:
-        if required:
-            _fail(path, f"missing required key '{key}'")
-        return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        _fail(f"{path}.{key}", f"expected a number, got {v!r}")
-    return float(v)
+def _read(section, obj, path):
+    """The fields of ``section`` (a ``_table``) that the JSON object ``obj``
+    gives, each read by its spec."""
+    table, allowed = section
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    if not allowed.issuperset(obj):
+        _fail(path, _unknown(obj, allowed))
+    out = {}
+    for name, read, required in table:
+        if name in obj:
+            try:
+                out[name] = read(obj[name])
+            except _Bad as exc:
+                _fail(f"{path}.{name}", exc)
+        elif required:
+            _fail(path, f"missing required key '{name}'")
+    return out
 
 
-def _parse_power(raw, path, *, allow_inf=True, allow_zero=True):
-    """Parse a power field: bare watts, "inf", or {value, unit}."""
-    if isinstance(raw, str):
-        if raw.lower() in ("inf", "infinity") and allow_inf:
-            return math.inf
-        _fail(path, f"bad power value {raw!r}")
-    if isinstance(raw, dict):
-        _reject_unknown(raw, ("value", "unit"), path)
-        if "value" not in raw:
-            _fail(path, "power object needs a 'value'")
-        unit = raw.get("unit", "W")
-        if unit not in _UNIT_SCALE:
-            _fail(path, f"unknown power unit {unit!r} (use W, mW or uW)")
-        inner = raw["value"]
-        if isinstance(inner, str):
-            if inner.lower() in ("inf", "infinity") and allow_inf:
-                return math.inf
-            _fail(path, f"bad power value {inner!r}")
-        if isinstance(inner, bool) or not isinstance(inner, (int, float)):
-            _fail(path, f"bad power value {inner!r}")
-        val = float(inner) * _UNIT_SCALE[unit]
-    elif isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _fail(path, f"expected a power (number or {{value, unit}}), got {raw!r}")
-    else:
-        val = float(raw)
-    if math.isinf(val) and not allow_inf:
-        _fail(path, "infinite power not allowed here")
-    if val < 0 or (val == 0 and not allow_zero):
-        _fail(path, f"power must be {'non-negative' if allow_zero else 'positive'}")
-    return val
-
-
-def _parse_scalar_or_vector(raw, n, path, check):
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != n:
-            _fail(path, f"vector length {len(raw)} != num_subcarriers {n}")
-        vals = []
-        for k, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(f"{path}[{k}]", f"expected a number, got {v!r}")
-            check(float(v), f"{path}[{k}]")
-            vals.append(float(v))
-        return tuple(vals)
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        _fail(path, f"expected number or list, got {raw!r}")
-    check(float(raw), path)
-    return float(raw)
-
-
-def _check_ber(v, path):
-    if not 0.0 < v < 0.2:
-        _fail(path, f"BER threshold must lie in (0, 0.2), got {v}")
-
-
-def _check_nonneg(v, path):
-    if v < 0:
-        _fail(path, f"must be non-negative, got {v}")
+# Either of T_s and delta-f may be given: _parse_su derives the other.
+_SU = _table(SuParams, free=("symbol_duration", "subcarrier_spacing"))
+_PATH_LOSS = _table(PathLossParams)
+# A PU's kind selects its fields: only an adjacent PU has a band.
+_COCHANNEL = _table(PuDescriptor, drop=("bandwidth", "center_offset"))
+_ADJACENT = _table(PuDescriptor, need=("bandwidth",))
+_EXPERIMENT = _table(ExperimentParams, extra=("sweep",))
+_READ = {name: read for t, _ in (_SU, _ADJACENT) for name, read, _ in t}
+_SECTIONS = {"su", "path_loss", "pus", "experiment"}
 
 
 def _parse_su(obj):
-    path = "su"
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    allowed = (
-        "num_subcarriers", "symbol_duration", "subcarrier_spacing",
-        "noise_variance", "ber_threshold", "alpha", "power_threshold",
-        "max_bits", "su_link_gain", "pu_interference",
-    )
-    _reject_unknown(obj, allowed, path)
-
-    n_raw = obj.get("num_subcarriers")
-    if not isinstance(n_raw, int) or isinstance(n_raw, bool) or n_raw < 1:
-        _fail("su.num_subcarriers", f"must be a positive integer, got {n_raw!r}")
-    n = n_raw
-
-    ts = _get_number(obj, "symbol_duration", path, required=False)
-    df = _get_number(obj, "subcarrier_spacing", path, required=False)
+    v = _read(_SU, obj, "su")
+    ts, df = v.get("symbol_duration"), v.get("subcarrier_spacing")
     if ts is None and df is None:
-        _fail(path, "need symbol_duration and/or subcarrier_spacing")
-    if ts is not None and ts <= 0:
-        _fail("su.symbol_duration", "must be positive")
-    if df is not None and df <= 0:
-        _fail("su.subcarrier_spacing", "must be positive")
+        _fail("su", "need symbol_duration and/or subcarrier_spacing")
     if ts is None:
-        ts = 1.0 / df
+        v["symbol_duration"] = 1.0 / df
     elif df is None:
-        df = 1.0 / ts
+        v["subcarrier_spacing"] = 1.0 / ts
     elif abs(ts * df - 1.0) > 1e-9:
-        _fail(path, f"symbol_duration * subcarrier_spacing = {ts * df!r}, "
+        _fail("su", f"symbol_duration * subcarrier_spacing = {ts * df!r}, "
                     "must equal 1 within 1e-9 relative")
-
-    if "noise_variance" not in obj:
-        _fail(path, "missing required key 'noise_variance'")
-    sigma2 = _parse_power(obj["noise_variance"], "su.noise_variance",
-                          allow_inf=False, allow_zero=False)
-
-    if "ber_threshold" not in obj:
-        _fail(path, "missing required key 'ber_threshold'")
-    ber = _parse_scalar_or_vector(obj["ber_threshold"], n, "su.ber_threshold",
-                                  _check_ber)
-
-    alpha = _get_number(obj, "alpha", path, required=False, default=0.5)
-    if not 0.0 < alpha < 1.0:
-        _fail("su.alpha", f"must lie strictly inside (0, 1), got {alpha}")
-
-    if "power_threshold" in obj:
-        pth = _parse_power(obj["power_threshold"], "su.power_threshold",
-                           allow_zero=False)
-    else:
-        pth = math.inf
-
-    bmax_raw = obj.get("max_bits", 16)
-    if not isinstance(bmax_raw, int) or isinstance(bmax_raw, bool) or bmax_raw < 2:
-        _fail("su.max_bits", f"must be an integer >= 2, got {bmax_raw!r}")
-
-    gain = _get_number(obj, "su_link_gain", path, required=False, default=1.0)
-    if gain <= 0:
-        _fail("su.su_link_gain", "must be positive")
-
-    if "pu_interference" in obj:
-        raw_j = obj["pu_interference"]
-        if isinstance(raw_j, (list, tuple)):
-            j = tuple(
-                _parse_power(v, f"su.pu_interference[{k}]", allow_inf=False)
-                for k, v in enumerate(raw_j)
-            )
-            if len(j) != n:
-                _fail("su.pu_interference",
-                      f"vector length {len(j)} != num_subcarriers {n}")
-        else:
-            j = _parse_power(raw_j, "su.pu_interference", allow_inf=False)
-    else:
-        j = 0.0
-
-    return SuParams(
-        num_subcarriers=n, symbol_duration=ts, subcarrier_spacing=df,
-        noise_variance=sigma2, ber_threshold=ber, alpha=alpha,
-        power_threshold=pth, max_bits=bmax_raw, su_link_gain=gain,
-        pu_interference=j,
-    )
-
-
-def _parse_path_loss(obj):
-    path = "path_loss"
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    _reject_unknown(obj, ("exponent", "wavelength", "reference_distance"), path)
-    gamma = _get_number(obj, "exponent", path)
-    wl = _get_number(obj, "wavelength", path)
-    d0 = _get_number(obj, "reference_distance", path)
-    if gamma <= 0:
-        _fail("path_loss.exponent", "must be positive")
-    if wl <= 0:
-        _fail("path_loss.wavelength", "must be positive")
-    if d0 <= 0:
-        _fail("path_loss.reference_distance", "must be positive")
-    return PathLossParams(exponent=gamma, wavelength=wl, reference_distance=d0)
+    n = v["num_subcarriers"]
+    for name in ("ber_threshold", "pu_interference"):
+        if isinstance(v.get(name), tuple) and len(v[name]) != n:
+            _fail(f"su.{name}",
+                  f"vector length {len(v[name])} != num_subcarriers {n}")
+    return SuParams(**v)
 
 
 def _parse_pu(obj, idx):
-    path = f"pus[{idx}]"
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    kind = obj.get("kind")
-    if kind not in ("cochannel", "adjacent"):
-        _fail(f"{path}.kind", f"must be 'cochannel' or 'adjacent', got {kind!r}")
-    common = ("kind", "distance", "interference_cap", "probability",
-              "fading_rate")
-    if kind == "adjacent":
-        _reject_unknown(obj, common + ("bandwidth", "center_offset"), path)
-    else:
-        _reject_unknown(obj, common, path)
-
-    d = _get_number(obj, "distance", path)
-    if d <= 0:
-        _fail(f"{path}.distance", "must be positive")
-    if "interference_cap" not in obj:
-        _fail(path, "missing required key 'interference_cap'")
-    cap = _parse_power(obj["interference_cap"], f"{path}.interference_cap")
-    psi = _get_number(obj, "probability", path, required=False, default=0.9)
-    if not 0.0 < psi <= 1.0:
-        _fail(f"{path}.probability", f"must lie in (0, 1], got {psi}")
-    nu = _get_number(obj, "fading_rate", path, required=False, default=1.0)
-    if nu <= 0:
-        _fail(f"{path}.fading_rate", "must be positive")
-
-    bw = off = 0.0
-    if kind == "adjacent":
-        bw = _get_number(obj, "bandwidth", path)
-        if bw <= 0:
-            _fail(f"{path}.bandwidth", "must be positive")
-        off = _get_number(obj, "center_offset", path, required=False,
-                          default=0.0)
-        _check_nonneg(off, f"{path}.center_offset")
-
-    return PuDescriptor(kind=kind, distance=d, interference_cap=cap,
-                        probability=psi, fading_rate=nu, bandwidth=bw,
-                        center_offset=off)
+    cochannel = isinstance(obj, dict) and obj.get("kind") == "cochannel"
+    return PuDescriptor(**_read(_COCHANNEL if cochannel else _ADJACENT, obj,
+                                f"pus[{idx}]"))
 
 
 def _parse_experiment(obj):
-    path = "experiment"
     if obj is None:
         return ExperimentParams()
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    _reject_unknown(obj, ("trials", "seed", "sweep"), path)
-    trials = obj.get("trials", 10000)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        _fail("experiment.trials", f"must be a positive integer, got {trials!r}")
-    seed = obj.get("seed", 1234)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        _fail("experiment.seed", f"must be a non-negative integer, got {seed!r}")
-    sweep_param = None
-    sweep_values = None
-    if "sweep" in obj and obj["sweep"] is not None:
-        sw = obj["sweep"]
+    v = _read(_EXPERIMENT, obj, "experiment")
+    sw = obj.get("sweep")
+    if sw is not None:
+        path = "experiment.sweep"
         if not isinstance(sw, dict):
-            _fail("experiment.sweep", "must be an object")
-        _reject_unknown(sw, ("param", "values"), "experiment.sweep")
-        sweep_param = sw.get("param")
-        if sweep_param not in SWEEPABLE:
-            _fail("experiment.sweep.param",
-                  f"must be one of {SWEEPABLE}, got {sweep_param!r}")
+            _fail(path, "must be an object")
+        if not {"param", "values"}.issuperset(sw):
+            _fail(path, _unknown(sw, {"param", "values"}))
+        param = sw.get("param")
+        if param not in SWEEPABLE:
+            _fail(f"{path}.param",
+                  f"must be one of {SWEEPABLE}, got {param!r}")
         vals = sw.get("values")
         if not isinstance(vals, list) or not vals:
-            _fail("experiment.sweep.values", "must be a non-empty list")
-        parsed = []
-        for k, v in enumerate(vals):
-            if isinstance(v, str) and v.lower() in ("inf", "infinity"):
-                parsed.append(math.inf)
-            elif isinstance(v, bool) or not isinstance(v, (int, float)):
-                _fail(f"experiment.sweep.values[{k}]",
-                      f"expected a number, got {v!r}")
-            else:
-                parsed.append(float(v))
-        sweep_values = tuple(parsed)
-    return ExperimentParams(trials=trials, seed=seed, sweep_param=sweep_param,
-                            sweep_values=sweep_values)
+            _fail(f"{path}.values", "must be a non-empty list")
+        read, parsed = _READ[_SWEEP[param][0]], []
+        for k, raw in enumerate(vals):
+            try:
+                parsed.append(read(_number(raw)))
+            except _Bad as exc:
+                _fail(f"{path}.values[{k}]", exc)
+        v.update(sweep_param=param, sweep_values=tuple(parsed))
+    return ExperimentParams(**v)
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -409,13 +327,13 @@ def load_scenario(source) -> ScenarioConfig:
             raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
-    _reject_unknown(data, ("su", "path_loss", "pus", "experiment"), "config")
-    if "su" not in data:
-        _fail("config", "missing required section 'su'")
-    if "path_loss" not in data:
-        _fail("config", "missing required section 'path_loss'")
+    if not _SECTIONS.issuperset(data):
+        _fail("config", _unknown(data, _SECTIONS))
+    for section in ("su", "path_loss"):
+        if section not in data:
+            _fail("config", f"missing required section '{section}'")
     su = _parse_su(data["su"])
-    pl = _parse_path_loss(data["path_loss"])
+    pl = PathLossParams(**_read(_PATH_LOSS, data["path_loss"], "path_loss"))
     raw_pus = data.get("pus", [])
     if not isinstance(raw_pus, list):
         _fail("pus", "must be an array")
@@ -436,25 +354,19 @@ def apply_parameter(cfg: ScenarioConfig, param: str, value) -> ScenarioConfig:
     alpha  -> SU power-vs-rate weight
     p_cci  -> interference cap (watts) of every co-channel PU
     p_aci  -> interference cap (watts) of every adjacent PU
+    ``value`` must pass the spec of the field it sets, as in a config file.
     """
+    if param not in SWEEPABLE:
+        raise ConfigError(f"unknown sweep parameter {param!r}; "
+                          f"choose from {SWEEPABLE}")
+    name, owner = _SWEEP[param]
     value = float(value)
-    if param == "alpha":
-        if not 0.0 < value < 1.0:
-            raise ConfigError(f"alpha sweep value {value} outside (0, 1)")
-        return replace(cfg, su=replace(cfg.su, alpha=value))
-    if param == "psi":
-        if not 0.0 < value <= 1.0:
-            raise ConfigError(f"psi sweep value {value} outside (0, 1]")
-        pus = tuple(replace(p, probability=value) for p in cfg.pus)
-        return replace(cfg, pus=pus)
-    if param in ("p_cci", "p_aci"):
-        if value < 0:
-            raise ConfigError(f"{param} sweep value must be non-negative")
-        kind = "cochannel" if param == "p_cci" else "adjacent"
-        pus = tuple(
-            replace(p, interference_cap=value) if p.kind == kind else p
-            for p in cfg.pus
-        )
-        return replace(cfg, pus=pus)
-    raise ConfigError(f"unknown sweep parameter {param!r}; "
-                      f"choose from {SWEEPABLE}")
+    try:
+        value = _READ[name](value)
+    except _Bad as exc:
+        _fail(f"{param} sweep value {value}", exc)
+    if owner == "su":
+        return replace(cfg, su=replace(cfg.su, **{name: value}))
+    pus = tuple(replace(p, **{name: value}) if owner in (None, p.kind) else p
+                for p in cfg.pus)
+    return replace(cfg, pus=pus)

@@ -252,7 +252,8 @@ class TestErrorPaths:
         (("--param", "psi"), "--param and --value go together"),
         (("--value", "0.9"), "--param and --value go together"),
         (("--param", "alpha", "--value", "1.5"), "alpha sweep value 1.5"),
-    ], ids=["param_alone", "value_alone", "out_of_range"])
+        (("--param", "p_cci", "--value", "nan"), "p_cci sweep value nan"),
+    ], ids=["param_alone", "value_alone", "out_of_range", "nan_cap"])
     def test_bad_replay_point_exits_two(self, capsys, command, flags,
                                         message):
         code, out, err = run(capsys, command, "--config", CCI, *flags)

@@ -151,6 +151,38 @@ class TestLoader:
         (lambda d: d["su"].update(noise_variance=0.0), "power"),
         (lambda d: d.update(extra_section={}), "unknown key"),
         (lambda d: d.pop("path_loss"), "path_loss"),
+        # NaN passes every ordered bound test unless rejected as a number
+        (lambda d: d["pus"][0].update(interference_cap=math.nan),
+         r"pus\[0\]\.interference_cap"),
+        (lambda d: d["pus"][1].update(interference_cap=math.nan),
+         r"pus\[1\]\.interference_cap"),
+        (lambda d: d["pus"][0].update(distance=math.nan), "distance"),
+        (lambda d: d["path_loss"].update(exponent=math.nan), "exponent"),
+        (lambda d: d["su"].update(noise_variance=math.nan), "noise_variance"),
+        (lambda d: d["su"].update(power_threshold=math.nan), "power_threshold"),
+        (lambda d: d["su"].update(su_link_gain=math.nan), "su_link_gain"),
+        (lambda d: d["pus"][0].update(fading_rate=math.nan), "fading_rate"),
+        (lambda d: d["pus"][1].update(center_offset=math.nan), "center_offset"),
+        # shapes a generic reader must still reject by name
+        (lambda d: d.update(su=5), "su: must be an object"),
+        (lambda d: d.update(path_loss=[1]), "path_loss: must be an object"),
+        (lambda d: d["pus"].__setitem__(1, "adjacent"),
+         r"pus\[1\]: must be an object"),
+        (lambda d: d.update(experiment=5), "experiment: must be an object"),
+        (lambda d: d.update(experiment={"sweep": 5}),
+         "experiment.sweep: must be an object"),
+        (lambda d: d["su"].update(noise_variance={"unit": "uW"}),
+         "needs a 'value'"),
+        # sweep values meet the spec of the field they set
+        (lambda d: d.update(experiment={"sweep": {"param": "psi",
+                                                  "values": [0.9, 1.5]}}),
+         r"experiment\.sweep\.values\[1\]"),
+        (lambda d: d.update(experiment={"sweep": {"param": "alpha",
+                                                  "values": ["inf"]}}),
+         r"experiment\.sweep\.values\[0\]"),
+        (lambda d: d.update(experiment={"sweep": {"param": "p_cci",
+                                                  "values": [math.nan]}}),
+         r"experiment\.sweep\.values\[0\]"),
     ])
     def test_invalid_configs(self, mutate, msg):
         d = base_dict()
@@ -158,12 +190,20 @@ class TestLoader:
         with pytest.raises(ConfigError, match=msg):
             load_scenario(d)
 
+    def test_json_text_nan_rejected(self):
+        d = base_dict()
+        d["pus"][0]["interference_cap"] = math.nan
+        text = json.dumps(d)
+        assert "NaN" in text
+        with pytest.raises(ConfigError, match="interference_cap"):
+            load_scenario(text)
+
     def test_sweep_spec_parsed(self):
         d = base_dict()
         d["experiment"] = {"trials": 50, "seed": 7,
-                           "sweep": {"param": "psi", "values": [0.8, "inf"]}}
+                           "sweep": {"param": "p_cci", "values": [0.8, "inf"]}}
         cfg = load_scenario(d)
-        assert cfg.experiment.sweep_param == "psi"
+        assert cfg.experiment.sweep_param == "p_cci"
         assert cfg.experiment.sweep_values == (0.8, math.inf)
 
     def test_sweep_bad_param(self):
@@ -192,6 +232,12 @@ class TestApplyParameter:
         out = apply_parameter(cfg, "p_aci", 7e-13)
         assert out.pus[0].interference_cap == cfg.pus[0].interference_cap
         assert out.pus[1].interference_cap == 7e-13
+
+    @pytest.mark.parametrize("param", ["p_cci", "p_aci"])
+    def test_nan_cap_rejected(self, param):
+        cfg = load_scenario(base_dict())
+        with pytest.raises(ConfigError, match=f"{param} sweep value nan"):
+            apply_parameter(cfg, param, math.nan)
 
     def test_unknown_parameter(self):
         cfg = load_scenario(base_dict())

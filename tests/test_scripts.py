@@ -43,6 +43,7 @@ def test_bench_layers_writes_every_figure(tmp_path):
                                    "default_n1024"}
     for cfg in doc["configs"].values():
         assert set(cfg["layers"]) == {
+            "load_scenario_us", "overlap_ms", "build_caps_us",
             "draw_us_per_trial", "solve_block_us_per_row",
             "repair_block_us_per_row", "solve_one_row_us",
             "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s"}
