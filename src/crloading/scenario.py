@@ -36,6 +36,14 @@ def _unknown(obj, allowed):
     return f"unknown key(s): {', '.join(sorted(obj.keys() - allowed))}"
 
 
+def _object(obj, allowed, path):
+    """Fail unless ``obj`` is a JSON object with keys only from ``allowed``."""
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    if not allowed.issuperset(obj):
+        _fail(path, _unknown(obj, allowed))
+
+
 def _number(raw):
     """A JSON number, or "inf", as a float; never NaN."""
     if isinstance(raw, float) or (isinstance(raw, int)
@@ -221,10 +229,7 @@ def _read(section, obj, path):
     """The fields of ``section`` (a ``_table``) that the JSON object ``obj``
     gives, each read by its spec."""
     table, allowed = section
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    if not allowed.issuperset(obj):
-        _fail(path, _unknown(obj, allowed))
+    _object(obj, allowed, path)
     out = {}
     for name, read, required in table:
         if name in obj:
@@ -245,7 +250,6 @@ _COCHANNEL = _table(PuDescriptor, drop=("bandwidth", "center_offset"))
 _ADJACENT = _table(PuDescriptor, need=("bandwidth",))
 _EXPERIMENT = _table(ExperimentParams, extra=("sweep",))
 _READ = {name: read for t, _ in (_SU, _ADJACENT) for name, read, _ in t}
-_SECTIONS = {"su", "path_loss", "pus", "experiment"}
 
 
 def _parse_su(obj):
@@ -281,10 +285,7 @@ def _parse_experiment(obj):
     sw = obj.get("sweep")
     if sw is not None:
         path = "experiment.sweep"
-        if not isinstance(sw, dict):
-            _fail(path, "must be an object")
-        if not {"param", "values"}.issuperset(sw):
-            _fail(path, _unknown(sw, {"param", "values"}))
+        _object(sw, {"param", "values"}, path)
         param = sw.get("param")
         if param not in SWEEPABLE:
             _fail(f"{path}.param",
@@ -325,10 +326,7 @@ def load_scenario(source) -> ScenarioConfig:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    if not _SECTIONS.issuperset(data):
-        _fail("config", _unknown(data, _SECTIONS))
+    _object(data, {"su", "path_loss", "pus", "experiment"}, "config")
     for section in ("su", "path_loss"):
         if section not in data:
             _fail("config", f"missing required section '{section}'")
