@@ -36,14 +36,6 @@ def _unknown(obj, allowed):
     return f"unknown key(s): {', '.join(sorted(obj.keys() - allowed))}"
 
 
-def _object(obj, allowed, path):
-    """Fail unless ``obj`` is a JSON object with keys only from ``allowed``."""
-    if not isinstance(obj, dict):
-        _fail(path, "must be an object")
-    if not allowed.issuperset(obj):
-        _fail(path, _unknown(obj, allowed))
-
-
 def _number(raw):
     """A JSON number, or "inf", as a float; never NaN."""
     if isinstance(raw, float) or (isinstance(raw, int)
@@ -213,6 +205,14 @@ def path_loss_db(distance, params: PathLossParams) -> float:
 
 def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
+
+
+def _object(obj, allowed, path):
+    """Fail unless ``obj`` is a JSON object with keys only from ``allowed``."""
+    if not isinstance(obj, dict):
+        _fail(path, "must be an object")
+    if not allowed.issuperset(obj):
+        _fail(path, _unknown(obj, allowed))
 
 
 def _table(cls, drop=(), need=(), free=(), extra=()):
