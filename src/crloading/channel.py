@@ -57,9 +57,10 @@ def pu_interference_to_su(su: SuParams) -> np.ndarray:
     return out
 
 
-def _cnir(su: SuParams, gains, j) -> np.ndarray:
-    """C = |H|^2 g / (sigma^2 + J) of one row or a block of SU-link gains."""
-    return gains * su.su_link_gain / (su.noise_variance + j)
+def _cnir(su: SuParams, gains, floor) -> np.ndarray:
+    """C = |H|^2 g / floor of one row or a block of SU-link gains, where
+    floor = sigma^2 + J per tone."""
+    return gains * su.su_link_gain / floor
 
 
 def _sp_mean(fading_rate: float) -> float:
@@ -74,7 +75,7 @@ def sample_su_channel(su: SuParams, rng: np.random.Generator) -> ChannelRealizat
     gains = rng.exponential(1.0, su.num_subcarriers)
     j = pu_interference_to_su(su)
     return ChannelRealization(gains=gains, pu_interference=j,
-                              cnir=_cnir(su, gains, j))
+                              cnir=_cnir(su, gains, su.noise_variance + j))
 
 
 def sample_sp_gain(fading_rate: float, rng: np.random.Generator) -> float:

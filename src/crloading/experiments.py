@@ -143,13 +143,26 @@ class _StateWords(ISeedSequence):
         return self.words
 
 
+@lru_cache(maxsize=64)
+def _constants(cfg: ScenarioConfig):
+    """What every block of ``cfg`` draws and scores with: sigma^2 + J per
+    tone, the mean of each SU->PU gain, and the path-loss attenuation of
+    each co-channel PU (None for an adjacent one)."""
+    floor = cfg.su.noise_variance + pu_interference_to_su(cfg.su)
+    means = np.array([_sp_mean(pu.fading_rate) for pu in cfg.pus])
+    floor.flags.writeable = means.flags.writeable = False
+    return floor, means, tuple(10.0 ** (-0.1 * path_loss_db(
+        pu.distance, cfg.path_loss)) if pu.kind == "cochannel" else None
+        for pu in cfg.pus)
+
+
 def _draw(cfg: ScenarioConfig, master_seed: int, trials):
     """CNIR rows and SU->PU gains (one per PU, in ``cfg.pus`` order, drawn
     after the SU link) of the given trials, bitwise as ``trial_rng`` then
     ``sample_su_channel`` and ``sample_sp_gain`` draw them: each generator
     fills one row of standard exponentials, scaled per column."""
     su, n = cfg.su, cfg.su.num_subcarriers
-    means = [_sp_mean(pu.fading_rate) for pu in cfg.pus]
+    floor, means, _ = _constants(cfg)
     if len(trials) < _HASHED_BLOCK or max(trials) > _MASK32:
         rngs = (trial_rng(master_seed, t) for t in trials)
     else:
@@ -159,8 +172,7 @@ def _draw(cfg: ScenarioConfig, master_seed: int, trials):
     draws = np.empty((len(trials), n + len(means)))
     for rng, row in zip(rngs, draws):
         rng.standard_exponential(out=row)
-    return (_cnir(su, draws[:, :n], pu_interference_to_su(su)),
-            draws[:, n:] * means)
+    return _cnir(su, draws[:, :n], floor), draws[:, n:] * means
 
 
 def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
@@ -170,15 +182,14 @@ def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
     sums = sums.reshape(2, len(sp), -1)
     viol = np.zeros((2, 2, len(sp)), dtype=bool)
     adj = 0
-    for gain, pu in zip(sp.T, cfg.pus):
-        if pu.kind == "cochannel":
-            atten = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
+    for gain, pu, atten in zip(sp.T, cfg.pus, _constants(cfg)[2]):
+        if atten is not None:
             viol[:, 0] |= gain * atten * sums[:, :, 0] > pu.interference_cap
         else:
             adj += 1
             viol[:, 1] |= gain * sums[:, :, adj] > pu.interference_cap
-    return np.concatenate([bits.sum(1)[:, None], sums[1, :, :1],
-                           viol.reshape(4, -1).T], axis=1)
+    return np.concatenate([np.add.reduce(bits, 1, keepdims=True),
+                           sums[1, :, :1], viol.reshape(4, -1).T], axis=1)
 
 
 def _block(cfg: ScenarioConfig, caps: ConstraintCaps, master_seed: int,
@@ -225,12 +236,12 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     if caps is None:
         caps = build_caps(cfg)
     block = max(1, _BLOCK_ENTRIES // cfg.su.num_subcarriers)
-    table = np.empty((trials, 6))
+    table = np.empty((6, trials))       # one row per outcome, for reductions
     for first in range(0, trials, block):
         rows = range(first, min(first + block, trials))
         try:
-            table[rows.start:rows.stop] = _block(cfg, caps, master_seed,
-                                                 rows)[2]
+            table[:, rows.start:rows.stop] = _block(cfg, caps, master_seed,
+                                                    rows)[2].T
         except SolverError:
             for t in rows:      # replay trial by trial: name the first failure
                 try:
@@ -240,9 +251,10 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
                                       f"{master_seed} failed: {exc}") from exc
             raise
 
-    ci = [1.96 * float(np.std(col, ddof=1)) / math.sqrt(trials)
-          if trials > 1 else 0.0 for col in table.T[:4]]
-    mean = [float(np.mean(col)) for col in table.T]
+    # each row reduces as np.mean and np.std reduce it alone
+    mean = table.mean(1).tolist()
+    ci = ((1.96 * table[:4].std(1, ddof=1) / math.sqrt(trials)).tolist()
+          if trials > 1 else [0.0] * 4)
     return AggregateStats(trials, *mean[:4], *ci, *mean[4:])
 
 

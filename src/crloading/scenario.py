@@ -41,7 +41,10 @@ def _number(raw):
     if isinstance(raw, float) or (isinstance(raw, int)
                                   and type(raw) is not bool):
         if raw == raw:
-            return float(raw)
+            try:
+                return float(raw)
+            except OverflowError:
+                raise _Bad("number too large for a float") from None
     elif isinstance(raw, str) and raw.lower() in ("inf", "infinity"):
         return math.inf
     raise _Bad(f"expected a number, got {raw!r}")

@@ -138,7 +138,8 @@ class Plan:
         """``cnir`` as a float (T, N) block once it is checked to be
         finite, positive and one value per tone of the plan."""
         c = np.atleast_2d(_checked_cnir(cnir))
-        overlap_matrix(self.omega, c.shape[1], self.omega.shape[1])
+        if c.shape[1] != self.omega.shape[0]:
+            overlap_matrix(self.omega, c.shape[1], self.omega.shape[1])
         return c
 
 
@@ -206,10 +207,11 @@ def _tol(caps, load, wq):
     return _DUAL_TOL * np.maximum(caps, load - 2.0 * wq)
 
 
-def _meets(excess, tol, enforced, x, col):
-    """Rows whose enforced loads are within ``tol`` above their caps, and
-    whose cap ``col`` is within it below unless its multiplier ``x`` is 0."""
-    return (~np.logical_or.reduce((excess > tol) & enforced, 1)
+def _meets(need, excess, tol, enforced, x, col):
+    """Rows of ``need`` whose enforced loads are within ``tol`` above their
+    caps, and whose cap ``col`` is within it below unless its multiplier
+    ``x`` is 0."""
+    return ((need > np.logical_or.reduce((excess > tol) & enforced, 1))
             & ((excess[:, col] >= -tol[..., col]) | (x == 0.0)))
 
 
@@ -289,42 +291,51 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     never enforced.  The one-multiplier closed forms come first, column by
     column and on every row at once (a row with no active tone gets 0); a
     row none of them settles runs the coupled Newton alone, from its lam.
-    A row that one closed form settled last round (its only positive
-    multiplier in ``lam``) tries that column first."""
-    out = np.zeros(lam.shape)
-    todo = np.logical_or.reduce(enforced, 1)
-    k, wq = (1.0 - alpha) / _LN2, None
-    order = list(enumerate(enforced.T))     # (column, rows enforcing it)
-    if np.count_nonzero(lam):
+    Of several columns, a row that one closed form settled last round (its
+    only positive multiplier in ``lam``) tries that one first.  Also gives
+    (mu, powers, loads) at the multipliers if the first column tried
+    settled every row (its candidate test computed them), else None."""
+    out, todo, seen = np.zeros(lam.shape), np.ones(lam.shape[0], bool), None
+    left = lam.shape[0]         # rows not settled yet; each enforces a cap
+    k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
+    passes = [enforced]                     # rows trying each column
+    if lam.shape[1] > 1 and np.count_nonzero(lam):
         first = lam > 0.0
-        first &= (first.sum(1) == 1)[:, None]
-        order = [(c, first[:, c]) for c, _ in order] + [
-            (c, rows & ~first[:, c]) for c, rows in order]
-    for col, rows in order:
-        need = todo & rows
-        if not np.count_nonzero(need):
-            continue
-        x = (_power_dual(q, active, alpha, caps[0]) if col == 0
-             else _aci_dual(wt[col], active, q, alpha, caps[col]))
-        # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
-        mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
-        load = _loads(np.where(active, k / mu + q, 0.0), wt)
-        excess = load - caps
-        # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails with that
-        ok = need & _meets(excess, _DUAL_TOL * caps, enforced, x, col)
-        if np.count_nonzero(need ^ ok):
-            if wq is None:
-                wq = _loads(np.where(active, q, 0.0), wt)
-            ok = need & _meets(excess, _tol(caps, load, wq), enforced, x, col)
-        out[ok, col] = x[ok]
-        todo &= ~ok
-    for i in todo.nonzero()[0]:
+        first &= (np.add.reduce(first, 1) == 1)[:, None]
+        passes = [first, enforced > first]
+    for rows in passes:
+        for col in range(lam.shape[1] if left else 0):
+            need = todo & rows[:, col]
+            wanted = np.count_nonzero(need)
+            if not wanted:
+                continue
+            x = (_power_dual(q, active, alpha, caps[0]) if col == 0
+                 else _aci_dual(wt[col], active, q, alpha, caps[col]))
+            # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
+            mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
+            p = np.where(active, k / mu + q, 0.0)
+            load = _loads(p, wt)
+            excess = load - caps
+            # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
+            ok = _meets(need, excess, tol, enforced, x, col)
+            settled = np.count_nonzero(ok)
+            if settled < wanted:
+                if wq is None:
+                    wq = _loads(np.where(active, q, 0.0), wt)
+                ok = _meets(need, excess, _tol(caps, load, wq), enforced, x,
+                            col)
+                settled = np.count_nonzero(ok)
+            seen = (mu, p, load) if settled == out.shape[0] else None
+            np.copyto(out[:, col], x, where=ok)
+            todo ^= ok
+            left -= settled
+    for i in todo.nonzero()[0] if left else ():
         # a cap no active tone loads is slack at 0
         cols = np.flatnonzero(enforced[i] & wt[:, active[i]].any(1))
         out[i, cols] = _newton_duals(
             np.maximum(lam[i, cols], 0.0), wt[cols][:, active[i]].T,
             q[i, active[i]], alpha, caps[cols])
-    return out
+    return out, seen
 
 
 def _solve_block(cnir, plan):
@@ -338,42 +349,59 @@ def _solve_block(cnir, plan):
     k = (1.0 - alpha) / _LN2
     active = c >= plan.threshold
     lam = np.zeros((t, wt.shape[0]))
-    enforced = np.zeros(lam.shape, dtype=bool)
-    out = [np.zeros((t, n)), np.zeros((t, n)), lam.copy(), active.copy()]
-    # State of the unsettled rows, compacted; idx maps them to block rows.
-    idx, num, q = np.arange(t), (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
-    dropping = np.zeros(t, dtype=bool)
+    # State of the unsettled rows, compacted once some settle: then idx maps
+    # them to block rows, and out holds the settled ones.
+    idx = out = seen = None
+    num, q = (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
     for it in range(4 * (n + wt.shape[0] + 3)):
-        mu, pos = alpha + lam[:, :1], np.logical_or.reduce(lam, 0)
-        for j in range(1, wt.shape[0]):     # no matmul: rows stay separate
-            if pos[j]:          # w * 0 adds nothing, so mu may stay (T, 1)
-                mu = mu + wt[j] * lam[:, j:j + 1]
-        arg = num / (_LN2 * mu * plan.neglog)
+        # mu = alpha + w lam over the columns some row has > 0, a scalar
+        # while none has, and no matmul (rows stay apart); or the dual's own
+        mu, held, arg = seen[0] if seen else alpha, None, None
         if it:  # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
-            drop = (arg < 4.0) & active & np.logical_or.reduce(lam, 1)[:, None]
-            dropping = np.logical_or.reduce(drop, 1)
-            active &= ~drop
-        p = np.where(active, k / mu + q, 0.0)
-        newly = (_loads(p, wt) > plan.limit) & ~(enforced
-                                                 | dropping[:, None])
-        enforced |= newly
-        done = ~(dropping | np.logical_or.reduce(newly, 1))
-        count = np.count_nonzero(done)
-        if count == t:                          # all rows in this round
-            return (np.log2(arg, out=np.zeros(arg.shape), where=active), p,
-                    lam, active)
-        if count:
+            for j in () if seen else np.logical_or.reduce(lam, 0).nonzero()[0]:
+                mu = mu + (wt[j] * lam[:, j:j + 1] if j else lam[:, :1])
+            arg = num / (_LN2 * mu * plan.neglog)
+            if np.count_nonzero(drop := (arg < 4.0) & active):
+                drop &= np.logical_or.reduce(lam, 1)[:, None]
+                held = np.logical_or.reduce(drop, 1)
+                active ^= drop
+        # the dual step's own p and loads hold on every row that dropped no
+        # tone, and the rows that did are busy: their p and loads go unused
+        p, load = seen[1:] if seen else (np.where(active, k / mu + q, 0.0),
+                                         None)
+        newly = (_loads(p, wt) if load is None else load) > plan.limit
+        if it:      # caps newly over, on rows that dropped no tone
+            newly = newly > (enforced if held is None
+                             else enforced | held[:, None])
+            enforced |= newly
+        else:
+            enforced = newly
+        busy = np.logical_or.reduce(newly, 1)
+        if held is not None:
+            busy |= held
+        left = np.count_nonzero(busy)
+        if left < busy.size:                # some rows settle this round
+            if arg is None:     # round 1 takes the rates for their bits alone
+                arg = num / (_LN2 * mu * plan.neglog)
+            if out is None and not left:    # all rows, all at once
+                return (np.log2(arg, out=np.zeros(arg.shape), where=active),
+                        p, lam, active)
+            if out is None:
+                idx, out = np.arange(t), [np.empty((t,) + v.shape[1:],
+                                                   v.dtype)
+                                          for v in (p, p, lam, active)]
+            done = ~busy
             rows, arg = idx[done], arg[done]    # bits of the settled alone
             out[0][rows] = np.log2(arg, out=np.zeros(arg.shape),
                                    where=active[done])
             for a, v in zip(out[1:], (p, lam, active)):
                 a[rows] = v[done]
-            if count == done.size:
+            if not left:
                 return out
             idx, num, q, active, lam, enforced = (
-                x[~done] for x in (idx, num, q, active, lam, enforced))
+                x[busy] for x in (idx, num, q, active, lam, enforced))
         # Every row left has a cap enforced: lam = 0 holds only in round 1.
-        lam = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
+        lam, seen = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
     raise SolverError("active-set iteration failed to settle")
 
 

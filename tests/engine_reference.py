@@ -1,14 +1,17 @@
 """The block engine as it stood before each round was narrowed to its work:
 ``_solve_block``, ``_solve_duals`` (with the ``_power_dual``, ``_aci_dual``
-and ``_meets`` they call) and ``_strip``, kept verbatim as the reference that
+and ``_meets`` they call), ``_strip`` and the block repair ``_repair_block``
+around it (with ``_cap_sums``), kept verbatim as the reference that
 ``test_engine_reference.py`` requires the shipped engine to equal bit for
 bit.  Each round here runs on every tone of every row left: mu is (T, N)
 whatever the multipliers, every load column multiplies by its weights, bits
 are taken on every row still looping, and a repair round orders all of a
-row's live tones."""
+row's live tones.  The repair gathers the rows over a cap by index and
+sums every load column through one (T, 1+L) array."""
 
 import numpy as np
 
+from crloading.discretizer import _pricing
 from crloading.errors import SolverError
 from crloading.solver import _DUAL_TOL, _LN2, _newton_duals, _tol
 
@@ -190,3 +193,42 @@ def _strip(bits, den, sums, plan, head, down):
             return steps
         run, den, s = run[keep], den[keep], acc[keep, -1]
         b = bits[run]
+
+
+def _cap_sums(powers, omega):
+    """Total power and adjacent-channel loads of each row, shape (T, 1+L),
+    summed as one row alone is summed: ``np.sum(p)`` and ``omega.T @ p``."""
+    sums = np.empty((powers.shape[0], 1 + omega.shape[1]))
+    sums[:, 0] = powers.sum(1)
+    if omega.shape[1]:
+        ot = omega.T
+        for t, p in enumerate(powers):
+            sums[t, 1:] = ot @ p
+    return sums
+
+
+def _repair_block(cont_bits, cnir, plan, max_bits):
+    """(bits, powers, steps) of each row of a (T, N) block of continuous
+    bits over its checked CNIR, under ``plan``; row t is bitwise the
+    repair of ``cnir[t]`` alone, and the rows over a cap are stripped
+    together (``_strip``)."""
+    bits = np.floor(cont_bits + 0.5)
+    bits = np.where(bits < 2.0, 0.0, np.minimum(bits, float(max_bits)))
+    bits = bits.astype(int)
+    den = 1.6 * cnir
+    cost, head, down = _pricing(bits.max())
+    powers = cost[bits] * plan.lg / den
+    sums = _cap_sums(powers, plan.omega)
+    steps = np.zeros(bits.shape[0], dtype=int)
+    todo = (sums > plan.limits).any(1).nonzero()[0]
+    if todo.size:
+        b, d = bits[todo], den[todo]
+        steps[todo] = _strip(b, d, sums[todo], plan, head, down)
+        bits[todo] = b
+        powers[todo] = cost[b] * plan.lg / d
+        # Recompute the sums from scratch to shed accumulated rounding.
+        sums[todo] = _cap_sums(powers[todo], plan.omega)
+    if np.count_nonzero(sums <= plan.limits) < sums.size:
+        raise SolverError("repair emptied the allocation without reaching "
+                          "feasibility")
+    return bits, powers, steps

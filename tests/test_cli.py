@@ -222,6 +222,17 @@ class TestErrorPaths:
         assert code == 2
         assert "alpha" in err
 
+    def test_integer_too_large_for_a_float_exits_two(self, tmp_path, capsys):
+        doc = json.loads(open(SMALL).read())
+        doc["su"]["su_link_gain"] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", "--config", str(bad))
+        assert code == 2
+        assert err.startswith("config error: su.su_link_gain: number too "
+                              "large for a float")
+        assert out == ""
+
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise SolverError("dual search diverged")

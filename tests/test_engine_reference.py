@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 import engine_reference as ref
-from crloading import discretizer, experiments
+from conftest import adjacent_band_scenario
+from crloading import discretizer, experiments, solver
 from crloading.constraints import build_caps
-from crloading.discretizer import _pricing, _repair_block
+from crloading.discretizer import _pricing, _repair_block, round_and_repair
+from crloading.experiments import run_trial
 from crloading.scenario import apply_parameter, load_scenario
 from crloading.solver import (_solve_block, cnir_threshold, prepare,
-                              solve_capped)
+                              solve_capped, solve_continuous)
 
 CONFIGS = [("cci_binding", None), ("default", None), ("small_n6", None),
            ("default", 1024)]
@@ -41,7 +43,39 @@ def assert_engine_matches_reference(cnir, plan, max_bits, monkeypatch):
         expected = _repair_block(solved[0], cnir, plan, max_bits)
     for got, want in zip(repaired, expected):
         assert np.array_equal(got, want)
+    for got, want in zip(repaired, ref._repair_block(solved[0], cnir, plan,
+                                                     max_bits)):
+        assert np.array_equal(got, want)
     return solved
+
+
+def assert_one_row_calls_match_reference(cfg, trials, seed):
+    """``run_trial``, and ``solve_continuous`` then ``round_and_repair``, on
+    each trial's draw: bits, powers, multipliers, active set and repair
+    steps must equal the reference one-row solve and repair.  Returns the
+    reference multipliers, one row per trial."""
+    su = cfg.su
+    caps = build_caps(cfg)
+    plan = caps.plan(su.alpha, su.ber_threshold)
+    lams = []
+    for t in trials:
+        cnir = experiments._draw(cfg, seed, [t])[0]
+        bits, powers, lam, active = ref._solve_block(cnir, plan)
+        want = ref._repair_block(bits, cnir, plan, su.max_bits)
+        *_, alloc, sol = run_trial(cfg, caps, t, seed)
+        sol_alone = solve_continuous(cnir[0], caps, su)
+        for s, a in ((sol, alloc), (sol_alone, round_and_repair(
+                sol_alone, caps, None, cnir[0], su.ber_threshold,
+                su.max_bits))):
+            assert np.array_equal(s.bits, bits[0])
+            assert np.array_equal(s.powers, powers[0])
+            assert np.array_equal([s.lambda_power, *s.lambda_aci], lam[0])
+            assert np.array_equal(s.active_set, np.flatnonzero(active[0]))
+            assert np.array_equal(a.bits, want[0][0])
+            assert np.array_equal(a.powers, want[1][0])
+            assert a.repair_steps == want[2][0]
+        lams.append(lam[0])
+    return np.array(lams)
 
 
 def config(name, n, psi):
@@ -69,6 +103,49 @@ def test_shipped_configs(name, n, psi, monkeypatch):
     for row in cnir[:3]:                    # one-row calls, as run_trial's
         assert_engine_matches_reference(row[None], plan, cfg.su.max_bits,
                                         monkeypatch)
+
+
+# 200 one-row calls in all: 120 on the shipped configs, 30 small_n6 rows
+# with an ACI multiplier, 20 four-band draws and 30 under zero caps.
+@pytest.mark.parametrize("psi", [0.5, 0.9, 0.99])
+@pytest.mark.parametrize("name,n", CONFIGS,
+                         ids=[f"{c}-{n or 'own'}" for c, n in CONFIGS])
+def test_one_row_calls_on_shipped_configs(name, n, psi):
+    assert_one_row_calls_match_reference(config(name, n, psi), range(10),
+                                         1234)
+
+
+def test_one_row_calls_with_an_aci_multiplier():
+    cfg = config("small_n6", None, 0.6)
+    cnir, plan = monte_carlo_block(cfg, 42)
+    rows = np.flatnonzero(ref._solve_block(cnir[:200], plan)[2][:, 1] > 0)
+    lam = assert_one_row_calls_match_reference(cfg, rows[:30], 42)
+    assert len(lam) == 30 and np.all(lam[:, 1] > 0)
+
+
+def test_one_row_calls_through_the_coupled_newton(monkeypatch):
+    # four adjacent bands at N = 62: most draws need the coupled step
+    cfg = adjacent_band_scenario(np.random.default_rng(2024))
+    calls, newton = [], solver._newton_duals
+
+    def spy(*args):
+        calls.append(args[1].shape)
+        return newton(*args)
+    monkeypatch.setattr(solver, "_newton_duals", spy)
+    assert_one_row_calls_match_reference(cfg, range(20), 0)
+    assert len(calls) >= 12       # 12 of the 20 draws reach it
+
+
+@pytest.mark.parametrize("name", ["default", "small_n6"])
+def test_one_row_calls_under_zero_caps(name):
+    # psi = 1 maps every finite interference limit to a cap of 0: default
+    # loads nothing, small_n6 only the tones its adjacent band never sees
+    cfg = config(name, None, 1.0)
+    assert_one_row_calls_match_reference(cfg, range(15), 1234)
+    bits = np.array([run_trial(cfg, build_caps(cfg), t, 1234)[6].bits
+                     for t in range(15)])
+    omega = build_caps(cfg).aci_weights.omega
+    assert not bits[:, omega.any(1) | (name == "default")].any()
 
 
 @pytest.mark.parametrize("psi", [0.5, 0.6, 0.7])

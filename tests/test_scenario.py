@@ -163,6 +163,9 @@ class TestLoader:
         (lambda d: d["su"].update(su_link_gain=math.nan), "su_link_gain"),
         (lambda d: d["pus"][0].update(fading_rate=math.nan), "fading_rate"),
         (lambda d: d["pus"][1].update(center_offset=math.nan), "center_offset"),
+        # an integer too large for a float is not an OverflowError
+        (lambda d: d["su"].update(su_link_gain=10 ** 400),
+         "su.su_link_gain: number too large for a float"),
         # shapes a generic reader must still reject by name
         (lambda d: d.update(su=5), "su: must be an object"),
         (lambda d: d.update(path_loss=[1]), "path_loss: must be an object"),

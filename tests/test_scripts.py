@@ -36,7 +36,8 @@ def run_script(argv):
 
 def test_bench_layers_writes_every_figure(tmp_path):
     out = tmp_path / "bench" / "BENCH.json"
-    run_script(["bench_layers.py", "--out", str(out), "--repeats", "1"])
+    run_script(["bench_layers.py", "--out", str(out), "--repeats", "1",
+                "--c6-instances", "2"])
     doc = json.loads(out.read_text())
     assert {"head", "python", "numpy", "nproc"} <= set(doc["provenance"])
     assert set(doc["configs"]) == {"default", "cci_binding", "small_n6",
@@ -46,7 +47,15 @@ def test_bench_layers_writes_every_figure(tmp_path):
             "load_scenario_us", "overlap_ms", "build_caps_us",
             "draw_us_per_trial", "solve_block_us_per_row",
             "repair_block_us_per_row", "solve_one_row_us",
-            "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s"}
-        for fig in cfg["layers"].values():
+            "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s",
+            "run_trial_calls"}
+        by_case = cfg["solve_one_row_by_case"]
+        assert by_case and set(by_case) <= {"case5", "case6", "case7",
+                                            "case8"}
+        assert sum(fig["draws"] for fig in by_case.values()) == 100
+        for fig in [*cfg["layers"].values(), *by_case.values()]:
             assert 0 < fig["q1"] <= fig["median"] <= fig["q3"]
     assert doc["oracle_small_n6_call"]["median"] > 0
+    c6 = doc["criterion_6_n8"]
+    assert c6["instances"] == 2 and c6["speedup"] > 0
+    assert 0 < c6["solve_repair_us"]["median"]

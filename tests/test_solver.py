@@ -313,7 +313,8 @@ class TestBerCeiling:
 
 def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
     """The dual step with the closed forms skipped: projected Newton on
-    every enforced cap at once from zero, row by row."""
+    every enforced cap at once from zero, row by row (and no powers or
+    loads handed back)."""
     out = np.zeros_like(lam)
     for i in range(lam.shape[0]):
         cols = np.flatnonzero(enforced[i])
@@ -321,7 +322,7 @@ def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
             out[i, cols] = solver._newton_duals(
                 np.zeros(cols.size), wt[cols][:, active[i]].T,
                 q[i, active[i]], alpha, caps[cols])
-    return out
+    return out, None
 
 
 class TestDualStepAgreesWithNewton:
