@@ -20,8 +20,8 @@ from .solver import _one_row, objective_value, prepare
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
 # full stable sort is then cheaper than partitioning out the live tones:
-# timed on default.json repairs of 1-3 rows of 128-512 tones, sorting wins
-# up to 256 savings and partitioning from 448 (within 15% between).
+# timed on default.json repairs of 1-4 rows of 128-1024 tones, sorting wins
+# up to 256 savings, partitioning from 640, and they are within 15% between.
 _SORT_ALL = 384
 
 
