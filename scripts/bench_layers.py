@@ -9,6 +9,8 @@ config's own psi) each repeat times:
 - the block draw (``_draw`` of one Monte Carlo block), per trial
 - ``_solve_block`` and ``_repair_block``, per row, on that block and on
   one-row blocks (T = 1, as ``run_trial`` calls them)
+- ``_outcomes``, per trial: the time ``_block`` spends in it on that block
+- ``_cap_sums`` of the block's repaired powers, per row
 - ``run_trial``, per call
 - ``run_monte_carlo`` over two blocks, as trials per second
 
@@ -25,10 +27,19 @@ runs it), whose per-instance solve + repair times give the solver median
 behind the criterion's speedup.  Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench/BENCH_<n>.json
+
+With ``--parent DIR`` the package under ``DIR/src/crloading`` (a checkout
+of the parent commit, say) is loaded too, as module ``crloading_parent``,
+and both trees are timed in this one process: each repeat runs every
+layer on both, alternating which goes first, so a drift in the machine's
+speed lands on both sides alike.  The parent's figures go to ``--out``
+with ``_parent`` before its suffix (``bench/BENCH_<n>_parent.json``).
 """
 
 import argparse
 import cProfile
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -37,18 +48,9 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
-
-import crloading
-from crloading import experiments
-from crloading.channel import aci_overlap_matrix
-from crloading.constraints import build_caps
-from crloading.discretizer import _repair_block
-from crloading.experiments import compare_with_oracle
-from crloading.oracle import exhaustive_search
-from crloading.scenario import load_scenario
-from crloading.solver import _solve_block
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = [("default", None), ("cci_binding", None), ("small_n6", None),
@@ -56,6 +58,8 @@ CONFIGS = [("default", None), ("cci_binding", None), ("small_n6", None),
 SEED = 1234
 ONE_ROW = 20                # one-row (or per-call) calls per repeat
 BY_CASE = 100               # draws split by regime for the one-row solve
+MODULES = ("channel", "constraints", "discretizer", "experiments", "oracle",
+           "scenario", "solver")
 # Acceptance criterion 6 at N=8 (tests/test_acceptance.py, test_c06).
 CRITERION_6 = {
     "su": {"num_subcarriers": 8, "symbol_duration": 1.024e-4,
@@ -69,12 +73,32 @@ CRITERION_6 = {
 }
 
 
-def provenance(repeats):
-    """Where the timed code came from and what it ran on."""
-    src = Path(crloading.__file__).resolve().parent
+def tree(package):
+    """The timed modules of ``package``, by their names."""
+    return SimpleNamespace(src=Path(importlib.import_module(
+                               package).__file__).parent,
+                           **{name: importlib.import_module(
+                               f"{package}.{name}") for name in MODULES})
 
+
+def load_parent(root):
+    """``root/src/crloading`` imported as package ``crloading_parent``."""
+    src = Path(root).resolve() / "src" / "crloading"
+    if not (src / "__init__.py").is_file():
+        raise SystemExit(f"no package at {src}")
+    spec = importlib.util.spec_from_file_location(
+        "crloading_parent", src / "__init__.py",
+        submodule_search_locations=[str(src)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = package
+    spec.loader.exec_module(package)
+    return tree(spec.name)
+
+
+def provenance(t, repeats):
+    """Where the timed code came from and what it ran on."""
     def git(*argv):
-        return subprocess.run(["git", "-C", str(src), *argv],
+        return subprocess.run(["git", "-C", str(t.src), *argv],
                               capture_output=True, text=True).stdout.strip()
     return {"head": git("rev-parse", "HEAD") or "unknown",
             "src_modified": bool(git("status", "--porcelain", ".")),
@@ -84,9 +108,47 @@ def provenance(repeats):
 
 
 def timed(fn, per):
-    t0 = time.perf_counter()
-    fn()
-    return (time.perf_counter() - t0) / per
+    """A callable timing one ``fn()``, in seconds per ``per`` units."""
+    def run():
+        t0 = time.perf_counter()
+        fn()
+        return (time.perf_counter() - t0) / per
+    return run
+
+
+def inside(module, name, fn, per):
+    """A callable timing the calls ``fn()`` makes to ``module.name``, in
+    seconds per ``per`` units."""
+    def run():
+        real, spent = getattr(module, name), [0.0]
+
+        def call(*args):
+            t0 = time.perf_counter()
+            out = real(*args)
+            spent[0] += time.perf_counter() - t0
+            return out
+        setattr(module, name, call)
+        try:
+            fn()
+        finally:
+            setattr(module, name, real)
+        return spent[0] / per
+    return run
+
+
+def interleaved(works, repeats):
+    """Samples of ``works``, one dict of timing callables per tree: every
+    repeat runs each key on every tree that has it, in alternating tree
+    order; the first repeat warms up and is dropped."""
+    keys = dict.fromkeys(key for work in works for key in work)
+    samples = [{key: [] for key in work} for work in works]
+    for r in range(repeats + 1):
+        for key in keys:
+            for i in (range(len(works)) if r % 2 == 0
+                      else reversed(range(len(works)))):
+                if key in works[i]:
+                    samples[i][key].append(works[i][key]())
+    return [{key: xs[1:] for key, xs in s.items()} for s in samples]
 
 
 def summary(samples, scale, unit):
@@ -103,104 +165,146 @@ def call_count(fn):
     return sum(stat[1] for stat in prof.stats.values())
 
 
-def solve_by_case(cfg, plan, repeats):
-    """The one-row ``_solve_block`` per call, over the first BY_CASE draws
-    grouped by the case they end in, with the number of draws in each."""
+def by_case_work(t, cfg, plan):
+    """Timings of the one-row ``_solve_block`` per call over the first
+    BY_CASE draws, grouped by the case they end in, and the group sizes."""
     groups = {}
-    for t in range(BY_CASE):
-        c = experiments._draw(cfg, SEED, [t])[0]
-        pos = _solve_block(c, plan)[2][0] > 0
+    for i in range(BY_CASE):
+        c = t.experiments._draw(cfg, SEED, [i])[0]
+        pos = t.solver._solve_block(c, plan)[2][0] > 0
         case = 5 + int(pos[0]) + 2 * int(pos[1:].any())
         groups.setdefault(f"case{case}", []).append(c)
-    out = {}
-    for key, rows in sorted(groups.items()):
-        samples = [timed(lambda: [_solve_block(c, plan) for c in rows],
-                         len(rows)) for _ in range(repeats + 1)][1:]
-        out[key] = {**summary(samples, 1e6, "us"), "draws": len(rows)}
+    return ({key: timed(lambda rows=rows: [t.solver._solve_block(c, plan)
+                                           for c in rows], len(rows))
+             for key, rows in sorted(groups.items())},
+            {key: len(rows) for key, rows in groups.items()})
+
+
+def config_work(t, raw, n):
+    """One tree's set-up for a config: its layer timings, its by-case
+    timings and draw counts, and what the record carries besides."""
+    cfg = t.scenario.load_scenario(raw)
+    if n:
+        cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
+    su, exp = cfg.su, t.experiments
+    omega = t.channel.aci_overlap_matrix(cfg)
+    caps = t.constraints.build_caps(cfg, omega)
+    plan = caps.plan(su.alpha, su.ber_threshold)
+    block = range(max(1, exp._BLOCK_ENTRIES // su.num_subcarriers))
+    cnir = exp._draw(cfg, SEED, block)[0]
+    solve, repair = t.solver._solve_block, t.discretizer._repair_block
+    bits = solve(cnir, plan)[0]
+    powers = repair(bits, cnir, plan, su.max_bits)[1]
+    rows = [(c[None], b[None]) for c, b in zip(cnir[:ONE_ROW],
+                                               bits[:ONE_ROW])]
+    size = len(block)
+    work = {
+        "load_scenario_us": timed(
+            lambda: [t.scenario.load_scenario(raw) for _ in range(ONE_ROW)],
+            ONE_ROW),
+        "overlap_ms": timed(lambda: t.channel.aci_overlap_matrix(cfg), 1),
+        "build_caps_us": timed(
+            lambda: [t.constraints.build_caps(cfg, omega)
+                     for _ in range(ONE_ROW)], ONE_ROW),
+        "draw_us_per_trial": timed(lambda: exp._draw(cfg, SEED, block), size),
+        "solve_block_us_per_row": timed(lambda: solve(cnir, plan), size),
+        "repair_block_us_per_row": timed(
+            lambda: repair(bits, cnir, plan, su.max_bits), size),
+        "outcomes_us_per_trial": inside(
+            exp, "_outcomes", lambda: exp._block(cfg, caps, SEED, block),
+            size),
+        "cap_sums_us_per_row": timed(
+            lambda: t.discretizer._cap_sums(powers, plan.omega), size),
+        "solve_one_row_us": timed(
+            lambda: [solve(c, plan) for c, _ in rows], len(rows)),
+        "repair_one_row_us": timed(
+            lambda: [repair(b, c, plan, su.max_bits) for c, b in rows],
+            len(rows)),
+        "run_trial_us": timed(
+            lambda: [exp.run_trial(cfg, caps, i, SEED)
+                     for i in range(ONE_ROW)], ONE_ROW),
+        "monte_carlo_us_per_trial": timed(
+            lambda: exp.run_monte_carlo(cfg, 2 * size, SEED, caps=caps),
+            2 * size),
+    }
+    calls = [call_count(lambda: exp.run_trial(cfg, caps, i, SEED))
+             for i in range(ONE_ROW)]
+    cases, draws = by_case_work(t, cfg, plan)
+    return work, cases, {"num_subcarriers": su.num_subcarriers,
+                         "block_trials": size, "calls": calls,
+                         "draws": draws}
+
+
+def config_layers(trees, name, n, repeats):
+    """Each tree's record of one config, its layers timed interleaved."""
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    works, cases, info = zip(*(config_work(t, raw, n) for t in trees))
+    out = []
+    for samples, case_samples, rec in zip(interleaved(works, repeats),
+                                          interleaved(cases, repeats), info):
+        layers = {key: summary(xs, 1e3, "ms") if key.endswith("_ms")
+                  else summary(xs, 1e6, "us") for key, xs in samples.items()}
+        mc = layers.pop("monte_carlo_us_per_trial")
+        layers["monte_carlo_trials_per_s"] = {
+            "median": 1e6 / mc["median"], "q1": 1e6 / mc["q3"],
+            "q3": 1e6 / mc["q1"], "unit": "1/s"}
+        layers["run_trial_calls"] = summary(rec["calls"], 1, "calls")
+        out.append({"num_subcarriers": rec["num_subcarriers"],
+                    "block_trials": rec["block_trials"], "layers": layers,
+                    "solve_one_row_by_case": {
+                        key: {**summary(xs, 1e6, "us"),
+                              "draws": rec["draws"][key]}
+                        for key, xs in case_samples.items()}})
     return out
 
 
-def config_layers(name, n, repeats):
-    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    cfg = load_scenario(raw)
-    if n:
-        cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
-    su = cfg.su
-    omega = aci_overlap_matrix(cfg)
-    caps = build_caps(cfg, omega)
-    plan = caps.plan(su.alpha, su.ber_threshold)
-    block = range(max(1, experiments._BLOCK_ENTRIES // su.num_subcarriers))
-    cnir = experiments._draw(cfg, SEED, block)[0]
-    bits = _solve_block(cnir, plan)[0]
-    rows = [(c[None], b[None]) for c, b in zip(cnir[:ONE_ROW],
-                                               bits[:ONE_ROW])]
-    t = len(block)
-    work = {
-        "load_scenario_us": (
-            lambda: [load_scenario(raw) for _ in range(ONE_ROW)], ONE_ROW),
-        "overlap_ms": (lambda: aci_overlap_matrix(cfg), 1),
-        "build_caps_us": (
-            lambda: [build_caps(cfg, omega) for _ in range(ONE_ROW)], ONE_ROW),
-        "draw_us_per_trial": (
-            lambda: experiments._draw(cfg, SEED, block), t),
-        "solve_block_us_per_row": (lambda: _solve_block(cnir, plan), t),
-        "repair_block_us_per_row": (
-            lambda: _repair_block(bits, cnir, plan, su.max_bits), t),
-        "solve_one_row_us": (
-            lambda: [_solve_block(c, plan) for c, _ in rows], len(rows)),
-        "repair_one_row_us": (
-            lambda: [_repair_block(b, c, plan, su.max_bits)
-                     for c, b in rows], len(rows)),
-        "run_trial_us": (
-            lambda: [experiments.run_trial(cfg, caps, i, SEED)
-                     for i in range(ONE_ROW)], ONE_ROW),
-        "monte_carlo_us_per_trial": (
-            lambda: experiments.run_monte_carlo(cfg, 2 * t, SEED, caps=caps),
-            2 * t),
-    }
-    samples = {key: [] for key in work}
-    for _ in range(repeats + 1):            # the first repeat warms up
-        for key, (fn, per) in work.items():
-            samples[key].append(timed(fn, per))
-    out = {key: summary(xs[1:], 1e3, "ms") if key.endswith("_ms")
-           else summary(xs[1:], 1e6, "us") for key, xs in samples.items()}
-    mc = out.pop("monte_carlo_us_per_trial")
-    out["monte_carlo_trials_per_s"] = {
-        "median": 1e6 / mc["median"], "q1": 1e6 / mc["q3"],
-        "q3": 1e6 / mc["q1"], "unit": "1/s"}
-    out["run_trial_calls"] = summary(
-        [call_count(lambda: experiments.run_trial(cfg, caps, i, SEED))
-         for i in range(ONE_ROW)], 1, "calls")
-    return {"num_subcarriers": su.num_subcarriers, "block_trials": t,
-            "layers": out, "solve_one_row_by_case": solve_by_case(
-                cfg, plan, repeats)}
-
-
-def oracle_call(repeats):
+def oracle_work(t):
     """One small_n6 exhaustive search per repeat, on trial 0's draw."""
-    cfg = load_scenario(ROOT / "configs" / "small_n6.json")
+    cfg = t.scenario.load_scenario(ROOT / "configs" / "small_n6.json")
     su = cfg.su
-    caps = build_caps(cfg)
-    cnir = experiments._draw(cfg, SEED, [0])[0][0]
-
-    def call():
-        exhaustive_search(cnir, su.alpha, su.ber_threshold, caps,
-                          caps.aci_weights.omega, b_max=su.max_bits)
-    samples = [timed(call, 1) for _ in range(repeats + 1)][1:]
-    return summary(samples, 1e3, "ms")
+    caps = t.constraints.build_caps(cfg)
+    cnir = t.experiments._draw(cfg, SEED, [0])[0][0]
+    return {"oracle": timed(lambda: t.oracle.exhaustive_search(
+        cnir, su.alpha, su.ber_threshold, caps, caps.aci_weights.omega,
+        b_max=su.max_bits), 1)}
 
 
-def criterion_6(instances):
+def criterion_6(t, instances):
     """``compare_with_oracle`` at criterion 6's N=8 config: solve + repair
     per instance (timed right after each oracle call, as the criterion
     times it) and the oracle's median and speedup."""
-    cmp = compare_with_oracle(load_scenario(CRITERION_6), instances)
+    cmp = t.experiments.compare_with_oracle(
+        t.scenario.load_scenario(CRITERION_6), instances)
     solve = [row[4] for row in cmp.rows]
     return {"instances": instances,
             "solve_repair_us": summary(solve, 1e6, "us"),
             "oracle_ms_median": 1e3 * float(np.median([r[5]
                                                        for r in cmp.rows])),
             "speedup": cmp.speedup}
+
+
+def report(docs):
+    """Every figure, one line each; parent -> change when there are two."""
+    def cell(figs):
+        return " -> ".join(f"{fig['median']:10.2f}" for fig in figs)
+    for key, cfg in docs[-1]["configs"].items():
+        for layer, fig in cfg["layers"].items():
+            print(f"{key:16s} {layer:26s} "
+                  f"{cell([d['configs'][key]['layers'][layer] for d in docs])}"
+                  f" {fig['unit']}")
+        for case, fig in cfg["solve_one_row_by_case"].items():
+            figs = [d["configs"][key]["solve_one_row_by_case"].get(case)
+                    for d in docs]
+            print(f"{key:16s} {'solve_one_row_us.' + case:26s} "
+                  f"{cell([f for f in figs if f])} us "
+                  f"({fig['draws']} draws)")
+    print(f"{'small_n6':16s} {'oracle_call_ms':26s} "
+          f"{cell([d['oracle_small_n6_call'] for d in docs])} ms")
+    c6 = [d["criterion_6_n8"] for d in docs]
+    print(f"{'criterion_6_n8':16s} {'solve_repair_us':26s} "
+          f"{cell([c['solve_repair_us'] for c in c6])} us (speedup "
+          + " -> ".join(f"{c['speedup']:.0f}x" for c in c6)
+          + f" over {c6[-1]['instances']} instances)")
 
 
 def main():
@@ -210,31 +314,35 @@ def main():
                     help="timed repeats per figure, >= 1 (default 10)")
     ap.add_argument("--c6-instances", type=int, default=100,
                     help="criterion 6 draws, >= 1 (default 100)")
+    ap.add_argument("--parent", metavar="DIR",
+                    help="also time DIR/src/crloading, interleaved, and "
+                         "write its figures to OUT with _parent added")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
     if args.c6_instances < 1:
         ap.error("--c6-instances must be at least 1")
-    doc = {"provenance": provenance(args.repeats), "configs": {}}
+    trees = ([load_parent(args.parent)] if args.parent else []) + [
+        tree("crloading")]
+    docs = [{"provenance": provenance(t, args.repeats), "configs": {}}
+            for t in trees]
     for name, n in CONFIGS:
         key = f"{name}_n{n}" if n else name
-        doc["configs"][key] = config_layers(name, n, args.repeats)
-    doc["oracle_small_n6_call"] = oracle_call(args.repeats)
-    doc["criterion_6_n8"] = criterion_6(args.c6_instances)
-    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
-    for key, cfg in doc["configs"].items():
-        for layer, fig in cfg["layers"].items():
-            print(f"{key:16s} {layer:26s} {fig['median']:12.2f} {fig['unit']}")
-        for case, fig in cfg["solve_one_row_by_case"].items():
-            print(f"{key:16s} {'solve_one_row_us.' + case:26s} "
-                  f"{fig['median']:12.2f} us ({fig['draws']} draws)")
-    fig = doc["oracle_small_n6_call"]
-    print(f"{'small_n6':16s} {'oracle_call_ms':26s} {fig['median']:12.2f} ms")
-    c6 = doc["criterion_6_n8"]
-    print(f"{'criterion_6_n8':16s} {'solve_repair_us':26s} "
-          f"{c6['solve_repair_us']['median']:12.2f} us (speedup "
-          f"{c6['speedup']:.0f}x over {c6['instances']} instances)")
+        for doc, rec in zip(docs, config_layers(trees, name, n,
+                                                args.repeats)):
+            doc["configs"][key] = rec
+    for doc, samples in zip(docs, interleaved(
+            [oracle_work(t) for t in trees], args.repeats)):
+        doc["oracle_small_n6_call"] = summary(samples["oracle"], 1e3, "ms")
+    for doc, t in zip(docs, trees):
+        doc["criterion_6_n8"] = criterion_6(t, args.c6_instances)
+    out = Path(args.out)
+    paths = ([out.with_name(f"{out.stem}_parent{out.suffix}")]
+             if args.parent else []) + [out]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    for path, doc in zip(paths, docs):
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+    report(docs)
 
 
 if __name__ == "__main__":

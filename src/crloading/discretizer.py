@@ -84,10 +84,14 @@ def _pricing(top):
 
 def _cap_sums(powers, omega):
     """Total power and adjacent-channel loads of each row, shape (T, 1+L),
-    summed as one row alone is summed: ``np.sum(p)`` and ``omega.T @ p``."""
+    summed as one row alone is summed: ``np.sum(p)`` and ``omega.T @ p``,
+    the latter by one stacked product that runs its BLAS kernel row by row.
+    Not ``solver._loads``' reduce: that rounds otherwise, and with a zero ACI
+    cap the residue in the sums decides if the repair strips tones that cap
+    does not weight."""
     sums = np.add.reduce(powers, 1, keepdims=True)
     if omega.shape[1]:
-        sums = np.concatenate([sums, [omega.T @ p for p in powers]], 1)
+        sums = np.concatenate([sums, (omega.T @ powers[..., None])[..., 0]], 1)
     return sums
 
 
@@ -139,9 +143,14 @@ def _strip(bits, den, sums, plan, head, down):
 
 
 def _repair_block(cont_bits, cnir, plan, max_bits):
-    """(bits, powers, steps) of each row of a (T, N) block of continuous
-    bits over its checked CNIR, under ``plan``; row t is bitwise the
-    repair of ``cnir[t]`` alone, and the rows over a cap are stripped
+    """``_repair``'s (bits, powers, steps)."""
+    return _repair(cont_bits, cnir, plan, max_bits)[:3]
+
+
+def _repair(cont_bits, cnir, plan, max_bits):
+    """(bits, powers, steps, ``_cap_sums``) of each row of a (T, N) block of
+    continuous bits over its checked CNIR, under ``plan``; row t is bitwise
+    the repair of ``cnir[t]`` alone, and the rows over a cap are stripped
     together (``_strip``)."""
     bits = np.floor(cont_bits + 0.5)
     bits = np.where(bits < 2.0, 0.0, np.minimum(bits, float(max_bits)))
@@ -165,7 +174,7 @@ def _repair_block(cont_bits, cnir, plan, max_bits):
     if np.count_nonzero(sums <= plan.limits) < sums.size:
         raise SolverError("repair emptied the allocation without reaching "
                           "feasibility")
-    return bits, powers, steps
+    return bits, powers, steps, sums
 
 
 def _allocation(bits, powers, steps, alpha) -> Allocation:

@@ -30,11 +30,11 @@ from numpy.random.bit_generator import ISeedSequence
 from .channel import (_cnir, _sp_mean, aci_overlap_matrix,
                       pu_interference_to_su, sample_su_channel)
 from .constraints import ConstraintCaps, build_caps
-from .discretizer import (_allocation, _cap_sums, _repair_block,
-                          round_and_repair)
+from .discretizer import _allocation, _cap_sums, _repair, round_and_repair
 from .errors import ConfigError, SolverError
 from .oracle import exhaustive_search
-from .scenario import ScenarioConfig, apply_parameter, path_loss_db
+from .scenario import (_MAX_COUNT, ScenarioConfig, apply_parameter,
+                       path_loss_db)
 from .solver import _solution, _solve_block, solve_continuous
 
 # Trials per block in run_monte_carlo: about 2^14 CNIR entries, so each
@@ -175,11 +175,11 @@ def _draw(cfg: ScenarioConfig, master_seed: int, trials):
     return _cnir(su, draws[:, :n], floor), draws[:, n:] * means
 
 
-def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
+def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, sums):
     """Per trial: throughput, power, and the co- and adjacent-channel
-    violation indicators at the continuous, then the discrete powers."""
-    sums = _cap_sums(np.concatenate([cont_powers, powers]), omega)
-    sums = sums.reshape(2, len(sp), -1)
+    violation indicators at the continuous, then the discrete powers (whose
+    cap sums the repair hands over)."""
+    sums = np.array((_cap_sums(cont_powers, omega), sums))
     viol = np.zeros((2, 2, len(sp)), dtype=bool)
     adj = 0
     for gain, pu, atten in zip(sp.T, cfg.pus, _constants(cfg)[2]):
@@ -195,14 +195,14 @@ def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, powers):
 def _block(cfg: ScenarioConfig, caps: ConstraintCaps, master_seed: int,
            trials):
     """Draw, solve, repair and score ``trials`` as one block under the caps'
-    plan: the solve's, the repair's and ``_outcomes``'s arrays."""
+    plan: the solve's, ``_repair``'s and ``_outcomes``'s arrays."""
     su = cfg.su
     plan = caps.plan(su.alpha, su.ber_threshold)
     c, sp = _draw(cfg, master_seed, trials)
     solved = _solve_block(c, plan)
-    repaired = _repair_block(solved[0], c, plan, su.max_bits)
+    repaired = _repair(solved[0], c, plan, su.max_bits)
     return solved, repaired, _outcomes(cfg, plan.omega, sp, solved[1],
-                                       *repaired[:2])
+                                       repaired[0], repaired[3])
 
 
 def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
@@ -216,7 +216,7 @@ def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
     solved, repaired, table = _block(cfg, caps, master_seed, [trial_index])
     row = table[0].tolist()
     return (row[0], row[1], *map(bool, row[2:]),
-            _allocation(*repaired, cfg.su.alpha),
+            _allocation(*repaired[:3], cfg.su.alpha),
             _solution(solved, cfg.su.alpha))
 
 
@@ -232,6 +232,8 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     """
     trials = _integer(cfg.experiment.trials if trials is None else trials,
                       "trials", 1)
+    if trials > _MAX_COUNT:     # the loader's bound, for a trials argument
+        raise ConfigError(f"trials must be at most {_MAX_COUNT}, got {trials}")
     master_seed = _seed(cfg, master_seed)
     if caps is None:
         caps = build_caps(cfg)

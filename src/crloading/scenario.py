@@ -18,6 +18,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from .errors import ConfigError
 
 _UNIT_SCALE = {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "µW": 1e-6}
+# 2^b - 1, the power scale of b bits, overflows a float from b = 1024; up to
+# 2^32 tones or trials keep the arrays they shape within numpy's size limit.
+_MAX_BITS, _MAX_COUNT = 1023, 1 << 32
 
 # Parameters that `apply_parameter` / the sweep machinery know how to vary,
 # each with the field it sets in the SU ("su"), the PUs of one kind or all.
@@ -88,8 +91,10 @@ def _positive(**default):
                  "must be finite and positive", **default)
 
 
-def _count(low, msg, **default):
-    return _spec(None, lambda n: type(n) is int and n >= low, msg, **default)
+def _count(low, msg, high=math.inf, **default):
+    return _spec(None, lambda n: type(n) is int and low <= n <= high,
+                 f"{msg}, at most {high}" if high < math.inf else msg,
+                 **default)
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ class SuParams:
     tuples of length ``num_subcarriers``.
     """
 
-    num_subcarriers: int = _count(1, "must be a positive integer")
+    num_subcarriers: int = _count(1, "must be a positive integer", _MAX_COUNT)
     symbol_duration: float = _positive()        # T_s, seconds
     subcarrier_spacing: float = _positive()     # delta-f, Hz
     noise_variance: float = _spec(              # sigma_n^2, watts
@@ -114,7 +119,7 @@ class SuParams:
     power_threshold: float = _spec(     # hard total-power limit P_th, watts
         _power, lambda p: p > 0, "power must be positive", default=math.inf)
     # largest constellation exponent b_max
-    max_bits: int = _count(2, "must be an integer >= 2", default=16)
+    max_bits: int = _count(2, "must be an integer >= 2", _MAX_BITS, default=16)
     su_link_gain: float = _positive(default=1.0)  # SU tx->rx gain multiplier
     pu_interference: float | tuple[float, ...] = _spec(  # J, watts at SU rx
         _power, lambda p: 0 <= p < math.inf,
@@ -165,7 +170,8 @@ class PuDescriptor:
 class ExperimentParams:
     """Monte Carlo harness knobs."""
 
-    trials: int = _count(1, "must be a positive integer", default=10000)
+    trials: int = _count(1, "must be a positive integer", _MAX_COUNT,
+                         default=10000)
     seed: int = _count(0, "must be a non-negative integer", default=1234)
     sweep_param: str | None = None
     sweep_values: tuple[float, ...] | None = None
@@ -327,7 +333,7 @@ def load_scenario(source) -> ScenarioConfig:
             raise ConfigError(f"cannot load a scenario from {type(source)}")
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:   # also an integer past Python's digit cap
             raise ConfigError(f"config is not valid JSON: {exc}")
     _object(data, {"su", "path_loss", "pus", "experiment"}, "config")
     for section in ("su", "path_loss"):

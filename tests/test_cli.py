@@ -233,6 +233,43 @@ class TestErrorPaths:
                               "large for a float")
         assert out == ""
 
+    @pytest.mark.parametrize("section, key, bound", [
+        ("su", "max_bits", 1023), ("su", "num_subcarriers", 2 ** 32),
+        ("experiment", "trials", 2 ** 32)])
+    def test_huge_count_exits_two(self, tmp_path, capsys, section, key,
+                                  bound):
+        doc = json.loads(open(SMALL).read())
+        doc.setdefault(section, {})[key] = 10 ** 400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for cmd in ("solve", "sweep"):
+            code, out, err = run(capsys, cmd, "--config", str(bad))
+            assert code == 2
+            assert err.startswith(f"config error: {section}.{key}: ")
+            assert f"{bound}, got 1000" in err
+            assert out == ""
+
+    def test_integer_past_the_digit_cap_exits_two(self, tmp_path, capsys):
+        # Python's JSON reader refuses integers of over 4,300 digits
+        text = open(SMALL).read()
+        assert '"max_bits": 8' in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text.replace('"max_bits": 8',
+                                    '"max_bits": 1' + "0" * 5000))
+        code, out, err = run(capsys, "solve", "--config", str(bad))
+        assert code == 2
+        assert err.startswith("config error: config is not valid JSON")
+        assert out == ""
+
+    def test_huge_trials_flag_exits_two(self, capsys):
+        code, out, err = run(capsys, "sweep", "--config", SMALL, "--param",
+                             "psi", "--values", "0.9", "--trials",
+                             str(10 ** 400))
+        assert code == 2
+        assert err.startswith("config error: trials must be at most "
+                              f"{2 ** 32}, got 1000")
+        assert out == ""
+
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise SolverError("dual search diverged")

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from crloading import discretizer
-from crloading.discretizer import (Allocation, _pricing, _repair_block,
-                                   power_for_bits, round_and_repair)
+from crloading.discretizer import (Allocation, _cap_sums, _pricing,
+                                   _repair_block, power_for_bits,
+                                   round_and_repair)
 from crloading.errors import SolverError
 from crloading.solver import (FEAS_TOL, objective_value, prepare,
                               solve_continuous)
 
+import engine_reference as ref
 from conftest import make_caps, random_instance
 
 P2_100 = 0.14251692111641404
@@ -524,3 +526,34 @@ class TestBlockMatchesReferenceLoop:
         np.testing.assert_allclose(refs[0].powers, [P3_100, 0.0], rtol=1e-12)
         np.testing.assert_allclose(refs[1].powers, [P2_100, P3_100],
                                    rtol=1e-12)
+
+
+class TestCapSums:
+    """Every row of ``_cap_sums`` is bitwise the sums of that row alone,
+    ``np.add.reduce(p)`` and ``omega.T @ p``: the stacked product must run
+    the one-row BLAS kernel row by row, whatever the block's shape, the
+    overlap matrix's layout or how the rows were gathered."""
+
+    @pytest.mark.parametrize("tones", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 6, 128, 1024])
+    @pytest.mark.parametrize("t", [1, 2, 40, 1024])
+    def test_rows_are_their_own_sums(self, t, n, tones):
+        rng = np.random.default_rng([t, n, tones])
+        omega = rng.uniform(0.0, 0.3, (n, tones))
+        omega[rng.random((n, tones)) < 0.3] = 0.0
+        if tones > 1:
+            omega[:, -1] = 0.0              # a band no tone leaks into
+        powers = 10.0 ** rng.uniform(-9.0, -2.0, (t, n))
+        powers[rng.random((t, n)) < 0.25] = 0.0     # tones left empty
+        other = 10.0 ** rng.uniform(-9.0, -2.0, (t, n))
+        pick = np.flatnonzero(rng.random(t) < 0.5)
+        blocks = [powers, powers[pick], np.concatenate([other, powers])]
+        for w in (omega, np.asfortranarray(omega)):
+            for block in blocks:
+                sums = _cap_sums(block, w)
+                assert sums.shape == (block.shape[0], 1 + tones)
+                assert np.array_equal(sums, ref._cap_sums(block, w))
+                for row, p in zip(sums, block):
+                    alone = p.copy()
+                    assert row[0] == np.add.reduce(alone)
+                    assert np.array_equal(row[1:], w.T @ alone)

@@ -166,6 +166,18 @@ class TestLoader:
         # an integer too large for a float is not an OverflowError
         (lambda d: d["su"].update(su_link_gain=10 ** 400),
          "su.su_link_gain: number too large for a float"),
+        # counts past what the program can size or price load as errors
+        (lambda d: d["su"].update(max_bits=10 ** 400),
+         r"su\.max_bits: .*1023"),
+        (lambda d: d["su"].update(max_bits=1024), r"su\.max_bits: .*1023"),
+        (lambda d: d["su"].update(num_subcarriers=10 ** 400),
+         r"su\.num_subcarriers: .*4294967296"),
+        (lambda d: d["su"].update(num_subcarriers=2 ** 32 + 1),
+         r"su\.num_subcarriers: .*4294967296"),
+        (lambda d: d.update(experiment={"trials": 10 ** 400}),
+         r"experiment\.trials: .*4294967296"),
+        (lambda d: d.update(experiment={"trials": 2 ** 32 + 1}),
+         r"experiment\.trials: .*4294967296"),
         # shapes a generic reader must still reject by name
         (lambda d: d.update(su=5), "su: must be an object"),
         (lambda d: d.update(path_loss=[1]), "path_loss: must be an object"),
@@ -200,6 +212,15 @@ class TestLoader:
         assert "NaN" in text
         with pytest.raises(ConfigError, match="interference_cap"):
             load_scenario(text)
+
+    def test_counts_load_up_to_their_bounds(self):
+        d = base_dict(num_subcarriers=2 ** 32, max_bits=1023)
+        # the seed has no upper bound: SeedSequence takes any such integer
+        d["experiment"] = {"trials": 2 ** 32, "seed": 10 ** 400}
+        cfg = load_scenario(json.dumps(d))
+        assert cfg.su.num_subcarriers == cfg.experiment.trials == 2 ** 32
+        assert cfg.su.max_bits == 1023
+        assert cfg.experiment.seed == 10 ** 400
 
     def test_sweep_spec_parsed(self):
         d = base_dict()

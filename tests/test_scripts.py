@@ -38,7 +38,21 @@ def test_bench_layers_writes_every_figure(tmp_path):
     out = tmp_path / "bench" / "BENCH.json"
     run_script(["bench_layers.py", "--out", str(out), "--repeats", "1",
                 "--c6-instances", "2"])
-    doc = json.loads(out.read_text())
+    assert_bench_figures(json.loads(out.read_text()))
+
+
+def test_bench_layers_times_a_parent_tree_alongside(tmp_path):
+    # this tree as its own parent: two files, each with every figure
+    out = tmp_path / "BENCH.json"
+    run_script(["bench_layers.py", "--out", str(out), "--repeats", "1",
+                "--c6-instances", "2", "--parent", str(ROOT)])
+    parent = tmp_path / "BENCH_parent.json"
+    assert sorted(tmp_path.iterdir()) == [out, parent]
+    for path in (out, parent):
+        assert_bench_figures(json.loads(path.read_text()))
+
+
+def assert_bench_figures(doc):
     assert {"head", "python", "numpy", "nproc"} <= set(doc["provenance"])
     assert set(doc["configs"]) == {"default", "cci_binding", "small_n6",
                                    "default_n1024"}
@@ -46,7 +60,8 @@ def test_bench_layers_writes_every_figure(tmp_path):
         assert set(cfg["layers"]) == {
             "load_scenario_us", "overlap_ms", "build_caps_us",
             "draw_us_per_trial", "solve_block_us_per_row",
-            "repair_block_us_per_row", "solve_one_row_us",
+            "repair_block_us_per_row", "outcomes_us_per_trial",
+            "cap_sums_us_per_row", "solve_one_row_us",
             "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s",
             "run_trial_calls"}
         by_case = cfg["solve_one_row_by_case"]
