@@ -22,7 +22,7 @@ import numpy as np
 from .channel import AciFactors, aci_overlap_matrix
 from .errors import ConfigError
 from .scenario import ScenarioConfig, path_loss_db
-from .solver import FEAS_TOL, Plan, prepare
+from .solver import FEAS_TOL, Plan, cap_limits, prepare
 
 
 @dataclass(frozen=True)
@@ -141,46 +141,41 @@ def build_caps(cfg: ScenarioConfig, omega: AciFactors | None = None
     return ConstraintCaps(total_cap=total, aci_caps=aci, aci_weights=omega)
 
 
-def check_feasible(alloc, caps: ConstraintCaps, cnir, ber_threshold,
-                   rel_slack=FEAS_TOL) -> FeasibilityReport:
+def cap_audit(powers, caps: ConstraintCaps):
+    """Per cap, total power first: whether the load of ``powers`` meets the
+    cap (``cap_limits``), the load's excess over the cap (0 where the cap is
+    infinite) and that excess relative to the cap (to 1 W for a zero cap)."""
+    cap, limit = cap_limits(caps.total_cap, caps.aci_caps)
+    load = np.concatenate([[float(np.sum(powers))],
+                           caps.aci_weights.omega.T @ powers])
+    excess = np.where(np.isfinite(cap), load - cap, 0.0)
+    return load <= limit, excess, excess / np.where(cap > 0, cap, 1.0)
+
+
+def check_feasible(alloc, caps: ConstraintCaps, cnir,
+                   ber_threshold) -> FeasibilityReport:
     """Verify an allocation (discrete or continuous) against every constraint.
 
-    Each comparison gets ``rel_slack`` relative headroom.  Margins are
-    relative violations (excess / cap), so a feasible allocation reports a
-    worst margin of 0.
+    A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
+    (``cap_audit``).  Margins are relative violations (excess / ceiling or
+    cap), so a feasible allocation reports a worst margin of 0.
     """
     bits = np.asarray(alloc.bits, dtype=float)
     powers = np.asarray(alloc.powers, dtype=float)
     c = np.asarray(cnir, dtype=float)
     ber_th = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
-    omega = caps.aci_weights.omega
 
     loaded = bits > 0
     ber = np.zeros_like(c)
     ber[loaded] = 0.2 * np.exp(
         -1.6 * powers[loaded] * c[loaded] / (2.0 ** bits[loaded] - 1.0)
     )
-    ber_ok = ~loaded | (ber <= ber_th * (1.0 + rel_slack))
+    ber_ok = ~loaded | (ber <= (1.0 + FEAS_TOL) * ber_th)
     ber_margin = float(np.max(np.maximum(ber - ber_th, 0.0) / ber_th,
                               initial=0.0))
-
-    def _cap_margin(value, cap):
-        if math.isinf(cap):
-            return True, 0.0
-        ok = value <= cap * (1.0 + rel_slack)
-        scale = cap if cap > 0 else 1.0
-        return bool(ok), max(value - cap, 0.0) / scale
-
-    total = float(np.sum(powers))
-    power_ok, power_margin = _cap_margin(total, caps.total_cap)
-    loads = omega.T @ powers
-    aci_ok = np.empty(loads.size, dtype=bool)
-    aci_margin = 0.0
-    for l, (load, cap) in enumerate(zip(loads, caps.aci_caps)):
-        aci_ok[l], m = _cap_margin(float(load), float(cap))
-        aci_margin = max(aci_margin, m)
-
-    worst = max(ber_margin, power_margin, aci_margin)
-    feasible = bool(np.all(ber_ok)) and power_ok and bool(np.all(aci_ok))
-    return FeasibilityReport(ber_ok=ber_ok, power_ok=power_ok, aci_ok=aci_ok,
-                             worst_margin=worst, feasible=feasible)
+    ok, _, margin = cap_audit(powers, caps)
+    worst = max(ber_margin, float(np.max(margin, initial=0.0)))
+    feasible = bool(np.all(ber_ok)) and bool(np.all(ok))
+    return FeasibilityReport(ber_ok=ber_ok, power_ok=bool(ok[0]),
+                             aci_ok=ok[1:], worst_margin=worst,
+                             feasible=feasible)

@@ -10,6 +10,8 @@ with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l.  That recovered
 multiplier must be positive, and substituting it into the stationarity
 condition with respect to bits must leave a residual of zero.  Primal
 feasibility, complementary slackness, and dual sign complete the check.
+A load meets its cap by the rule the repair and ``check_feasible`` read
+(``constraints.cap_audit``); ``primal`` reports its relative excess too.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constraints import cap_audit
+
 
 @dataclass(frozen=True)
 class KktTolerances:
     stationarity: float = 1e-8
-    primal: float = 1e-9
+    primal: float = 1e-9            # relative, on the BER ceilings
     complementarity: float = 1e-10
     dual_sign: float = 1e-12
 
@@ -96,24 +100,14 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
                               / ber_th[active]))
         comp = float(np.max(np.abs(lam_sub * (ber - ber_th[active]))))
 
-    total = float(np.sum(powers))
-    if math.isfinite(caps.total_cap):
-        slack = total - caps.total_cap
-        scale = caps.total_cap if caps.total_cap > 0 else 1.0
-        primal = max(primal, slack / scale)
-        comp = max(comp, abs(lam_pow * slack))
-    loads = omega.T @ powers
-    for load, cap, lam in zip(loads, np.asarray(caps.aci_caps, float), lam_aci):
-        if math.isfinite(cap):
-            scale = cap if cap > 0 else 1.0
-            primal = max(primal, (load - cap) / scale)
-            comp = max(comp, abs(lam * (load - cap)))
-    primal = max(primal, 0.0)
+    met, excess, margin = cap_audit(powers, caps)
+    lam = np.concatenate([[lam_pow], lam_aci])
+    comp = max(comp, float(np.max(np.abs(lam * excess))))
 
     dual = min(lam_sub_min, lam_pow, float(np.min(lam_aci, initial=math.inf)))
     passed = (stat_p <= tols.stationarity and stat_b <= tols.stationarity
-              and primal <= tols.primal and comp <= tols.complementarity
-              and dual >= -tols.dual_sign)
+              and primal <= tols.primal and bool(np.all(met))
+              and comp <= tols.complementarity and dual >= -tols.dual_sign)
     return KktReport(stationarity_power=stat_p, stationarity_bits=stat_b,
-                     primal=primal, complementarity=comp, dual_sign=dual,
-                     passed=passed)
+                     primal=max(primal, float(np.max(margin)), 0.0),
+                     complementarity=comp, dual_sign=dual, passed=passed)

@@ -17,14 +17,13 @@ Both return identical results; the flat engine is the cross-check.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretizer import power_for_bits
 from .errors import SolverError
-from .solver import (FEAS_TOL, _checked_ber, _checked_cnir, objective_value,
+from .solver import (_checked_ber, _checked_cnir, cap_limits, objective_value,
                      overlap_matrix)
 
 
@@ -54,10 +53,9 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
             f"exhaustive search over {n} subcarriers exceeds the limit "
             f"{n_limit}; raise n_limit only if you really mean it"
         )
-    aci_caps = np.asarray(caps.aci_caps, dtype=float)
+    _, limits = cap_limits(caps.total_cap, caps.aci_caps)
     omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
-                           n, aci_caps.size)
-    total_cap = caps.total_cap
+                           n, limits.size - 1)
 
     if b_max < 2:
         raise SolverError("b_max must be at least 2")
@@ -69,22 +67,18 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     fcand = alpha * pcand - (1.0 - alpha) * np.asarray(bvals)[:, None]
 
     if prune:
-        return _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
-                           c, ber, alpha, b_max)
-    return _search_flat(n, bvals, pcand, omega, total_cap, aci_caps,
-                        c, ber, alpha, b_max)
+        return _search_dfs(n, bvals, pcand, fcand, omega, limits, c, ber,
+                           alpha, b_max)
+    return _search_flat(n, bvals, pcand, omega, limits, c, ber, alpha, b_max)
 
 
-def _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
-                c, ber, alpha, b_max):
+def _search_dfs(n, bvals, pcand, fcand, omega, limits, c, ber, alpha, b_max):
     d = len(bvals)
     l = omega.shape[1]
     # Admissible bound: unconstrained per-subcarrier minima, suffix-summed.
     fmin = fcand.min(axis=0)
     bound = np.concatenate([np.cumsum(fmin[::-1])[::-1], [0.0]])
-    pow_slack = (total_cap * (1.0 + FEAS_TOL) if math.isfinite(total_cap)
-                 else math.inf)
-    aci_slack = aci_caps * (1.0 + FEAS_TOL)
+    pow_limit, aci_limits = float(limits[0]), limits[1:]
 
     best_f = 0.0
     best = [0] * n
@@ -102,10 +96,10 @@ def _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
         for k in range(d):
             nodes += 1
             p = pcand[k, i]
-            if cur_p + p > pow_slack:
+            if cur_p + p > pow_limit:
                 break                   # power grows with bits: later k worse
             loads = cur_loads + p * omega[i]
-            if np.any(loads > aci_slack):
+            if np.any(loads > aci_limits):
                 break
             choice[i] = k
             dfs(i + 1, cur_f + fcand[k, i], cur_p + p, loads)
@@ -119,16 +113,11 @@ def _search_dfs(n, bvals, pcand, fcand, omega, total_cap, aci_caps,
                         nodes_visited=nodes)
 
 
-def _search_flat(n, bvals, pcand, omega, total_cap, aci_caps,
-                 c, ber, alpha, b_max):
+def _search_flat(n, bvals, pcand, omega, limits, c, ber, alpha, b_max):
     d = len(bvals)
     total = d ** n
     shape = (d,) * n
     barr = np.asarray(bvals, dtype=float)
-    pow_slack = (total_cap * (1.0 + FEAS_TOL) if math.isfinite(total_cap)
-                 else math.inf)
-    aci_slack = np.where(np.isfinite(aci_caps),
-                         aci_caps * (1.0 + FEAS_TOL), np.inf)
 
     best_f = 0.0
     best_digits = np.zeros(n, dtype=int)
@@ -140,10 +129,10 @@ def _search_flat(n, bvals, pcand, omega, total_cap, aci_caps,
         )                                           # (rows, n), lex order
         p = np.take_along_axis(pcand, digits, axis=0)      # (rows, n)
         totals = p.sum(axis=1)
-        ok = totals <= pow_slack
+        ok = totals <= limits[0]
         if omega.shape[1]:
             loads = p @ omega
-            ok &= np.all(loads <= aci_slack, axis=1)
+            ok &= np.all(loads <= limits[1:], axis=1)
         f = alpha * totals - (1.0 - alpha) * barr[digits].sum(axis=1)
         f = np.where(ok, f, np.inf)
         k = int(np.argmin(f))           # first minimum: lex smallest in chunk

@@ -52,6 +52,15 @@ FEAS_TOL = 1e-9
 _SPLIT = 4096       # entries from which ``_loads`` sums the total apart (timed)
 
 
+def cap_limits(total_cap, aci_caps):
+    """The (1+L) caps, total power first, and the load each admits: a load
+    meets its cap up to FEAS_TOL of it, so an infinite cap never binds and
+    a zero cap admits no load."""
+    aci = np.asarray(aci_caps, dtype=float).reshape(-1)
+    caps = np.concatenate([[total_cap], aci])
+    return caps, caps * (1.0 + FEAS_TOL)
+
+
 @dataclass(frozen=True)
 class ContinuousSolution:
     """Continuous loading: real-valued bits, exact BER-matching powers."""
@@ -132,7 +141,7 @@ class Plan:
     omega: np.ndarray           # (N, L) overlap matrix
     caps: np.ndarray            # (1+L,) caps, 1 where never enforced
     limit: np.ndarray           # enforce above caps * (1 + _DUAL_TOL), or inf
-    limits: np.ndarray          # caps * (1 + FEAS_TOL): repair above it
+    limits: np.ndarray          # ``cap_limits``: repair above these loads
 
     def rows(self, cnir):
         """``cnir`` as a float (T, N) block once it is checked to be
@@ -147,10 +156,9 @@ def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
     """The plan of ``n`` tones under ``total_cap`` and ``aci_caps`` (with
     overlap matrix ``omega``); checks alpha, the BER and the shapes."""
     ber = _checked_ber(ber_threshold, n)
-    aci_caps = np.asarray(aci_caps, dtype=float).reshape(-1)
-    omega = np.array(overlap_matrix(omega, n, aci_caps.size))
+    caps, limits = cap_limits(total_cap, aci_caps)
+    omega = np.array(overlap_matrix(omega, n, caps.size - 1))
     wt = np.concatenate([np.ones((1, n)), omega.T])
-    caps = np.concatenate([[total_cap], aci_caps])
     want = np.isfinite(caps)
     zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
     want &= ~zero
@@ -159,7 +167,7 @@ def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
         (wt[zero] > 0.0).any(0), math.inf, cnir_threshold(alpha, ber)),
         wt=wt, omega=omega, caps=np.where(want, caps, 1.0),
         limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf),
-        limits=caps * (1.0 + FEAS_TOL))
+        limits=limits)
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -291,44 +299,35 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
     never enforced.  The one-multiplier closed forms come first, column by
     column and on every row at once (a row with no active tone gets 0); a
     row none of them settles runs the coupled Newton alone, from its lam.
-    Of several columns, a row that one closed form settled last round (its
-    only positive multiplier in ``lam``) tries that one first.  Also gives
-    (mu, powers, loads) at the multipliers if the first column tried
-    settled every row (its candidate test computed them), else None."""
+    Also gives (mu, powers, loads) at the multipliers if the first column
+    tried settled every row (its candidate test computed them), else None."""
     out, todo, seen = np.zeros(lam.shape), np.ones(lam.shape[0], bool), None
     left = lam.shape[0]         # rows not settled yet; each enforces a cap
     k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
-    passes = [enforced]                     # rows trying each column
-    if lam.shape[1] > 1 and np.count_nonzero(lam):
-        first = lam > 0.0
-        first &= (np.add.reduce(first, 1) == 1)[:, None]
-        passes = [first, enforced > first]
-    for rows in passes:
-        for col in range(lam.shape[1] if left else 0):
-            need = todo & rows[:, col]
-            wanted = np.count_nonzero(need)
-            if not wanted:
-                continue
-            x = (_power_dual(q, active, alpha, caps[0]) if col == 0
-                 else _aci_dual(wt[col], active, q, alpha, caps[col]))
-            # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
-            mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
-            p = np.where(active, k / mu + q, 0.0)
-            load = _loads(p, wt)
-            excess = load - caps
-            # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
-            ok = _meets(need, excess, tol, enforced, x, col)
+    for col in range(lam.shape[1]):
+        need = todo & enforced[:, col]
+        wanted = np.count_nonzero(need)
+        if not wanted:
+            continue
+        x = (_power_dual(q, active, alpha, caps[0]) if col == 0
+             else _aci_dual(wt[col], active, q, alpha, caps[col]))
+        # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
+        mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
+        p = np.where(active, k / mu + q, 0.0)
+        load = _loads(p, wt)
+        excess = load - caps
+        # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
+        ok = _meets(need, excess, tol, enforced, x, col)
+        settled = np.count_nonzero(ok)
+        if settled < wanted:
+            if wq is None:
+                wq = _loads(np.where(active, q, 0.0), wt)
+            ok = _meets(need, excess, _tol(caps, load, wq), enforced, x, col)
             settled = np.count_nonzero(ok)
-            if settled < wanted:
-                if wq is None:
-                    wq = _loads(np.where(active, q, 0.0), wt)
-                ok = _meets(need, excess, _tol(caps, load, wq), enforced, x,
-                            col)
-                settled = np.count_nonzero(ok)
-            seen = (mu, p, load) if settled == out.shape[0] else None
-            np.copyto(out[:, col], x, where=ok)
-            todo ^= ok
-            left -= settled
+        seen = (mu, p, load) if settled == out.shape[0] else None
+        np.copyto(out[:, col], x, where=ok)
+        todo ^= ok
+        left -= settled
     for i in todo.nonzero()[0] if left else ():
         # a cap no active tone loads is slack at 0
         cols = np.flatnonzero(enforced[i] & wt[:, active[i]].any(1))

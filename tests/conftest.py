@@ -69,10 +69,12 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
     return cnir, alpha, ber, caps
 
 
-def adjacent_band_scenario(rng):
-    """Four adjacent PUs, N up to 256, CNIR over ten decades within a draw
-    (per-tone PU interference), risk levels psi up to 0.999."""
-    n = int(rng.integers(1, 257))
+def adjacent_band_scenario(rng, n=None):
+    """Four adjacent PUs, ``n`` tones (drawn up to 256 if None), CNIR over
+    ten decades within a draw (per-tone PU interference), risk levels psi
+    up to 0.999."""
+    if n is None:
+        n = int(rng.integers(1, 257))
     spacing = 9765.625
     pus = [{"kind": "adjacent", "distance": float(rng.uniform(600, 3000)),
             "interference_cap": float(10.0 ** rng.uniform(-14, -9)),

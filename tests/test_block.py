@@ -132,21 +132,35 @@ class TestFuzzFourAdjacentBands:
                                 + cfg.pus[1:]))
         return cfgs
 
+    def certify(self, k, cfg):
+        """Solves trials 0..TRIALS-1 of ``cfg`` at seed ``k`` as one block,
+        asserts that kkt certifies every row and that the Monte Carlo run
+        completes; returns the block's (bits, lam)."""
+        caps = build_caps(cfg)
+        su = cfg.su
+        cnir, _ = experiments._draw(cfg, k, range(self.TRIALS))
+        bits, powers, lam, _ = _solve_block(
+            cnir, caps.plan(su.alpha, su.ber_threshold))
+        for t in range(self.TRIALS):
+            row = types.SimpleNamespace(
+                bits=bits[t], powers=powers[t], lambda_power=lam[t, 0],
+                lambda_aci=lam[t, 1:], alpha=su.alpha)
+            report = kkt_verify(row, cnir[t], su.ber_threshold, caps)
+            assert report.passed, (k, t, report)
+        run_monte_carlo(cfg, self.TRIALS, k, caps=caps)
+        return bits, lam
+
     def test_every_row_certifies(self):
         for k, cfg in enumerate(self.scenarios()):
-            caps = build_caps(cfg)
-            su = cfg.su
-            cnir, _ = experiments._draw(cfg, k, range(self.TRIALS))
-            bits, powers, lam, _ = _solve_block(
-                cnir, caps.plan(su.alpha, su.ber_threshold))
+            bits, _ = self.certify(k, cfg)
             assert k < 12 or not bits.any()
-            for t in range(self.TRIALS):
-                row = types.SimpleNamespace(
-                    bits=bits[t], powers=powers[t], lambda_power=lam[t, 0],
-                    lambda_aci=lam[t, 1:], alpha=su.alpha)
-                report = kkt_verify(row, cnir[t], su.ber_threshold, caps)
-                assert report.passed, (k, t, report)
-            run_monte_carlo(cfg, self.TRIALS, k, caps=caps)
+
+    def test_thousands_of_tones_certify(self):
+        # three scenarios, as each overlap matrix takes ~0.5 s to build
+        rng = np.random.default_rng(4096)
+        lams = [self.certify(k, adjacent_band_scenario(rng, n))[1]
+                for k, n in enumerate((2048, 4096, 4096))]
+        assert any((lam[:, 1:] > 0.0).any() for lam in lams)  # an ACI binds
 
     def test_per_tone_ber_tuple(self):
         # the scenario loader keeps a per-subcarrier BER as a tuple

@@ -1,6 +1,7 @@
 """Statistical-constraint inversion into power caps, and feasibility checks."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,9 +13,12 @@ from crloading.constraints import (
     cci_power_cap,
     check_feasible,
 )
-from crloading.discretizer import Allocation, power_for_bits
+from crloading.discretizer import Allocation, power_for_bits, round_and_repair
 from crloading.errors import ConfigError
+from crloading.kkt import KktTolerances, kkt_verify
+from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
+from crloading.solver import FEAS_TOL
 
 from conftest import make_caps
 
@@ -208,3 +212,54 @@ class TestCheckFeasible:
                            1e-4).to_dict()
         assert d["feasible"] is True
         assert isinstance(d["ber_ok"], list)
+
+
+class TestEveryConsumerReadsOneCapRule:
+    """Three tones at 2 bits, a total cap C that just admits their total,
+    and the next float below C, which just refuses it.  Beside it sit an
+    infinite ACI cap, which never binds, and a zero ACI cap, which forbids
+    the fourth tone.  The audit, the repair, both oracle engines and kkt's
+    primal check must give the same verdict at both caps."""
+
+    CNIR = np.array([120.0, 60.0, 35.0, 80.0])
+    BITS = np.array([2, 2, 2, 0])
+    ALPHA, BER = 0.1, 1e-4          # every tone pays for its 2 bits
+    OMEGA = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 1.0]]
+
+    def verdicts(self, total_cap):
+        caps = make_caps(4, total_cap, [math.inf, 0.0], self.OMEGA)
+        powers = power_for_bits(self.BITS, self.CNIR, self.BER)
+        alloc = Allocation(bits=self.BITS, powers=powers, objective=0.0,
+                           feasible=True, repair_steps=0)
+        relaxed = types.SimpleNamespace(
+            bits=self.BITS.astype(float), powers=powers, lambda_power=0.0,
+            lambda_aci=np.zeros(2), alpha=self.ALPHA)
+        repaired = round_and_repair(relaxed, caps, None, self.CNIR, self.BER,
+                                    max_bits=2)
+        # all tolerances but the primal one open, so it alone decides
+        primal_only = KktTolerances(stationarity=math.inf,
+                                    complementarity=math.inf,
+                                    dual_sign=math.inf)
+        return {
+            "check_feasible": check_feasible(alloc, caps, self.CNIR,
+                                             self.BER).feasible,
+            "repair": repaired.repair_steps == 0,
+            **{f"oracle prune={prune}": np.array_equal(exhaustive_search(
+                self.CNIR, self.ALPHA, self.BER, caps, b_max=2,
+                prune=prune).bits, self.BITS) for prune in (True, False)},
+            "kkt": kkt_verify(relaxed, self.CNIR, self.BER, caps,
+                              primal_only).passed,
+        }
+
+    def test_verdicts_agree_on_both_sides_of_the_limit(self):
+        total = float(np.sum(power_for_bits(self.BITS, self.CNIR, self.BER)))
+        cap = total / (1.0 + FEAS_TOL)
+        while cap * (1.0 + FEAS_TOL) < total:
+            cap = np.nextafter(cap, math.inf)
+        while np.nextafter(cap, 0.0) * (1.0 + FEAS_TOL) >= total:
+            cap = np.nextafter(cap, 0.0)
+        assert total > cap          # the slack, not the cap, admits it
+        admitted = self.verdicts(float(cap))
+        refused = self.verdicts(float(np.nextafter(cap, 0.0)))
+        assert admitted == dict.fromkeys(admitted, True)
+        assert refused == dict.fromkeys(refused, False)
