@@ -20,11 +20,13 @@ by the regime its first 100 draws end in (case 5: no cap binds, 6: the
 total power, 7: ACI caps alone, 8: both).  Every figure is the median and
 quartiles of the repeats (of the trials, for the call count).
 
-Two single figures close the file: one small_n6 ``exhaustive_search``
-call per repeat, and one ``compare_with_oracle`` run at acceptance
-criterion 6's N=8 config (``--c6-instances`` draws, 100 as the criterion
-runs it), whose per-instance solve + repair times give the solver median
-behind the criterion's speedup.  Run from the repository root:
+Three figures close the file: one small_n6 ``exhaustive_search`` call
+per repeat, pruned (the default) and flat (``prune=False``, with the
+tracemalloc peak of one flat call), and one ``compare_with_oracle`` run at
+acceptance criterion 6's N=8 config (``--c6-instances`` draws, 100 as the
+criterion runs it), whose per-instance solve + repair times give the
+solver median behind the criterion's speedup.  Run from the repository
+root:
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench/BENCH_<n>.json
 
@@ -46,6 +48,7 @@ import platform
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -258,15 +261,25 @@ def config_layers(trees, name, n, repeats):
     return out
 
 
-def oracle_work(t):
-    """One small_n6 exhaustive search per repeat, on trial 0's draw."""
+def peak_mib(fn):
+    """The peak MiB tracemalloc sees during one ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def oracle_search(t, prune):
+    """One small_n6 exhaustive search on trial 0's draw, as a callable."""
     cfg = t.scenario.load_scenario(ROOT / "configs" / "small_n6.json")
     su = cfg.su
     caps = t.constraints.build_caps(cfg)
     cnir = t.experiments._draw(cfg, SEED, [0])[0][0]
-    return {"oracle": timed(lambda: t.oracle.exhaustive_search(
+    return lambda: t.oracle.exhaustive_search(
         cnir, su.alpha, su.ber_threshold, caps, caps.aci_weights.omega,
-        b_max=su.max_bits), 1)}
+        b_max=su.max_bits, prune=prune)
 
 
 def criterion_6(t, instances):
@@ -300,6 +313,10 @@ def report(docs):
                   f"({fig['draws']} draws)")
     print(f"{'small_n6':16s} {'oracle_call_ms':26s} "
           f"{cell([d['oracle_small_n6_call'] for d in docs])} ms")
+    flat = [d["oracle_small_n6_flat"] for d in docs]
+    print(f"{'small_n6':16s} {'flat_call_ms':26s} {cell(flat)} ms")
+    print(f"{'small_n6':16s} {'flat_peak_mib':26s} "
+          + " -> ".join(f"{f['peak_mib']:10.2f}" for f in flat) + " MiB")
     c6 = [d["criterion_6_n8"] for d in docs]
     print(f"{'criterion_6_n8':16s} {'solve_repair_us':26s} "
           f"{cell([c['solve_repair_us'] for c in c6])} us (speedup "
@@ -331,9 +348,14 @@ def main():
         for doc, rec in zip(docs, config_layers(trees, name, n,
                                                 args.repeats)):
             doc["configs"][key] = rec
-    for doc, samples in zip(docs, interleaved(
-            [oracle_work(t) for t in trees], args.repeats)):
+    for doc, t, samples in zip(docs, trees, interleaved(
+            [{"oracle": timed(oracle_search(t, True), 1),
+              "flat": timed(oracle_search(t, False), 1)} for t in trees],
+            args.repeats)):
         doc["oracle_small_n6_call"] = summary(samples["oracle"], 1e3, "ms")
+        doc["oracle_small_n6_flat"] = {
+            **summary(samples["flat"], 1e3, "ms"),
+            "peak_mib": peak_mib(oracle_search(t, False))}
     for doc, t in zip(docs, trees):
         doc["criterion_6_n8"] = criterion_6(t, args.c6_instances)
     out = Path(args.out)

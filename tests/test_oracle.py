@@ -2,13 +2,18 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from crloading.channel import sample_su_channel
+from crloading.constraints import build_caps
 from crloading.discretizer import power_for_bits
 from crloading.errors import SolverError
-from crloading.oracle import OracleResult, exhaustive_search
+from crloading.experiments import trial_rng
+from crloading.oracle import _FLAT_ENTRIES, OracleResult, exhaustive_search
+from crloading.scenario import load_scenario
 
 from conftest import make_caps, random_instance
 
@@ -197,3 +202,68 @@ class TestSearchMechanics:
             hi = exhaustive_search(cnir, alpha, ber, caps,
                                    omega=caps.aci_weights.omega, b_max=6)
             assert hi.objective <= lo.objective + 1e-12
+
+
+class TestBmaxChecked:
+    def test_integral_float_counts(self):
+        a = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=8.0)
+        b = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=8)
+        assert list(a.bits) == list(b.bits) and a.objective == b.objective
+
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    @pytest.mark.parametrize("b_max", [4.5, True, 2000, 1, math.nan, "8"],
+                             ids=["fractional", "bool", "above_1023",
+                                  "below_2", "nan", "string"])
+    def test_bad_b_max_names_the_bound(self, b_max, prune):
+        with pytest.raises(SolverError, match=r"b_max must be an integer "
+                                              r"in \[2, 1023\]"):
+            exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=b_max,
+                              prune=prune)
+
+
+class TestStreamedFlatSearch:
+    """The flat engine over many blocks of ``_FLAT_ENTRIES`` powers."""
+
+    CFG = load_scenario("configs/small_n6.json")
+
+    def small_n6(self, trial):
+        su = self.CFG.su
+        caps = build_caps(self.CFG)
+        cnir = sample_su_channel(su, trial_rng(self.CFG.experiment.seed,
+                                               trial)).cnir
+        return dict(cnir=cnir, alpha=su.alpha, ber_threshold=su.ber_threshold,
+                    caps=caps, b_max=su.max_bits)
+
+    def test_flat_equals_dfs_on_small_n6(self):
+        assert self.CFG.su.max_bits == 8
+        assert 8 ** 6 * 6 > 8 * _FLAT_ENTRIES      # many blocks
+        for trial in range(4):
+            kw = self.small_n6(trial)
+            dfs = exhaustive_search(prune=True, **kw)
+            flat = exhaustive_search(prune=False, **kw)
+            assert np.array_equal(flat.bits, dfs.bits)
+            assert flat.objective == dfs.objective
+            assert flat.nodes_visited == 8 ** 6
+
+    def test_tie_across_blocks_returns_lexicographically_smallest(self):
+        # Powers 15, 35, 75 W at 2, 3, 4 bits and alpha = 1/64 make every
+        # objective exact; the 400 W cap admits three tones at 4 bits and
+        # five at 3, and all 56 placements of the 4s score the same.
+        ber, n = math.exp(-8.0) / 5.0, 8
+        assert list(power_for_bits([2, 3, 4], 1.0, ber)) == [15.0, 35.0, 75.0]
+        assert 4 ** n * n >= 2 * _FLAT_ENTRIES     # at least 2 blocks
+        for prune in (True, False):
+            res = exhaustive_search(np.ones(n), 1 / 64, ber,
+                                    make_caps(n, 400.0), b_max=4, prune=prune)
+            assert list(res.bits) == [3, 3, 3, 3, 3, 4, 4, 4]
+            assert res.objective == (400.0 - 63 * 27) / 64
+
+    def test_peak_memory_stays_small(self):
+        kw = self.small_n6(0)
+        tracemalloc.start()
+        try:
+            exhaustive_search(prune=False, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
