@@ -224,21 +224,19 @@ class TestBmaxChecked:
 class TestStreamedFlatSearch:
     """The flat engine over many blocks of ``_FLAT_ENTRIES`` powers."""
 
-    CFG = load_scenario("configs/small_n6.json")
-
     def small_n6(self, trial):
-        su = self.CFG.su
-        caps = build_caps(self.CFG)
-        cnir = sample_su_channel(su, trial_rng(self.CFG.experiment.seed,
+        cfg = load_scenario("configs/small_n6.json")
+        su = cfg.su
+        cnir = sample_su_channel(su, trial_rng(cfg.experiment.seed,
                                                trial)).cnir
         return dict(cnir=cnir, alpha=su.alpha, ber_threshold=su.ber_threshold,
-                    caps=caps, b_max=su.max_bits)
+                    caps=build_caps(cfg), b_max=su.max_bits)
 
     def test_flat_equals_dfs_on_small_n6(self):
-        assert self.CFG.su.max_bits == 8
         assert 8 ** 6 * 6 > 8 * _FLAT_ENTRIES      # many blocks
         for trial in range(4):
             kw = self.small_n6(trial)
+            assert kw["cnir"].size == 6 and kw["b_max"] == 8
             dfs = exhaustive_search(prune=True, **kw)
             flat = exhaustive_search(prune=False, **kw)
             assert np.array_equal(flat.bits, dfs.bits)
