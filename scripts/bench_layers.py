@@ -6,6 +6,8 @@ config's own psi) each repeat times:
 
 - ``load_scenario`` on the config's parsed JSON (no file read), per call
 - ``aci_overlap_matrix``, and ``build_caps`` given that matrix, per call
+- the set-up perfbench times as ``setup_s``: ``load_scenario`` from the
+  file, ``aci_overlap_matrix`` and ``build_caps`` at each sweep point
 - the block draw (``_draw`` of one Monte Carlo block), per trial
 - ``_solve_block`` and ``_repair_block``, per row, on that block and on
   one-row blocks (T = 1, as ``run_trial`` calls them)
@@ -183,9 +185,24 @@ def by_case_work(t, cfg, plan):
             {key: len(rows) for key, rows in groups.items()})
 
 
-def config_work(t, raw, n):
+def set_up(t, path, n):
+    """One tree's set-up of a config, as perfbench's ``set_up`` does it:
+    load it (resized to ``n`` tones), build its overlap matrix, and its caps
+    at each point of its sweep (once at its own parameters if none)."""
+    cfg = t.scenario.load_scenario(path)
+    if n:
+        cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
+    omega, exp = t.channel.aci_overlap_matrix(cfg), cfg.experiment
+    for v in exp.sweep_values or (None,):
+        cfg_v = (cfg if v is None
+                 else t.scenario.apply_parameter(cfg, exp.sweep_param, v))
+        t.constraints.build_caps(cfg_v, omega)
+
+
+def config_work(t, path, n):
     """One tree's set-up for a config: its layer timings, its by-case
     timings and draw counts, and what the record carries besides."""
+    raw = json.loads(path.read_text())
     cfg = t.scenario.load_scenario(raw)
     if n:
         cfg = replace(cfg, su=replace(cfg.su, num_subcarriers=n))
@@ -209,6 +226,7 @@ def config_work(t, raw, n):
         "build_caps_us": timed(
             lambda: [t.constraints.build_caps(cfg, omega)
                      for _ in range(ONE_ROW)], ONE_ROW),
+        "setup_ms": timed(lambda: set_up(t, path, n), 1),
         "draw_us_per_trial": timed(lambda: exp._draw(cfg, SEED, block), size),
         "solve_block_us_per_row": timed(lambda: solve(cnir, plan), size),
         "repair_block_us_per_row": timed(
@@ -240,8 +258,8 @@ def config_work(t, raw, n):
 
 def config_layers(trees, name, n, repeats):
     """Each tree's record of one config, its layers timed interleaved."""
-    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    works, cases, info = zip(*(config_work(t, raw, n) for t in trees))
+    path = ROOT / "configs" / f"{name}.json"
+    works, cases, info = zip(*(config_work(t, path, n) for t in trees))
     out = []
     for samples, case_samples, rec in zip(interleaved(works, repeats),
                                           interleaved(cases, repeats), info):

@@ -9,8 +9,9 @@ inside the PU band, attenuated by path loss:
 
 with sinc(x) = sin(pi x)/(pi x) and fc the spectral distance between the
 subcarrier centre and the PU band centre.  The overlap matrix integrates
-it by one composite Gauss-Legendre rule (``_sinc2_windows``); the tests
-check it against the closed form through the sine integral Si.
+it by one composite Gauss-Legendre rule (``_sinc2_windows``), each distinct
+panel once (panels repeat on whole-panel tone spacings, as in the shipped
+bands, and in clipped wide windows); tests check it against the Si form.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from .errors import ConfigError
 from .scenario import ScenarioConfig, SuParams, path_loss_db
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-# Widest window, in periods of sin^2(pi x), integrated panel by panel.
-_PANELS = 512
+# Widest window, in periods of sin^2(pi x), and panel starts deduped at once.
+_PANELS, _CHUNK = 512, 1 << 14
 
 
 @dataclass(frozen=True)
@@ -97,9 +98,10 @@ def _sinc2_windows(shift, start, width, gain=1.0):
 
     The window is split into ceil(width) equal panels, none wider than one
     period of sin^2(pi x), each integrated by a 12-node Gauss-Legendre rule
-    one (len(shift) x 12) panel at a time to keep memory small.  A window
-    wider than _PANELS periods takes panels only within _PANELS / 2 of the
-    main lobe and ``_sinc2_tail`` beyond, so its cost stays bounded.
+    as one (len(shift) x 12) product.  A window over _PANELS periods takes
+    panels only within _PANELS / 2 of the main lobe and ``_sinc2_tail``
+    beyond.  Panels repeat on whole-panel tone spacings and in windows
+    clipped alike; sinc^2 is evaluated once per distinct (start, h).
     """
     tails, panels = 0.0, math.ceil(width)
     if width > _PANELS:
@@ -111,12 +113,25 @@ def _sinc2_windows(shift, start, width, gain=1.0):
         shift, start = np.clip(lo, -r, r), 0.0
         width = np.clip(hi, -r, r) - shift          # one width per window
         panels = max(math.ceil(width.max()), 1)
-    h = width / panels
-    offsets = np.multiply.outer(0.5 * h, _GL_NODES + 1.0)
-    total = np.zeros(len(shift))
-    for p in range(panels):
-        a = shift + (start + p * h)
-        total += np.sinc(a[:, None] + offsets) ** 2 @ _GL_WEIGHTS
+    n, h, total = len(shift), width / panels, np.zeros(len(shift))
+    offsets = np.multiply.outer(0.5 * np.broadcast_to(h, n), _GL_NODES + 1.0)
+    for p in np.array_split(range(panels), -(-panels * n // _CHUNK) or 1):
+        a = shift + (start + p[:, None] * h)
+        order = np.argsort(a, axis=None, kind="stable")
+        new = np.diff(a.take(order)) != 0
+        if new.all():
+            for x in a:
+                total += np.sinc(x[:, None] + offsets) ** 2 @ _GL_WEIGHTS
+            continue
+        hs = np.broadcast_to(h, a.shape).take(order)
+        new = np.r_[True, new | (np.diff(hs) != 0)]
+        first, inv = order[new], np.empty_like(order)
+        inv[order] = np.cumsum(new) - 1
+        rows = np.concatenate([
+            np.sinc(a.take(f)[:, None] + offsets[f % n]) ** 2
+            for f in np.split(first, range(n, first.size, n))])
+        for j in inv.reshape(a.shape):
+            total += rows.take(j, axis=0) @ _GL_WEIGHTS
     return gain * 0.5 * h * total + gain * tails
 
 

@@ -18,9 +18,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from .errors import ConfigError
 
 _UNIT_SCALE = {"W": 1.0, "mW": 1e-3, "uW": 1e-6, "µW": 1e-6}
-# 2^b - 1, the power scale of b bits, overflows a float from b = 1024; up to
-# 2^32 tones or trials keep the arrays they shape within numpy's size limit.
-_MAX_BITS, _MAX_COUNT = 1023, 1 << 32
+# b bits cost (2^b - 1) * -ln(5 BER) / (1.6 C), finite at C = 1 to b = 1014
+# as -ln(5 BER) <= 743; 2^32 tones or trials fit numpy's array size limit.
+_MAX_BITS, _MAX_COUNT = 1014, 1 << 32
 
 # Parameters that `apply_parameter` / the sweep machinery know how to vary,
 # each with the field it sets in the SU ("su"), the PUs of one kind or all.

@@ -234,7 +234,7 @@ class TestErrorPaths:
         assert out == ""
 
     @pytest.mark.parametrize("section, key, bound", [
-        ("su", "max_bits", 1023), ("su", "num_subcarriers", 2 ** 32),
+        ("su", "max_bits", 1014), ("su", "num_subcarriers", 2 ** 32),
         ("experiment", "trials", 2 ** 32)])
     def test_huge_count_exits_two(self, tmp_path, capsys, section, key,
                                   bound):

@@ -6,6 +6,7 @@ before running the implementation, then frozen here.
 
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crloading.discretizer import (Allocation, _cap_sums, _pricing,
                                    _repair_block, power_for_bits,
                                    round_and_repair)
 from crloading.errors import SolverError
+from crloading.scenario import _MAX_BITS
 from crloading.solver import (FEAS_TOL, objective_value, prepare,
                               solve_continuous)
 
@@ -90,6 +92,20 @@ class TestPowerForBits:
         assert np.array_equal(np.where(b == 0, 0.0, cost[b] * lg / den), old)
         assert np.array_equal(-(head[b] * lg / den),
                               _reference_marginal_power(b, c, ber))
+
+    def test_top_bit_count_is_finite_at_the_smallest_ber(self):
+        # scenario._MAX_BITS bits at the smallest subnormal BER and CNIR 1
+        # price as a float, and one bit more would not
+        assert _MAX_BITS == 1014
+        ber = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = power_for_bits(1014, 1.0, ber, max_bits=1014)
+            cost, _, _ = _pricing(1014)
+            price = cost[1014] * np.log(5.0 * ber) / (1.6 * 1.0)
+        assert math.isfinite(p) and p == price
+        with np.errstate(over="ignore"):
+            assert power_for_bits(1015, 1.0, ber, max_bits=1015) == math.inf
 
     def test_bad_ber_rejected(self):
         for ber in (0.0, 0.2, 0.5, -1e-3):

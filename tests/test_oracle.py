@@ -211,12 +211,12 @@ class TestBmaxChecked:
         assert list(a.bits) == list(b.bits) and a.objective == b.objective
 
     @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
-    @pytest.mark.parametrize("b_max", [4.5, True, 2000, 1, math.nan, "8"],
-                             ids=["fractional", "bool", "above_1023",
+    @pytest.mark.parametrize("b_max", [4.5, True, 1015, 1, math.nan, "8"],
+                             ids=["fractional", "bool", "above_1014",
                                   "below_2", "nan", "string"])
     def test_bad_b_max_names_the_bound(self, b_max, prune):
         with pytest.raises(SolverError, match=r"b_max must be an integer "
-                                              r"in \[2, 1023\]"):
+                                              r"in \[2, 1014\]"):
             exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=b_max,
                               prune=prune)
 

@@ -168,8 +168,8 @@ class TestLoader:
          "su.su_link_gain: number too large for a float"),
         # counts past what the program can size or price load as errors
         (lambda d: d["su"].update(max_bits=10 ** 400),
-         r"su\.max_bits: .*1023"),
-        (lambda d: d["su"].update(max_bits=1024), r"su\.max_bits: .*1023"),
+         r"su\.max_bits: .*1014"),
+        (lambda d: d["su"].update(max_bits=1015), r"su\.max_bits: .*1014"),
         (lambda d: d["su"].update(num_subcarriers=10 ** 400),
          r"su\.num_subcarriers: .*4294967296"),
         (lambda d: d["su"].update(num_subcarriers=2 ** 32 + 1),
@@ -214,12 +214,12 @@ class TestLoader:
             load_scenario(text)
 
     def test_counts_load_up_to_their_bounds(self):
-        d = base_dict(num_subcarriers=2 ** 32, max_bits=1023)
+        d = base_dict(num_subcarriers=2 ** 32, max_bits=1014)
         # the seed has no upper bound: SeedSequence takes any such integer
         d["experiment"] = {"trials": 2 ** 32, "seed": 10 ** 400}
         cfg = load_scenario(json.dumps(d))
         assert cfg.su.num_subcarriers == cfg.experiment.trials == 2 ** 32
-        assert cfg.su.max_bits == 1023
+        assert cfg.su.max_bits == 1014
         assert cfg.experiment.seed == 10 ** 400
 
     def test_sweep_spec_parsed(self):

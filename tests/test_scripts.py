@@ -58,7 +58,7 @@ def assert_bench_figures(doc):
                                    "default_n1024"}
     for cfg in doc["configs"].values():
         assert set(cfg["layers"]) == {
-            "load_scenario_us", "overlap_ms", "build_caps_us",
+            "load_scenario_us", "overlap_ms", "build_caps_us", "setup_ms",
             "draw_us_per_trial", "solve_block_us_per_row",
             "repair_block_us_per_row", "outcomes_us_per_trial",
             "cap_sums_us_per_row", "solve_one_row_us",
