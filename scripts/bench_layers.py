@@ -5,7 +5,8 @@ For default, cci_binding, small_n6 and default at N=1024 (seed 1234, the
 config's own psi) each repeat times:
 
 - ``load_scenario`` on the config's parsed JSON (no file read), per call
-- ``aci_overlap_matrix``, and ``build_caps`` given that matrix, per call
+- ``aci_overlap_matrix``, and ``build_caps`` given that matrix, per call;
+  and, not repeated, the tracemalloc peak of one ``aci_overlap_matrix``
 - the set-up perfbench times as ``setup_s``: ``load_scenario`` from the
   file, ``aci_overlap_matrix`` and ``build_caps`` at each sweep point
 - the block draw (``_draw`` of one Monte Carlo block), per trial
@@ -253,7 +254,8 @@ def config_work(t, path, n):
     cases, draws = by_case_work(t, cfg, plan)
     return work, cases, {"num_subcarriers": su.num_subcarriers,
                          "block_trials": size, "calls": calls,
-                         "draws": draws}
+                         "draws": draws, "overlap_peak_mib": peak_mib(
+                             lambda: t.channel.aci_overlap_matrix(cfg))}
 
 
 def config_layers(trees, name, n, repeats):
@@ -271,7 +273,9 @@ def config_layers(trees, name, n, repeats):
             "q3": 1e6 / mc["q1"], "unit": "1/s"}
         layers["run_trial_calls"] = summary(rec["calls"], 1, "calls")
         out.append({"num_subcarriers": rec["num_subcarriers"],
-                    "block_trials": rec["block_trials"], "layers": layers,
+                    "block_trials": rec["block_trials"],
+                    "overlap_peak_mib": rec["overlap_peak_mib"],
+                    "layers": layers,
                     "solve_one_row_by_case": {
                         key: {**summary(xs, 1e6, "us"),
                               "draws": rec["draws"][key]}
@@ -329,6 +333,9 @@ def report(docs):
             print(f"{key:16s} {'solve_one_row_us.' + case:26s} "
                   f"{cell([f for f in figs if f])} us "
                   f"({fig['draws']} draws)")
+        print(f"{key:16s} {'overlap_peak_mib':26s} "
+              + " -> ".join(f"{d['configs'][key]['overlap_peak_mib']:10.2f}"
+                            for d in docs) + " MiB")
     print(f"{'small_n6':16s} {'oracle_call_ms':26s} "
           f"{cell([d['oracle_small_n6_call'] for d in docs])} ms")
     flat = [d["oracle_small_n6_flat"] for d in docs]

@@ -8,10 +8,9 @@ inside the PU band, attenuated by path loss:
     w = T_s * 10^(-L/10) * integral_{fc-B/2}^{fc+B/2} sinc^2(T_s f) df
 
 with sinc(x) = sin(pi x)/(pi x) and fc the spectral distance between the
-subcarrier centre and the PU band centre.  The overlap matrix integrates
-it by one composite Gauss-Legendre rule (``_sinc2_windows``), each distinct
-panel once (panels repeat on whole-panel tone spacings, as in the shipped
-bands, and in clipped wide windows); tests check it against the Si form.
+subcarrier centre and the PU band centre.  ``_sinc2_windows`` integrates
+it by one composite Gauss-Legendre rule in stacked panel slabs, evaluating
+each distinct panel about once per band; tests check it against the Si form.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ from .errors import ConfigError
 from .scenario import ScenarioConfig, SuParams, path_loss_db
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
-# Widest window, in periods of sin^2(pi x), and panel starts deduped at once.
-_PANELS, _CHUNK = 512, 1 << 14
+# Widest window (sin^2 periods), starts per chunk and table, starts per slab.
+_PANELS, _CHUNK, _SLAB = 512, 1 << 14, 1 << 10
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,12 @@ def _sinc2_windows(shift, start, width, gain=1.0):
 
     The window is split into ceil(width) equal panels, none wider than one
     period of sin^2(pi x), each integrated by a 12-node Gauss-Legendre rule
-    as one (len(shift) x 12) product.  A window over _PANELS periods takes
+    as one (len(shift) x 12) product, stacked in slabs of about _SLAB
+    starts and summed panel by panel.  A window over _PANELS periods takes
     panels only within _PANELS / 2 of the main lobe and ``_sinc2_tail``
     beyond.  Panels repeat on whole-panel tone spacings and in windows
-    clipped alike; sinc^2 is evaluated once per distinct (start, h).
+    clipped alike; sinc^2 is evaluated once per distinct (start, h) in a
+    chunk of _CHUNK starts and, with one h, across chunks via a carried table.
     """
     tails, panels = 0.0, math.ceil(width)
     if width > _PANELS:
@@ -115,23 +116,30 @@ def _sinc2_windows(shift, start, width, gain=1.0):
         panels = max(math.ceil(width.max()), 1)
     n, h, total = len(shift), width / panels, np.zeros(len(shift))
     offsets = np.multiply.outer(0.5 * np.broadcast_to(h, n), _GL_NODES + 1.0)
-    for p in np.array_split(range(panels), -(-panels * n // _CHUNK) or 1):
-        a = shift + (start + p[:, None] * h)
-        order = np.argsort(a, axis=None, kind="stable")
-        new = np.diff(a.take(order)) != 0
-        if new.all():
-            for x in a:
-                total += np.sinc(x[:, None] + offsets) ** 2 @ _GL_WEIGHTS
-            continue
-        hs = np.broadcast_to(h, a.shape).take(order)
-        new = np.r_[True, new | (np.diff(hs) != 0)]
-        first, inv = order[new], np.empty_like(order)
-        inv[order] = np.cumsum(new) - 1
-        rows = np.concatenate([
-            np.sinc(a.take(f)[:, None] + offsets[f % n]) ** 2
-            for f in np.split(first, range(n, first.size, n))])
-        for j in inv.reshape(a.shape):
-            total += rows.take(j, axis=0) @ _GL_WEIGHTS
+    keys, rows = np.empty(0), np.empty((0, 12))     # sorted starts, sinc^2
+    step, slab = max(_CHUNK // n, 1), max(_SLAB // n, 1)
+    for p in np.split(np.arange(panels)[:, None], range(step, panels, step)):
+        m = 0 if keys.size > _CHUNK or np.ndim(h) else keys.size
+        ka = np.concatenate([keys[:m], (shift + (start + p * h)).ravel()])
+        a, order = ka[m:].reshape(len(p), n), np.argsort(ka, kind="stable")
+        new = np.concatenate([[True], np.diff(ka.take(order)) != 0])
+        if np.ndim(h):
+            new[1:] |= np.diff(np.broadcast_to(h, a.shape).take(order)) != 0
+        if not (direct := new.all()):
+            head = order[new]
+            fresh = head[head >= m] - m
+            rows = np.concatenate([rows[:m], *(
+                np.sinc(a.take(f)[:, None] + offsets[f % n]) ** 2
+                for f in np.split(fresh, range(_SLAB, fresh.size, _SLAB)))
+            ])[np.where(head < m, head, m - 1 + np.cumsum(head >= m))]
+            keys, idx = ka.take(head), np.empty_like(order)
+            idx[order] = np.cumsum(new) - 1
+            idx = idx[m:].reshape(a.shape)
+        for s in range(0, len(p), slab):
+            prod = (np.sinc(a[s:s + slab, :, None] + offsets) ** 2 if direct
+                    else rows.take(idx[s:s + slab], axis=0)) @ _GL_WEIGHTS
+            total = (np.add.accumulate(np.vstack([total, prod]))[-1]
+                     if slab > 8 else sum(prod, total))  # > 8 rows: one call
     return gain * 0.5 * h * total + gain * tails
 
 

@@ -45,13 +45,14 @@ class Allocation:
         }
 
 
+@np.errstate(over="ignore")
 def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
     """Power that hits the BER ceiling exactly for a b-bit constellation:
 
         P = -(2^b - 1) * ln(5 BER) / (1.6 C)
 
     Vectorized; bits must be 0 (no power) or integers in [2, max_bits];
-    1 bit is rejected, as is any BER >= 0.2 (the model floor).
+    1 bit is rejected, as is any BER >= 0.2 (the model floor); P may be inf.
     """
     b = np.asarray(bits)
     c = np.asarray(cnir, dtype=float)

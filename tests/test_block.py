@@ -156,7 +156,7 @@ class TestFuzzFourAdjacentBands:
             assert k < 12 or not bits.any()
 
     def test_thousands_of_tones_certify(self):
-        # four scenarios; each overlap matrix takes ~0.2 s to build
+        # four scenarios; each overlap matrix takes ~0.2-0.3 s to build
         rng = np.random.default_rng(4096)
         lams = [self.certify(k, adjacent_band_scenario(rng, n))[1]
                 for k, n in enumerate((2048, 4096, 4096, 4096))]

@@ -3,12 +3,14 @@
 import dataclasses
 import math
 import time
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from crloading import channel
 from crloading.channel import (
     _sinc2_windows,
     aci_overlap_matrix,
@@ -278,6 +280,26 @@ class TestOverlapMatrix:
                     @ WEIGHTS
             gain = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
             assert np.array_equal(om[:, col], gain * 0.5 * h * total)
+
+    @pytest.mark.parametrize("n,distinct", [(1024, 2045), (4096, 8098)])
+    def test_each_distinct_panel_start_evaluated_about_once(self, n,
+                                                            distinct):
+        # default.json's 128-period band on a whole-panel tone spacing:
+        # the chunks share most of their panel starts, and the distinct
+        # ones carried from chunk to chunk are not evaluated again
+        cfg = load_scenario("configs/default.json")
+        cfg = dataclasses.replace(cfg, su=dataclasses.replace(
+            cfg.su, num_subcarriers=n))
+        su, pu = cfg.su, cfg.adjacent_pus()[0]
+        ts, width = su.symbol_duration, su.symbol_duration * pu.bandwidth
+        shift = ts * (np.arange(n, 0, -1) - 0.5) * su.subcarrier_spacing
+        starts = shift + (ts * pu.center_offset - 0.5 * width
+                          + np.arange(128)[:, None] * (width / 128))
+        assert np.unique(starts).size == distinct
+        with mock.patch.object(channel.np, "sinc", wraps=np.sinc) as sinc:
+            aci_overlap_matrix(cfg)
+        rows = sum(call.args[0].size // 12 for call in sinc.call_args_list)
+        assert rows <= 1.1 * distinct
 
     @pytest.mark.parametrize("bandwidth", [0.0, -1e6, math.nan, math.inf])
     def test_bandwidth_must_be_finite_and_positive(self, bandwidth):

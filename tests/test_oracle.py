@@ -210,6 +210,16 @@ class TestBmaxChecked:
         b = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=8)
         assert list(a.bits) == list(b.bits) and a.objective == b.objective
 
+    def test_top_bit_count_at_a_tiny_cnir(self):
+        # the 1e-3 tone's top powers pass the float range: they are inf,
+        # with no overflow warning (an error under the test settings), and
+        # the search returns its b_max = 8 answer
+        assert power_for_bits(1014, 1e-3, 1e-4, max_bits=1014) == math.inf
+        cnir, caps = np.array([1e-3, 50.0]), make_caps(2, 2.0)
+        want = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=8)
+        got = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=1014)
+        assert list(got.bits) == list(want.bits) == [0, 4]
+
     @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
     @pytest.mark.parametrize("b_max", [4.5, True, 1015, 1, math.nan, "8"],
                              ids=["fractional", "bool", "above_1014",

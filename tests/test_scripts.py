@@ -64,6 +64,7 @@ def assert_bench_figures(doc):
             "cap_sums_us_per_row", "solve_one_row_us",
             "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s",
             "run_trial_calls"}
+        assert cfg["overlap_peak_mib"] > 0
         by_case = cfg["solve_one_row_by_case"]
         assert by_case and set(by_case) <= {"case5", "case6", "case7",
                                             "case8"}
