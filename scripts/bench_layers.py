@@ -24,12 +24,12 @@ total power, 7: ACI caps alone, 8: both).  Every figure is the median and
 quartiles of the repeats (of the trials, for the call count).
 
 Three figures close the file: one small_n6 ``exhaustive_search`` call
-per repeat, pruned (the default) and flat (``prune=False``, with the
-tracemalloc peak of one flat call), and one ``compare_with_oracle`` run at
-acceptance criterion 6's N=8 config (``--c6-instances`` draws, 100 as the
-criterion runs it), whose per-instance solve + repair times give the
-solver median behind the criterion's speedup.  Run from the repository
-root:
+per repeat, pruned (the default, with the nodes it visits) and flat
+(``prune=False``, with the tracemalloc peak of one flat call), and one
+``compare_with_oracle`` run at acceptance criterion 6's N=8 config
+(``--c6-instances`` draws, 100 as the criterion runs it), whose
+per-instance times give the solver and oracle medians behind the
+criterion's speedup.  Run from the repository root:
 
     PYTHONPATH=src python scripts/bench_layers.py --out bench/BENCH_<n>.json
 
@@ -336,8 +336,9 @@ def report(docs):
         print(f"{key:16s} {'overlap_peak_mib':26s} "
               + " -> ".join(f"{d['configs'][key]['overlap_peak_mib']:10.2f}"
                             for d in docs) + " MiB")
-    print(f"{'small_n6':16s} {'oracle_call_ms':26s} "
-          f"{cell([d['oracle_small_n6_call'] for d in docs])} ms")
+    calls = [d["oracle_small_n6_call"] for d in docs]
+    print(f"{'small_n6':16s} {'oracle_call_ms':26s} {cell(calls)} ms ("
+          + " -> ".join(str(c["nodes_visited"]) for c in calls) + " nodes)")
     flat = [d["oracle_small_n6_flat"] for d in docs]
     print(f"{'small_n6':16s} {'flat_call_ms':26s} {cell(flat)} ms")
     print(f"{'small_n6':16s} {'flat_peak_mib':26s} "
@@ -347,6 +348,9 @@ def report(docs):
           f"{cell([c['solve_repair_us'] for c in c6])} us (speedup "
           + " -> ".join(f"{c['speedup']:.0f}x" for c in c6)
           + f" over {c6[-1]['instances']} instances)")
+    print(f"{'criterion_6_n8':16s} {'oracle_ms_median':26s} "
+          + " -> ".join(f"{c['oracle_ms_median']:10.2f}" for c in c6)
+          + " ms")
 
 
 def main():
@@ -377,7 +381,9 @@ def main():
             [{"oracle": timed(oracle_search(t, True), 1),
               "flat": timed(oracle_search(t, False), 1)} for t in trees],
             args.repeats)):
-        doc["oracle_small_n6_call"] = summary(samples["oracle"], 1e3, "ms")
+        doc["oracle_small_n6_call"] = {
+            **summary(samples["oracle"], 1e3, "ms"),
+            "nodes_visited": oracle_search(t, True)().nodes_visited}
         doc["oracle_small_n6_flat"] = {
             **summary(samples["flat"], 1e3, "ms"),
             "peak_mib": peak_mib(oracle_search(t, False))}

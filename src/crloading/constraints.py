@@ -152,30 +152,32 @@ def cap_audit(powers, caps: ConstraintCaps):
     return load <= limit, excess, excess / np.where(cap > 0, cap, 1.0)
 
 
+def ber_audit(bits, powers, cnir, ber_threshold):
+    """Per tone, as ``cap_audit`` per cap: whether the BER of ``bits`` at
+    ``powers`` meets its ceiling up to FEAS_TOL of it (an unloaded tone's BER
+    is 0), its excess over the ceiling and that excess relative to it."""
+    bits, powers = np.asarray(bits, float), np.asarray(powers, float)
+    c = np.asarray(cnir, dtype=float)
+    ceiling = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
+    on, ber = bits > 0, np.zeros_like(c)
+    ber[on] = 0.2 * np.exp(-1.6 * powers[on] * c[on] / (2.0 ** bits[on] - 1))
+    excess = ber - ceiling
+    return ~on | (ber <= (1.0 + FEAS_TOL) * ceiling), excess, excess / ceiling
+
+
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
                    ber_threshold) -> FeasibilityReport:
     """Verify an allocation (discrete or continuous) against every constraint.
 
     A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
-    (``cap_audit``).  Margins are relative violations (excess / ceiling or
-    cap), so a feasible allocation reports a worst margin of 0.
+    (``ber_audit``, ``cap_audit``).  Margins are relative violations (excess
+    / ceiling or cap), so a feasible allocation reports a worst margin of 0.
     """
-    bits = np.asarray(alloc.bits, dtype=float)
-    powers = np.asarray(alloc.powers, dtype=float)
-    c = np.asarray(cnir, dtype=float)
-    ber_th = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
-
-    loaded = bits > 0
-    ber = np.zeros_like(c)
-    ber[loaded] = 0.2 * np.exp(
-        -1.6 * powers[loaded] * c[loaded] / (2.0 ** bits[loaded] - 1.0)
-    )
-    ber_ok = ~loaded | (ber <= (1.0 + FEAS_TOL) * ber_th)
-    ber_margin = float(np.max(np.maximum(ber - ber_th, 0.0) / ber_th,
-                              initial=0.0))
-    ok, _, margin = cap_audit(powers, caps)
-    worst = max(ber_margin, float(np.max(margin, initial=0.0)))
-    feasible = bool(np.all(ber_ok)) and bool(np.all(ok))
+    ber_ok, _, ber_margin = ber_audit(alloc.bits, alloc.powers, cnir,
+                                      ber_threshold)
+    ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)
+    worst = max(float(np.max(ber_margin, initial=0.0)),
+                float(np.max(margin, initial=0.0)))
     return FeasibilityReport(ber_ok=ber_ok, power_ok=bool(ok[0]),
                              aci_ok=ok[1:], worst_margin=worst,
-                             feasible=feasible)
+                             feasible=bool(np.all(ber_ok) and np.all(ok)))

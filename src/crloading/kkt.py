@@ -10,8 +10,8 @@ with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l.  That recovered
 multiplier must be positive, and substituting it into the stationarity
 condition with respect to bits must leave a residual of zero.  Primal
 feasibility, complementary slackness, and dual sign complete the check.
-A load meets its cap by the rule the repair and ``check_feasible`` read
-(``constraints.cap_audit``); ``primal`` reports its relative excess too.
+A BER meets its ceiling, and a load its cap, by ``check_feasible``'s rules
+(``constraints.ber_audit``, ``cap_audit``); ``primal`` is the worst excess.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import cap_audit
+from .constraints import ber_audit, cap_audit
 
 
 @dataclass(frozen=True)
 class KktTolerances:
     stationarity: float = 1e-8
-    primal: float = 1e-9            # relative, on the BER ceilings
     complementarity: float = 1e-10
     dual_sign: float = 1e-12
 
@@ -62,7 +61,6 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     """
     tols = tols or KktTolerances()
     c = np.asarray(cnir, dtype=float)
-    ber_th = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
     alpha = solution.alpha
     omega = caps.aci_weights.omega
     lam_pow = solution.lambda_power
@@ -71,11 +69,10 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     bits = np.asarray(solution.bits, dtype=float)
     powers = np.asarray(solution.powers, dtype=float)
     active = bits > 0
+    ber_ok, ber_excess, ber_margin = ber_audit(bits, powers, c, ber_threshold)
 
-    stat_p = stat_b = 0.0
+    stat_p = stat_b = comp = 0.0
     lam_sub_min = math.inf
-    comp = 0.0
-    primal = 0.0
 
     if np.any(active):
         b = bits[active]
@@ -93,12 +90,8 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
                    + lam_sub * 0.32 * math.log(2.0) * ca * p
                    * 2.0 ** b / denom ** 2 * expo)
         stat_b = float(np.max(np.abs(resid_b)))
-        # BER equality doubles as the primal + complementarity contribution
-        # of the per-subcarrier constraints.
-        ber = 0.2 * expo
-        primal = float(np.max(np.maximum(ber - ber_th[active], 0.0)
-                              / ber_th[active]))
-        comp = float(np.max(np.abs(lam_sub * (ber - ber_th[active]))))
+        # BER equality is the per-subcarrier complementarity contribution.
+        comp = float(np.max(np.abs(lam_sub * ber_excess[active])))
 
     met, excess, margin = cap_audit(powers, caps)
     lam = np.concatenate([[lam_pow], lam_aci])
@@ -106,8 +99,9 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
 
     dual = min(lam_sub_min, lam_pow, float(np.min(lam_aci, initial=math.inf)))
     passed = (stat_p <= tols.stationarity and stat_b <= tols.stationarity
-              and primal <= tols.primal and bool(np.all(met))
+              and bool(np.all(ber_ok)) and bool(np.all(met))
               and comp <= tols.complementarity and dual >= -tols.dual_sign)
     return KktReport(stationarity_power=stat_p, stationarity_bits=stat_b,
-                     primal=max(primal, float(np.max(margin)), 0.0),
+                     primal=max(float(np.max(ber_margin, initial=0.0)),
+                                float(np.max(margin))),
                      complementarity=comp, dual_sign=dual, passed=passed)

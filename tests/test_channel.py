@@ -281,7 +281,8 @@ class TestOverlapMatrix:
             gain = 10.0 ** (-0.1 * path_loss_db(pu.distance, cfg.path_loss))
             assert np.array_equal(om[:, col], gain * 0.5 * h * total)
 
-    @pytest.mark.parametrize("n,distinct", [(1024, 2045), (4096, 8098)])
+    @pytest.mark.parametrize("n,distinct", [(1024, 2045), (4096, 8098),
+                                            (16384, 32480)])
     def test_each_distinct_panel_start_evaluated_about_once(self, n,
                                                             distinct):
         # default.json's 128-period band on a whole-panel tone spacing:

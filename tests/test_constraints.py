@@ -215,51 +215,116 @@ class TestCheckFeasible:
 
 
 class TestEveryConsumerReadsOneCapRule:
-    """Three tones at 2 bits, a total cap C that just admits their total,
-    and the next float below C, which just refuses it.  Beside it sit an
-    infinite ACI cap, which never binds, and a zero ACI cap, which forbids
-    the fourth tone.  The audit, the repair, both oracle engines and kkt's
-    primal check must give the same verdict at both caps."""
+    """Tones at 2 bits, a cap C that just admits their load, and the next
+    float below C, which just refuses it.  The audit, the repair, both
+    oracle engines and kkt's feasibility check must give the same verdict
+    at both caps."""
 
     CNIR = np.array([120.0, 60.0, 35.0, 80.0])
     BITS = np.array([2, 2, 2, 0])
     ALPHA, BER = 0.1, 1e-4          # every tone pays for its 2 bits
     OMEGA = [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 1.0]]
 
-    def verdicts(self, total_cap):
-        caps = make_caps(4, total_cap, [math.inf, 0.0], self.OMEGA)
-        powers = power_for_bits(self.BITS, self.CNIR, self.BER)
-        alloc = Allocation(bits=self.BITS, powers=powers, objective=0.0,
+    def verdicts(self, cnir, bits, caps):
+        powers = power_for_bits(bits, cnir, self.BER)
+        alloc = Allocation(bits=bits, powers=powers, objective=0.0,
                            feasible=True, repair_steps=0)
         relaxed = types.SimpleNamespace(
-            bits=self.BITS.astype(float), powers=powers, lambda_power=0.0,
-            lambda_aci=np.zeros(2), alpha=self.ALPHA)
-        repaired = round_and_repair(relaxed, caps, None, self.CNIR, self.BER,
+            bits=bits.astype(float), powers=powers, lambda_power=0.0,
+            lambda_aci=np.zeros(caps.aci_caps.size), alpha=self.ALPHA)
+        repaired = round_and_repair(relaxed, caps, None, cnir, self.BER,
                                     max_bits=2)
-        # all tolerances but the primal one open, so it alone decides
-        primal_only = KktTolerances(stationarity=math.inf,
-                                    complementarity=math.inf,
-                                    dual_sign=math.inf)
+        # every tolerance open, so only feasibility decides
+        feasibility_only = KktTolerances(stationarity=math.inf,
+                                         complementarity=math.inf,
+                                         dual_sign=math.inf)
         return {
-            "check_feasible": check_feasible(alloc, caps, self.CNIR,
+            "check_feasible": check_feasible(alloc, caps, cnir,
                                              self.BER).feasible,
             "repair": repaired.repair_steps == 0,
             **{f"oracle prune={prune}": np.array_equal(exhaustive_search(
-                self.CNIR, self.ALPHA, self.BER, caps, b_max=2,
-                prune=prune).bits, self.BITS) for prune in (True, False)},
-            "kkt": kkt_verify(relaxed, self.CNIR, self.BER, caps,
-                              primal_only).passed,
+                cnir, self.ALPHA, self.BER, caps, b_max=2,
+                prune=prune).bits, bits) for prune in (True, False)},
+            "kkt": kkt_verify(relaxed, cnir, self.BER, caps,
+                              feasibility_only).passed,
         }
 
-    def test_verdicts_agree_on_both_sides_of_the_limit(self):
-        total = float(np.sum(power_for_bits(self.BITS, self.CNIR, self.BER)))
-        cap = total / (1.0 + FEAS_TOL)
-        while cap * (1.0 + FEAS_TOL) < total:
+    @staticmethod
+    def limit_caps(load):
+        """The cap that just admits ``load`` (the slack, not the cap, does)
+        and the next float below it, which just refuses it."""
+        cap = load / (1.0 + FEAS_TOL)
+        while cap * (1.0 + FEAS_TOL) < load:
             cap = np.nextafter(cap, math.inf)
-        while np.nextafter(cap, 0.0) * (1.0 + FEAS_TOL) >= total:
+        while np.nextafter(cap, 0.0) * (1.0 + FEAS_TOL) >= load:
             cap = np.nextafter(cap, 0.0)
-        assert total > cap          # the slack, not the cap, admits it
-        admitted = self.verdicts(float(cap))
-        refused = self.verdicts(float(np.nextafter(cap, 0.0)))
-        assert admitted == dict.fromkeys(admitted, True)
-        assert refused == dict.fromkeys(refused, False)
+        assert load > cap
+        return float(cap), float(np.nextafter(cap, 0.0))
+
+    def assert_both_sides_agree(self, cnir, bits, caps_at, load):
+        admit, refuse = (self.verdicts(cnir, bits, caps_at(cap))
+                         for cap in self.limit_caps(load))
+        assert admit == dict.fromkeys(admit, True)
+        assert refuse == dict.fromkeys(refuse, False)
+
+    def test_verdicts_agree_on_both_sides_of_the_limit(self):
+        # beside the total cap sit an infinite ACI cap, which never binds,
+        # and a zero ACI cap, which forbids the fourth tone
+        total = float(np.sum(power_for_bits(self.BITS, self.CNIR, self.BER)))
+        self.assert_both_sides_agree(
+            self.CNIR, self.BITS,
+            lambda cap: make_caps(4, cap, [math.inf, 0.0], self.OMEGA), total)
+
+    @pytest.mark.parametrize("n, seed, aci", [(8, 8, False), (6, 5, True)],
+                             ids=["total_cap_8_tones", "aci_cap_6_tones"])
+    def test_random_draws_on_both_sides_of_the_limit(self, n, seed, aci):
+        # from 8 tones the search's running total rounds otherwise than
+        # np.sum, and at any n its running ACI loads otherwise than the
+        # audit's product, so both engines must ask the audit near a cap
+        rng = np.random.default_rng(seed)
+        bits = np.full(n, 2)
+        for _ in range(200):
+            cnir = rng.uniform(40.0, 400.0, n)
+            powers = power_for_bits(bits, cnir, self.BER)
+            if aci:
+                omega = rng.uniform(0.05, 0.6, (n, 1))
+                self.assert_both_sides_agree(
+                    cnir, bits,
+                    lambda cap: make_caps(n, math.inf, [cap], omega),
+                    float((omega.T @ powers)[0]))
+            else:
+                self.assert_both_sides_agree(
+                    cnir, bits, lambda cap: make_caps(n, cap),
+                    float(np.sum(powers)))
+
+
+class TestEveryConsumerReadsOneBerRule:
+    """check_feasible and kkt judge a BER ceiling by one rule
+    (``ber_audit``): on powers a few ulps either side of where the BER
+    meets its ceiling up to FEAS_TOL, their verdicts agree."""
+
+    def test_audit_and_kkt_agree_at_the_ceiling(self):
+        rng = np.random.default_rng(3)
+        caps = make_caps(1)
+        feasibility_only = KktTolerances(stationarity=math.inf,
+                                         complementarity=math.inf,
+                                         dual_sign=math.inf)
+        verdicts = []
+        for _ in range(1000):
+            c = 10.0 ** rng.uniform(0.0, 3.0)
+            b = rng.uniform(2.0, 12.0)
+            ceiling = 10.0 ** rng.uniform(-6.0, -2.5)
+            p = -(2.0 ** b - 1.0) * math.log(
+                5.0 * (1.0 + FEAS_TOL) * ceiling) / (1.6 * c)
+            steps = int(rng.integers(-4, 5))
+            for _ in range(abs(steps)):
+                p = np.nextafter(p, math.copysign(math.inf, steps))
+            sol = types.SimpleNamespace(
+                bits=np.array([b]), powers=np.array([p]), lambda_power=0.0,
+                lambda_aci=np.zeros(0), alpha=0.5)
+            audit = check_feasible(sol, caps, [c], ceiling).feasible
+            kkt = kkt_verify(sol, [c], ceiling, caps,
+                             feasibility_only).passed
+            verdicts.append((audit, kkt))
+        assert {audit for audit, _ in verdicts} == {True, False}
+        assert all(audit == kkt for audit, kkt in verdicts)

@@ -170,17 +170,21 @@ class TestFailureChannels:
 
 class TestTolerancesAndReport:
     def test_infinite_tolerances_accept_anything(self):
+        # anything feasible: a missed BER ceiling fails by FEAS_TOL, as
+        # check_feasible judges it, whatever the tolerances
         sol = solve_capped(C2, 0.5, 1e-4)
-        bad = dataclasses.replace(sol, bits=sol.bits + 1.0,
+        bad = dataclasses.replace(sol, powers=sol.powers * 1.5,
                                   lambda_power=-5.0)
-        tols = KktTolerances(stationarity=math.inf, primal=math.inf,
+        tols = KktTolerances(stationarity=math.inf,
                              complementarity=math.inf, dual_sign=math.inf)
         assert kkt_verify(bad, C2, 1e-4, free_caps(), tols).passed
+        missed = dataclasses.replace(bad, bits=sol.bits + 1.0)
+        assert not kkt_verify(missed, C2, 1e-4, free_caps(), tols).passed
 
     def test_default_tolerance_values(self):
         tols = KktTolerances()
         assert tols.stationarity == 1e-8
-        assert tols.primal == 1e-9
+        assert not hasattr(tols, "primal")      # the BER rule is FEAS_TOL
         assert tols.complementarity == 1e-10
         assert tols.dual_sign == 1e-12
 

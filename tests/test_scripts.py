@@ -71,9 +71,11 @@ def assert_bench_figures(doc):
         assert sum(fig["draws"] for fig in by_case.values()) == 100
         for fig in [*cfg["layers"].values(), *by_case.values()]:
             assert 0 < fig["q1"] <= fig["median"] <= fig["q3"]
-    assert doc["oracle_small_n6_call"]["median"] > 0
+    call = doc["oracle_small_n6_call"]
+    assert call["median"] > 0 and call["nodes_visited"] > 0
     flat = doc["oracle_small_n6_flat"]
     assert flat["median"] > 0 and flat["peak_mib"] > 0
     c6 = doc["criterion_6_n8"]
     assert c6["instances"] == 2 and c6["speedup"] > 0
     assert 0 < c6["solve_repair_us"]["median"]
+    assert c6["oracle_ms_median"] > 0
