@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, oracle-compare, kkt-check, runtime.  Tabular
-output is RFC-4180 CSV with a header row; single-result output is JSON.
-Exit codes: 0 on success, 2 for configuration problems, 3 for solver
-failures.
+Subcommands: solve, sweep (every AggregateStats field per value),
+oracle-compare, kkt-check, runtime (these two resize the band to each of
+--n-values).  Tables are RFC-4180 CSV with a header row, single results
+JSON.  Exit codes: 0 on success, 2 for configuration problems, 3 for
+solver failures.
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from .constraints import build_caps, check_feasible
 from .channel import sample_su_channel
 from .discretizer import round_and_repair
 from .errors import ConfigError, SolverError
-from .experiments import (compare_with_oracle, runtime_scaling,
+from .experiments import (_resized, compare_with_oracle, runtime_scaling,
                           sweep_experiment, trial_rng)
 from .kkt import kkt_verify
 from .scenario import SWEEPABLE, apply_parameter, load_scenario
 from .solver import solve_continuous
 
 
-def _parse_values(text):
+def _parse_values(text, flag):
     out = []
     for part in text.split(","):
         part = part.strip()
@@ -35,9 +36,9 @@ def _parse_values(text):
         try:
             out.append(float(part))
         except ValueError:
-            raise ConfigError(f"bad sweep value {part!r}")
+            raise ConfigError(f"bad {flag} value {part!r}")
     if not out:
-        raise ConfigError("empty value list")
+        raise ConfigError(f"empty {flag} list")
     return out
 
 
@@ -93,27 +94,30 @@ def cmd_solve(args):
 def cmd_sweep(args):
     cfg = load_scenario(args.config)
     param = args.param or cfg.experiment.sweep_param
-    values = (_parse_values(args.values) if args.values
-              else cfg.experiment.sweep_values)
+    values = (cfg.experiment.sweep_values if args.values is None
+              else _parse_values(args.values, "--values"))
     results = sweep_experiment(cfg, param, values, trials=args.trials,
                                master_seed=args.seed)
-    stats = ("avg_throughput", "avg_power", "cci_violation_rate",
-             "aci_violation_rate", "throughput_ci95", "power_ci95",
-             "cci_rate_ci95", "aci_rate_ci95")
-    _emit_csv(["param_value", *stats],
-              [[v, *(getattr(s, k) for k in stats)] for v, s in results],
-              args.output)
+    _emit_csv(["param_value", *results[0][1].to_dict()],
+              [[v, *s.to_dict().values()] for v, s in results], args.output)
     return 0
 
 
 def cmd_oracle_compare(args):
     cfg = load_scenario(args.config)
-    comp = compare_with_oracle(cfg, args.instances, master_seed=args.seed)
-    header = ["seed", "f_proposed", "f_opt", "rel_gap", "t_proposed_s",
-              "t_oracle_s"]
-    _emit_csv(header, [list(r) for r in comp.rows], args.output)
-    print(f"median_gap={comp.median_gap:.6g} max_gap={comp.max_gap:.6g} "
-          f"speedup={comp.speedup:.3g}x", file=sys.stderr)
+    sized = [cfg] if args.n_values is None else [
+        _resized(cfg, n) for n in _parse_values(args.n_values, "--n-values")]
+    rows = []
+    for cfg_n in sized:
+        n = cfg_n.su.num_subcarriers
+        comp = compare_with_oracle(cfg_n, args.instances,
+                                   master_seed=args.seed)
+        rows += [[n, *r] for r in comp.rows]
+        print(f"n_subcarriers={n} median_gap={comp.median_gap:.6g} "
+              f"max_gap={comp.max_gap:.6g} speedup={comp.speedup:.3g}x",
+              file=sys.stderr)
+    _emit_csv(["n_subcarriers", "seed", "f_proposed", "f_opt", "rel_gap",
+               "t_proposed_s", "t_oracle_s"], rows, args.output)
     return 0
 
 
@@ -129,8 +133,8 @@ def cmd_kkt_check(args):
 
 def cmd_runtime(args):
     cfg = load_scenario(args.config)
-    rows, slope = runtime_scaling(cfg, _parse_values(args.n_values),
-                                  repeats=args.repeats,
+    sizes = _parse_values(args.n_values, "--n-values")
+    rows, slope = runtime_scaling(cfg, sizes, repeats=args.repeats,
                                   master_seed=args.seed)
     _emit_csv(["n_subcarriers", "median_seconds"], rows, args.output)
     print(f"log-log slope: {slope:.3f}", file=sys.stderr)
@@ -179,7 +183,9 @@ def build_parser():
                        help="proposed pipeline vs exhaustive search")
     common(p)
     p.add_argument("--instances", type=int, default=20,
-                   help="channel draws to compare, >= 1 (default 20)")
+                   help="channel draws per band size, >= 1 (default 20)")
+    p.add_argument("--n-values", default=None,
+                   help="comma-separated band sizes (default: config's N)")
     p.set_defaults(func=cmd_oracle_compare)
 
     p = sub.add_parser("kkt-check",

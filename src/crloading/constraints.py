@@ -154,15 +154,16 @@ def cap_audit(powers, caps: ConstraintCaps):
 
 def ber_audit(bits, powers, cnir, ber_threshold):
     """Per tone, as ``cap_audit`` per cap: whether the BER of ``bits`` at
-    ``powers`` meets its ceiling up to FEAS_TOL of it (an unloaded tone's BER
-    is 0), its excess over the ceiling and that excess relative to it."""
+    ``powers`` (0 on an unloaded tone) meets its ceiling up to FEAS_TOL of
+    it, its excess over the ceiling, that excess relative to it and the BER."""
     bits, powers = np.asarray(bits, float), np.asarray(powers, float)
     c = np.asarray(cnir, dtype=float)
     ceiling = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
     on, ber = bits > 0, np.zeros_like(c)
     ber[on] = 0.2 * np.exp(-1.6 * powers[on] * c[on] / (2.0 ** bits[on] - 1))
     excess = ber - ceiling
-    return ~on | (ber <= (1.0 + FEAS_TOL) * ceiling), excess, excess / ceiling
+    return (~on | (ber <= (1.0 + FEAS_TOL) * ceiling), excess,
+            excess / ceiling, ber)
 
 
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
@@ -173,8 +174,8 @@ def check_feasible(alloc, caps: ConstraintCaps, cnir,
     (``ber_audit``, ``cap_audit``).  Margins are relative violations (excess
     / ceiling or cap), so a feasible allocation reports a worst margin of 0.
     """
-    ber_ok, _, ber_margin = ber_audit(alloc.bits, alloc.powers, cnir,
-                                      ber_threshold)
+    ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, cnir,
+                                         ber_threshold)
     ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)
     worst = max(float(np.max(ber_margin, initial=0.0)),
                 float(np.max(margin, initial=0.0)))

@@ -340,8 +340,8 @@ def _resized(cfg: ScenarioConfig, n) -> ScenarioConfig:
     su = cfg.su
     if isinstance(su.ber_threshold, tuple) or isinstance(su.pu_interference,
                                                          tuple):
-        raise ConfigError("runtime scaling needs scalar per-subcarrier "
-                          "parameters to resize the band")
+        raise ConfigError("resizing the band needs scalar per-subcarrier "
+                          "parameters")
     return replace(cfg, su=replace(su, num_subcarriers=_integer(
         n, "band sizes", 1)))
 

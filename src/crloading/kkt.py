@@ -4,9 +4,10 @@ The Lagrangian of the scalarized problem couples, per loaded subcarrier, a
 BER-equality multiplier lam_i with the cap multipliers.  Stationarity with
 respect to power fixes lam_i uniquely:
 
-    lam_i = mu_i (2^b_i - 1) exp(1.6 C_i P_i / (2^b_i - 1)) / (0.32 C_i)
+    lam_i = mu_i (2^b_i - 1) / (1.6 C_i BER_i)
 
-with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l.  That recovered
+with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l and BER_i the tone's
+BER 0.2 exp(-1.6 C_i P_i / (2^b_i - 1)) from ``ber_audit``.  That recovered
 multiplier must be positive, and substituting it into the stationarity
 condition with respect to bits must leave a residual of zero.  Primal
 feasibility, complementary slackness, and dual sign complete the check.
@@ -69,7 +70,8 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     bits = np.asarray(solution.bits, dtype=float)
     powers = np.asarray(solution.powers, dtype=float)
     active = bits > 0
-    ber_ok, ber_excess, ber_margin = ber_audit(bits, powers, c, ber_threshold)
+    ber_ok, ber_excess, ber_margin, ber = ber_audit(bits, powers, c,
+                                                    ber_threshold)
 
     stat_p = stat_b = comp = 0.0
     lam_sub_min = math.inf
@@ -80,15 +82,15 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
         ca = c[active]
         denom = 2.0 ** b - 1.0
         mu = alpha + lam_pow + omega[active] @ lam_aci
-        expo = np.exp(-1.6 * ca * p / denom)
+        slope = 1.6 * ca * ber[active]      # -(2^b - 1) dBER/dP
         # Recovered BER-equality multipliers (stationarity wrt power).
-        lam_sub = mu * denom / (0.32 * ca * expo)
+        lam_sub = mu * denom / slope
         lam_sub_min = float(np.min(lam_sub))
-        resid_p = mu - lam_sub * 0.32 * ca / denom * expo
+        resid_p = mu - lam_sub * slope / denom
         stat_p = float(np.max(np.abs(resid_p)))
         resid_b = (-(1.0 - alpha)
-                   + lam_sub * 0.32 * math.log(2.0) * ca * p
-                   * 2.0 ** b / denom ** 2 * expo)
+                   + lam_sub * math.log(2.0) * p * 2.0 ** b / denom ** 2
+                   * slope)
         stat_b = float(np.max(np.abs(resid_b)))
         # BER equality is the per-subcarrier complementarity contribution.
         comp = float(np.max(np.abs(lam_sub * ber_excess[active])))

@@ -1,8 +1,12 @@
 """End-to-end CLI checks, all in-process through main(argv)."""
 
 import csv
+import dataclasses
 import json
+import re
+import shlex
 import types
+from pathlib import Path
 
 import pytest
 
@@ -10,10 +14,12 @@ import crloading.cli as cli
 from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import SolverError
-from crloading.experiments import run_trial, trial_rng
+from crloading.experiments import (AggregateStats, run_trial,
+                                   sweep_experiment, trial_rng)
 from crloading.kkt import kkt_verify
 from crloading.scenario import apply_parameter, load_scenario
 
+ROOT = Path(__file__).resolve().parents[1]
 SMALL = "configs/small_n6.json"
 CCI = "configs/cci_binding.json"
 
@@ -85,10 +91,8 @@ class TestSolve:
 
 
 class TestSweep:
-    HEADER = ["param_value", "avg_throughput", "avg_power",
-              "cci_violation_rate", "aci_violation_rate",
-              "throughput_ci95", "power_ci95", "cci_rate_ci95",
-              "aci_rate_ci95"]
+    HEADER = ["param_value",
+              *(f.name for f in dataclasses.fields(AggregateStats))]
 
     def test_csv_shape(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -100,7 +104,15 @@ class TestSweep:
         assert rows[0] == self.HEADER
         assert len(rows) == 3
         assert [r[0] for r in rows[1:]] == ["0.8", "0.9"]
-        assert float(rows[1][1]) > float(rows[2][1]) * 0.5    # sane numbers
+        col = {h: i for i, h in enumerate(rows[0])}
+        thr = col["avg_throughput"]
+        assert float(rows[1][thr]) > float(rows[2][thr]) * 0.5  # sane numbers
+        # every cell, *_discrete rates included, is the library's figure
+        want = sweep_experiment(load_scenario(CCI), "psi", [0.8, 0.9],
+                                trials=30)
+        assert [[float(x) for x in r] for r in rows[1:]] == [
+            [v, *s.to_dict().values()] for v, s in want]
+        assert rows[1][col["trials"]] == "30"
 
     def test_defaults_come_from_config(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -115,29 +127,70 @@ class TestSweep:
             cli.main(["sweep", "--config", CCI, "--param", "bogus"])
         assert exc.value.code == 2
 
-    def test_bad_value_list(self, capsys):
-        code, _, err = run(capsys, "sweep", "--config", CCI,
-                           "--values", "0.8,oops")
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--values"), ("runtime", "--n-values"),
+        ("oracle-compare", "--n-values")])
+    def test_bad_value_list(self, capsys, command, flag):
+        code, out, err = run(capsys, command, "--config", CCI, flag, "4,x")
         assert code == 2
-        assert "config error" in err
+        assert err.startswith(f"config error: bad {flag} value 'x'")
+        assert out == ""
 
-    def test_empty_value_list(self, capsys):
-        code, _, err = run(capsys, "sweep", "--config", CCI, "--values", ",")
+    @pytest.mark.parametrize("text", [",", ""])
+    @pytest.mark.parametrize("command, flag", [
+        ("sweep", "--values"), ("runtime", "--n-values"),
+        ("oracle-compare", "--n-values")])
+    def test_empty_value_list(self, capsys, command, flag, text):
+        code, out, err = run(capsys, command, "--config", CCI, flag, text)
         assert code == 2
+        assert err.startswith(f"config error: empty {flag} list")
+        assert out == ""
 
 
 class TestOracleCompare:
+    HEADER = ["n_subcarriers", "seed", "f_proposed", "f_opt", "rel_gap",
+              "t_proposed_s", "t_oracle_s"]
+
     def test_csv_and_summary(self, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code, _, err = run(capsys, "oracle-compare", "--config", SMALL,
                            "--instances", "5", "--output", str(out))
         assert code == 0
         rows = list(csv.reader(out.open(newline="")))
-        assert rows[0] == ["seed", "f_proposed", "f_opt", "rel_gap",
-                           "t_proposed_s", "t_oracle_s"]
+        assert rows[0] == self.HEADER
         assert len(rows) == 6
-        assert all(float(r[3]) >= -1e-12 for r in rows[1:])
-        assert "median_gap=" in err and "speedup=" in err
+        assert [r[0] for r in rows[1:]] == ["6"] * 5    # the config's own N
+        assert all(float(r[4]) >= -1e-12 for r in rows[1:])
+        assert err.count("\n") == 1
+        assert "n_subcarriers=6 median_gap=" in err and "speedup=" in err
+
+    def test_n_values_compares_each_band_size(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code, _, err = run(capsys, "oracle-compare", "--config", SMALL,
+                           "--n-values", "4,6", "--instances", "2",
+                           "--output", str(out))
+        assert code == 0
+        rows = list(csv.reader(out.open(newline="")))
+        assert rows[0] == self.HEADER
+        assert [r[:2] for r in rows[1:]] == [["4", "0"], ["4", "1"],
+                                             ["6", "0"], ["6", "1"]]
+        assert all(float(r[4]) >= -1e-12 for r in rows[1:])
+        assert [line.split()[0] for line in err.splitlines()] == [
+            "n_subcarriers=4", "n_subcarriers=6"]
+
+    def test_n_values_refuses_per_tone_vectors(self, tmp_path, capsys):
+        doc = json.loads(open(SMALL).read())
+        doc["su"]["ber_threshold"] = [1e-4] * 6
+        per_tone = tmp_path / "per_tone.json"
+        per_tone.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "oracle-compare", "--config",
+                             str(per_tone), "--n-values", "4")
+        assert code == 2
+        assert err.startswith("config error: resizing the band needs scalar")
+        assert out == ""
+        # without --n-values the band keeps its size and its vectors
+        assert run(capsys, "oracle-compare", "--config", str(per_tone),
+                   "--instances", "1")[0] == 0
 
 
 class TestKktCheck:
@@ -322,3 +375,19 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    """Every ``crloading`` line of the README's CLI block parses, and every
+    script the README names exists."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert {c.split()[1] for c in commands} == {
+        "solve", "sweep", "oracle-compare", "kkt-check", "runtime"}
+    for command in commands:
+        argv = shlex.split(command.replace("[", "").replace("]", ""))
+        assert argv[0] == "crloading"
+        cli.build_parser().parse_args(argv[1:])
+    for name in re.findall(r"scripts/(\w+\.py)", readme):
+        assert (ROOT / "scripts" / name).is_file(), name

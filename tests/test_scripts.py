@@ -1,4 +1,8 @@
-"""Smoke test: every script under scripts/ runs end to end on tiny counts."""
+"""Smoke test: scripts/bench_layers.py runs end to end on tiny counts.
+
+The paper's sweep, oracle and runtime tables come from the ``crloading``
+CLI (tests/test_cli.py); bench_layers.py is the one script, as tooling.
+"""
 
 import json
 import os
@@ -6,21 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.mark.parametrize("argv", [
-    ["run_sweep.py", "--config", "configs/cci_binding.json", "--trials", "5"],
-    ["check_guarantee.py", "--trials", "20", "--psi", "0.9"],
-    ["compare_oracle.py", "--config", "configs/small_n6.json", "--sizes", "4",
-     "--instances", "2"],
-    ["runtime_scaling.py", "--config", "configs/cci_binding.json",
-     "--sizes", "16,32", "--repeats", "2"],
-], ids=lambda argv: argv[0])
-def test_script_runs(argv):
-    run_script(argv)
 
 
 def run_script(argv):
