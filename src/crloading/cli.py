@@ -1,10 +1,11 @@
 """Command-line front end.
 
-Subcommands: solve, sweep (every AggregateStats field per value),
-oracle-compare, kkt-check, runtime (these two resize the band to each of
+Subcommands: solve (replays one Monte Carlo trial with its feasibility,
+KKT report and violation flags), sweep (every AggregateStats field per
+value), oracle-compare and runtime (these two resize the band to each of
 --n-values).  Tables are RFC-4180 CSV with a header row, single results
-JSON.  Exit codes: 0 on success, 2 for configuration problems, 3 for
-solver failures.
+JSON.  Exit codes: 0 on success, 1 when stdout closes early, 2 for
+configuration problems, 3 for solver failures and failed KKT reports.
 """
 
 from __future__ import annotations
@@ -12,19 +13,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
 
 from .constraints import build_caps, check_feasible
 from .channel import sample_su_channel
-from .discretizer import round_and_repair
 from .errors import ConfigError, SolverError
-from .experiments import (_resized, compare_with_oracle, runtime_scaling,
-                          sweep_experiment, trial_rng)
+from .experiments import (_resized, compare_with_oracle, run_trial,
+                          runtime_scaling, sweep_experiment, trial_rng)
 from .kkt import kkt_verify
 from .scenario import SWEEPABLE, apply_parameter, load_scenario
-from .solver import solve_continuous
 
 
 def _parse_values(text, flag):
@@ -58,8 +58,8 @@ def _emit_csv(header, rows, path):
     _emit(path, lambda fh: csv.writer(fh).writerows([header, *rows]))
 
 
-def _solve_one(args):
-    """(cfg, seed, caps, draw, solution, allocation) of ``args``' trial."""
+def cmd_solve(args):
+    """Trial ``args.trial`` of ``run_monte_carlo``, with its certificates."""
     cfg = load_scenario(args.config)
     if (args.param is None) != (args.value is None):
         raise ConfigError("--param and --value go together")
@@ -67,16 +67,10 @@ def _solve_one(args):
         cfg = apply_parameter(cfg, args.param, args.value)
     seed = cfg.experiment.seed if args.seed is None else args.seed
     caps = build_caps(cfg)
-    real = sample_su_channel(cfg.su, trial_rng(seed, args.trial))
-    sol = solve_continuous(real, caps, cfg.su)
-    alloc = round_and_repair(sol, caps, caps.aci_weights.omega, real.cnir,
-                             cfg.su.ber_threshold, cfg.su.max_bits)
-    return cfg, seed, caps, real, sol, alloc
-
-
-def cmd_solve(args):
-    cfg, seed, caps, real, sol, alloc = _solve_one(args)
-    report = check_feasible(alloc, caps, real.cnir, cfg.su.ber_threshold)
+    *flags, alloc, sol = run_trial(cfg, caps, args.trial, seed)
+    cnir = sample_su_channel(cfg.su, trial_rng(seed, args.trial)).cnir
+    ber = cfg.su.ber_threshold
+    kkt = kkt_verify(sol, cnir, ber, caps)
     out = alloc.to_dict()
     out.update({
         "seed": seed,
@@ -85,10 +79,13 @@ def cmd_solve(args):
         "total_bits": int(np.sum(alloc.bits)),
         "lambda_power": sol.lambda_power,
         "lambda_aci": [float(x) for x in sol.lambda_aci],
-        "feasibility": report.to_dict(),
+        "feasibility": check_feasible(alloc, caps, cnir, ber).to_dict(),
+        "kkt": kkt.to_dict(),
+        "violations": dict(zip(("cci", "aci", "cci_discrete",
+                                "aci_discrete"), flags[2:])),
     })
     _emit_json(out, args.output)
-    return 0
+    return 0 if kkt.passed else 3
 
 
 def cmd_sweep(args):
@@ -121,16 +118,6 @@ def cmd_oracle_compare(args):
     return 0
 
 
-def cmd_kkt_check(args):
-    cfg, seed, caps, real, sol, _ = _solve_one(args)
-    report = kkt_verify(sol, real.cnir, cfg.su.ber_threshold, caps)
-    out = report.to_dict()
-    out["case_id"] = sol.case_id
-    out["seed"] = seed
-    _emit_json(out, args.output)
-    return 0 if report.passed else 3
-
-
 def cmd_runtime(args):
     cfg = load_scenario(args.config)
     sizes = _parse_values(args.n_values, "--n-values")
@@ -157,16 +144,14 @@ def build_parser():
         p.add_argument("--output", default=None,
                        help="output file (default stdout)")
 
-    def replay(p, what):
-        p.add_argument("--trial", type=int, default=0,
-                       help=f"trial index to {what}, >= 0 (default 0)")
-        p.add_argument("--param", choices=SWEEPABLE)
-        p.add_argument("--value", type=float, default=None,
-                       help="--param's value ('inf' allowed): a sweep point")
-
-    p = sub.add_parser("solve", help="solve one channel realization")
+    p = sub.add_parser("solve", help="replay one Monte Carlo trial and "
+                       "certify it")
     common(p)
-    replay(p, "replay")
+    p.add_argument("--trial", type=int, default=0,
+                   help="trial index to replay, >= 0 (default 0)")
+    p.add_argument("--param", choices=SWEEPABLE)
+    p.add_argument("--value", type=float, default=None,
+                   help="--param's value ('inf' allowed): a sweep point")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="Monte Carlo parameter sweep")
@@ -187,12 +172,6 @@ def build_parser():
     p.add_argument("--n-values", default=None,
                    help="comma-separated band sizes (default: config's N)")
     p.set_defaults(func=cmd_oracle_compare)
-
-    p = sub.add_parser("kkt-check",
-                       help="verify first-order optimality of one solution")
-    common(p)
-    replay(p, "check")
-    p.set_defaults(func=cmd_kkt_check)
 
     p = sub.add_parser("runtime", help="solver runtime vs band size")
     common(p)
@@ -215,6 +194,10 @@ def main(argv=None):
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:     # the reader closed stdout: end quietly,
+        # with stdout on devnull so that the flush at exit cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

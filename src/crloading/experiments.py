@@ -337,13 +337,14 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
 
 
 def _resized(cfg: ScenarioConfig, n) -> ScenarioConfig:
-    su = cfg.su
+    su, n = cfg.su, _integer(n, "band sizes", 1)
+    if n == su.num_subcarriers:
+        return cfg
     if isinstance(su.ber_threshold, tuple) or isinstance(su.pu_interference,
                                                          tuple):
         raise ConfigError("resizing the band needs scalar per-subcarrier "
                           "parameters")
-    return replace(cfg, su=replace(su, num_subcarriers=_integer(
-        n, "band sizes", 1)))
+    return replace(cfg, su=replace(su, num_subcarriers=n))
 
 
 def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,

@@ -182,13 +182,9 @@ def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
 def _power_dual(q, active, alpha, cap):
     """Total-power multiplier per row that makes sum(P) over the ``active``
     tones equal ``cap``, with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when
-    the cap is slack."""
+    the cap is slack.  Every q is negative and ``prepare`` makes the cap
+    positive, so the denominator is at least the cap."""
     denom = cap - np.add.reduce(np.where(active, q, 0.0), -1)
-    if np.count_nonzero(denom <= 0):
-        raise SolverError(
-            f"total-power cap {cap} incompatible with the active set "
-            f"(denominator {denom.min()} <= 0)"
-        )
     return np.maximum(np.add.reduce(active, -1) * (1.0 - alpha) / _LN2
                       / denom - alpha, 0.0)
 

@@ -1,10 +1,15 @@
-"""End-to-end CLI checks, all in-process through main(argv)."""
+"""End-to-end CLI checks, in-process through main(argv) except where a
+real pipe is needed."""
 
+import argparse
 import csv
 import dataclasses
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -22,6 +27,16 @@ from crloading.scenario import apply_parameter, load_scenario
 ROOT = Path(__file__).resolve().parents[1]
 SMALL = "configs/small_n6.json"
 CCI = "configs/cci_binding.json"
+FLAGS = ("cci", "aci", "cci_discrete", "aci_discrete")
+
+
+def kkt_of_trial(cfg, trial):
+    """``kkt_verify`` of ``run_trial``'s continuous solution of ``trial``."""
+    caps = build_caps(cfg)
+    seed = cfg.experiment.seed
+    sol = run_trial(cfg, caps, trial, seed)[7]
+    cnir = sample_su_channel(cfg.su, trial_rng(seed, trial)).cnir
+    return kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
 
 
 def run(capsys, *argv):
@@ -72,6 +87,47 @@ class TestSolve:
         first = json.loads(run(capsys, "solve", "--config", SMALL)[1])
         assert first["bits"] != doc["bits"]
 
+    def test_violations_are_the_trials_flags(self, capsys):
+        # trial 11 of small_n6 violates the adjacent-channel cap
+        cfg = load_scenario(SMALL)
+        flags = run_trial(cfg, build_caps(cfg), 11, cfg.experiment.seed)[2:6]
+        assert any(flags)
+        doc = json.loads(run(capsys, "solve", "--config", SMALL,
+                             "--trial", "11")[1])
+        assert doc["violations"] == dict(zip(FLAGS, flags))
+
+    @pytest.mark.parametrize("config", ["configs/default.json", CCI, SMALL])
+    def test_clean_trials_certify(self, capsys, config):
+        for trial in range(10):
+            code, out, _ = run(capsys, "solve", "--config", config,
+                               "--trial", str(trial))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["kkt"]["pass"] is True
+            assert doc["feasibility"]["feasible"] is True
+            assert set(doc["violations"]) == set(FLAGS)
+
+    def test_kkt_is_that_of_the_trials_solve(self, capsys):
+        code, out, _ = run(capsys, "solve", "--config", SMALL,
+                           "--trial", "3")
+        assert code == 0
+        doc = json.loads(out)
+        # the residuals, not just the regime, are those of trial 3's solve
+        assert doc["kkt"] == kkt_of_trial(load_scenario(SMALL), 3)
+        first = json.loads(run(capsys, "solve", "--config", SMALL)[1])
+        assert (first["kkt"]["stationarity_power"]
+                != doc["kkt"]["stationarity_power"])
+
+    def test_failed_report_exits_three(self, capsys, monkeypatch):
+        fake = types.SimpleNamespace(passed=False,
+                                     to_dict=lambda: {"pass": False})
+        monkeypatch.setattr(cli, "kkt_verify", lambda *a, **k: fake)
+        code, out, _ = run(capsys, "solve", "--config", SMALL)
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["kkt"]["pass"] is False
+        assert doc["feasibility"]["feasible"] is True
+
     def test_param_value_replays_sweep_trial(self, capsys):
         # a sweep failure names "psi=0.99" and the trial; --param/--value
         # replays that trial at that point
@@ -85,6 +141,7 @@ class TestSolve:
         assert doc["bits"] == [int(b) for b in alloc.bits]
         assert doc["powers"] == [float(p) for p in alloc.powers]
         assert doc["lambda_power"] == sol.lambda_power
+        assert doc["kkt"] == kkt_of_trial(cfg, 5)
         own = json.loads(run(capsys, "solve", "--config", CCI,
                              "--trial", "5")[1])
         assert own["lambda_power"] != doc["lambda_power"]
@@ -192,53 +249,18 @@ class TestOracleCompare:
         assert run(capsys, "oracle-compare", "--config", str(per_tone),
                    "--instances", "1")[0] == 0
 
-
-class TestKktCheck:
-    def test_clean_solution_exits_zero(self, capsys):
-        code, out, _ = run(capsys, "kkt-check", "--config", SMALL)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["pass"] is True
-        assert doc["case_id"] in (5, 6, 7, 8)
-
-    def test_trial_checks_the_solve_of_that_trial(self, capsys):
-        code, out, _ = run(capsys, "kkt-check", "--config", SMALL,
-                           "--trial", "3")
-        assert code == 0
-        doc = json.loads(out)
-        solved = json.loads(run(capsys, "solve", "--config", SMALL,
-                                "--trial", "3")[1])
-        assert doc["case_id"] == solved["case_id"]
-        # the residuals, not just the regime, are those of trial 3's solve
-        cfg = load_scenario(SMALL)
-        caps = build_caps(cfg)
-        seed = cfg.experiment.seed
-        sol = run_trial(cfg, caps, 3, seed)[7]
-        cnir = sample_su_channel(cfg.su, trial_rng(seed, 3)).cnir
-        want = kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
-        assert {k: doc[k] for k in want} == want
-        first = json.loads(run(capsys, "kkt-check", "--config", SMALL)[1])
-        assert first["stationarity_power"] != doc["stationarity_power"]
-
-    def test_param_value_checks_that_sweep_point(self, capsys):
-        code, out, _ = run(capsys, "kkt-check", "--config", CCI, "--trial",
-                           "5", "--param", "psi", "--value", "0.99")
-        assert code == 0
-        cfg = apply_parameter(load_scenario(CCI), "psi", 0.99)
-        caps = build_caps(cfg)
-        seed = cfg.experiment.seed
-        sol = run_trial(cfg, caps, 5, seed)[7]
-        cnir = sample_su_channel(cfg.su, trial_rng(seed, 5)).cnir
-        want = kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
-        assert {k: json.loads(out)[k] for k in want} == want
-
-    def test_failed_report_exits_three(self, capsys, monkeypatch):
-        fake = types.SimpleNamespace(passed=False,
-                                     to_dict=lambda: {"pass": False})
-        monkeypatch.setattr(cli, "kkt_verify", lambda *a, **k: fake)
-        code, out, _ = run(capsys, "kkt-check", "--config", SMALL)
-        assert code == 3
-        assert json.loads(out)["pass"] is False
+    def test_n_values_of_the_own_size_keep_per_tone_vectors(self, tmp_path,
+                                                            capsys):
+        doc = json.loads(open(SMALL).read())
+        doc["su"]["ber_threshold"] = [1e-4] * 6
+        per_tone = tmp_path / "per_tone.json"
+        per_tone.write_text(json.dumps(doc))
+        for argv in (("oracle-compare", "--instances", "1"),
+                     ("runtime", "--repeats", "1")):
+            code, out, _ = run(capsys, *argv, "--config", str(per_tone),
+                               "--n-values", "6")
+            assert code == 0
+            assert [r[0] for r in csv.reader(out.splitlines()[1:])] == ["6"]
 
 
 class TestRuntime:
@@ -326,7 +348,7 @@ class TestErrorPaths:
     def test_solver_failure_exits_three(self, capsys, monkeypatch):
         def boom(*a, **k):
             raise SolverError("dual search diverged")
-        monkeypatch.setattr(cli, "solve_continuous", boom)
+        monkeypatch.setattr(cli, "run_trial", boom)
         code, _, err = run(capsys, "solve", "--config", SMALL)
         assert code == 3
         assert err.startswith("solver error:")
@@ -336,28 +358,24 @@ class TestErrorPaths:
         ("sweep", "--config", CCI, "--trials", "-2"),
         ("oracle-compare", "--config", SMALL, "--instances", "0"),
         ("solve", "--config", SMALL, "--trial", "-1"),
-        ("kkt-check", "--config", SMALL, "--trial", "-1"),
         ("solve", "--config", SMALL, "--seed", "-1"),
         ("runtime", "--config", SMALL, "--n-values", "6", "--repeats", "0"),
     ], ids=["zero_trials", "negative_trials", "zero_instances",
-            "negative_trial", "kkt_check_negative_trial", "negative_seed",
-            "zero_repeats"])
+            "negative_trial", "negative_seed", "zero_repeats"])
     def test_bad_count_or_seed_exits_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("config error:")
         assert out == ""
 
-    @pytest.mark.parametrize("command", ["solve", "kkt-check"])
     @pytest.mark.parametrize("flags,message", [
         (("--param", "psi"), "--param and --value go together"),
         (("--value", "0.9"), "--param and --value go together"),
         (("--param", "alpha", "--value", "1.5"), "alpha sweep value 1.5"),
         (("--param", "p_cci", "--value", "nan"), "p_cci sweep value nan"),
     ], ids=["param_alone", "value_alone", "out_of_range", "nan_cap"])
-    def test_bad_replay_point_exits_two(self, capsys, command, flags,
-                                        message):
-        code, out, err = run(capsys, command, "--config", CCI, *flags)
+    def test_bad_replay_point_exits_two(self, capsys, flags, message):
+        code, out, err = run(capsys, "solve", "--config", CCI, *flags)
         assert code == 2
         assert err.startswith(f"config error: {message}")
         assert out == ""
@@ -376,15 +394,37 @@ class TestErrorPaths:
             cli.main([])
         assert exc.value.code == 2
 
+    def test_kkt_check_is_gone(self, capsys):
+        # solve reports the KKT certificate itself
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["kkt-check", "--config", SMALL])
+        assert exc.value.code == 2
+
+    def test_closed_stdout_ends_quietly(self):
+        # a table past the 64 KiB pipe buffer: the write fails in main
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "crloading.cli", "oracle-compare",
+             "--config", SMALL, "--n-values", "1", "--instances", "2000"],
+            cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"n_subcarriers,seed,")
+        proc.stdout.close()
+        err = proc.communicate(timeout=60)[1].decode()
+        assert proc.returncode == 1
+        assert "Traceback" not in err and "n_subcarriers=1 " in err
+
 
 def test_readme_commands_parse():
-    """Every ``crloading`` line of the README's CLI block parses, and every
-    script the README names exists."""
+    """The README's CLI block shows every subcommand, each of its
+    ``crloading`` lines parses, and every script the README names exists."""
     readme = (ROOT / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
     commands = block.replace("\\\n", " ").splitlines()
-    assert {c.split()[1] for c in commands} == {
-        "solve", "sweep", "oracle-compare", "kkt-check", "runtime"}
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert {c.split()[1] for c in commands} == set(subparsers.choices)
     for command in commands:
         argv = shlex.split(command.replace("[", "").replace("]", ""))
         assert argv[0] == "crloading"

@@ -274,6 +274,11 @@ class TestSweep:
         for _, stats in rows[1:]:
             assert stats == base
 
+    def test_config_without_a_sweep_rejected(self):
+        with pytest.raises(ConfigError, match="sweep needs a parameter and "
+                                              "a non-empty value list"):
+            sweep_experiment(unconstrained_cfg(), trials=2)
+
     def test_alpha_sweep_trades_rate_for_power(self):
         rows = sweep_experiment(unconstrained_cfg(), param="alpha",
                                 values=[0.3, 0.5, 0.7], trials=60)
@@ -381,6 +386,13 @@ class TestOracleComparison:
     def test_no_instances_rejected(self):
         with pytest.raises(ConfigError, match="instances must be at least 1"):
             compare_with_oracle(small_cfg(), instances=0)
+
+    def test_certain_cap_loads_nothing_on_either_side(self):
+        # psi = 1 makes the adjacent-channel cap 0: both objectives are 0
+        cmp = compare_with_oracle(apply_parameter(small_cfg(), "psi", 1.0),
+                                  instances=3)
+        assert [r[1:4] for r in cmp.rows] == [(0.0, 0.0, 0.0)] * 3
+        assert cmp.median_gap == cmp.max_gap == 0.0
 
     def test_deterministic_given_seed(self):
         a = compare_with_oracle(small_cfg(), instances=6, master_seed=5)

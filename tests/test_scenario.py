@@ -126,6 +126,8 @@ class TestLoader:
         p = tmp_path / "cfg.json"
         p.write_text(text)
         assert load_scenario(str(p)) == load_scenario(base_dict())
+        with p.open() as fh:
+            assert load_scenario(fh) == load_scenario(base_dict())
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -134,6 +136,11 @@ class TestLoader:
     def test_bad_json(self):
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_scenario("{broken")
+
+    def test_neither_text_path_nor_file(self):
+        with pytest.raises(ConfigError, match="cannot load a scenario from "
+                                              "<class 'int'>"):
+            load_scenario(42)
 
     @pytest.mark.parametrize("mutate,msg", [
         (lambda d: d["su"].update(alpha=1.2), "alpha"),
@@ -188,6 +195,17 @@ class TestLoader:
          "experiment.sweep: must be an object"),
         (lambda d: d["su"].update(noise_variance={"unit": "uW"}),
          "needs a 'value'"),
+        (lambda d: d["su"].update(noise_variance={"value": 1.0, "x": 1}),
+         r"su\.noise_variance: unknown key\(s\): x"),
+        (lambda d: d["su"].update(noise_variance={"value": 1.0,
+                                                  "unit": "kW"}),
+         r"unknown power unit 'kW' \(use W, mW or uW\)"),
+        (lambda d: d["su"].pop("symbol_duration"),
+         "su: need symbol_duration and/or subcarrier_spacing"),
+        (lambda d: d.update(pus={}), "pus: must be an array"),
+        (lambda d: d.update(experiment={"sweep": {"param": "psi",
+                                                  "values": 0.9}}),
+         r"experiment\.sweep\.values: must be a non-empty list"),
         # sweep values meet the spec of the field they set
         (lambda d: d.update(experiment={"sweep": {"param": "psi",
                                                   "values": [0.9, 1.5]}}),

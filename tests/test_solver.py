@@ -17,6 +17,7 @@ from crloading.discretizer import round_and_repair
 from crloading.errors import SolverError
 from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
+from crloading.scenario import load_scenario
 from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
@@ -278,6 +279,12 @@ class TestOverlapShape:
     def test_shape_must_be_tones_by_caps(self, omega, aci_caps):
         with pytest.raises(SolverError, match="overlap matrix shape"):
             solve_capped(C2, 0.5, 1e-4, math.inf, omega, aci_caps)
+
+    def test_cnir_must_match_the_caps_band(self):
+        cfg = load_scenario("configs/small_n6.json")
+        with pytest.raises(SolverError, match=r"overlap matrix shape \(6, 1\) "
+                           "does not match 5 subcarriers x 1 adjacent"):
+            solve_continuous(np.full(5, 100.0), build_caps(cfg), cfg.su)
 
 
 class TestBerCeiling:
