@@ -10,7 +10,7 @@ config's own psi) each repeat times:
 - the set-up perfbench times as ``setup_s``: ``load_scenario`` from the
   file, ``aci_overlap_matrix`` and ``build_caps`` at each sweep point
 - the block draw (``_draw`` of one Monte Carlo block), per trial
-- ``_solve_block`` and ``_repair_block``, per row, on that block and on
+- ``_solve_block`` and ``_repair``, per row, on that block and on
   one-row blocks (T = 1, as ``run_trial`` calls them)
 - ``_outcomes``, per trial: the time ``_block`` spends in it on that block
 - ``_cap_sums`` of the block's repaired powers, per row
@@ -213,7 +213,7 @@ def config_work(t, path, n):
     plan = caps.plan(su.alpha, su.ber_threshold)
     block = range(max(1, exp._BLOCK_ENTRIES // su.num_subcarriers))
     cnir = exp._draw(cfg, SEED, block)[0]
-    solve, repair = t.solver._solve_block, t.discretizer._repair_block
+    solve, repair = t.solver._solve_block, t.discretizer._repair
     bits = solve(cnir, plan)[0]
     powers = repair(bits, cnir, plan, su.max_bits)[1]
     rows = [(c[None], b[None]) for c, b in zip(cnir[:ONE_ROW],

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import AciFactors, aci_overlap_matrix
+from .discretizer import _cap_sums
 from .errors import ConfigError
 from .scenario import ScenarioConfig, path_loss_db
 from .solver import FEAS_TOL, Plan, cap_limits, prepare
@@ -146,8 +147,7 @@ def cap_audit(powers, caps: ConstraintCaps):
     cap (``cap_limits``), the load's excess over the cap (0 where the cap is
     infinite) and that excess relative to the cap (to 1 W for a zero cap)."""
     cap, limit = cap_limits(caps.total_cap, caps.aci_caps)
-    load = np.concatenate([[float(np.sum(powers))],
-                           caps.aci_weights.omega.T @ powers])
+    load = _cap_sums(np.atleast_2d(powers), caps.aci_weights.omega)[0]
     excess = np.where(np.isfinite(cap), load - cap, 0.0)
     return load <= limit, excess, excess / np.where(cap > 0, cap, 1.0)
 

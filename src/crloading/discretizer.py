@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .solver import _one_row, objective_value, prepare
+from .solver import _one_row, objective_value
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
 # full stable sort is then cheaper than partitioning out the live tones:
@@ -32,17 +32,11 @@ class Allocation:
     bits: np.ndarray            # int, each 0 or in [2, b_max]
     powers: np.ndarray          # watts
     objective: float
-    feasible: bool
     repair_steps: int
 
     def to_dict(self) -> dict:
-        return {
-            "bits": [int(b) for b in self.bits],
-            "powers": [float(p) for p in self.powers],
-            "objective": self.objective,
-            "feasible": self.feasible,
-            "repair_steps": self.repair_steps,
-        }
+        return {"bits": self.bits.tolist(), "powers": self.powers.tolist(),
+                "objective": self.objective, "repair_steps": self.repair_steps}
 
 
 @np.errstate(over="ignore")
@@ -71,13 +65,14 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
 
 @lru_cache(maxsize=64)
 def _pricing(top):
-    """Read-only tables over b = 0..max(top, 2): factors of ln(5 BER) /
-    (1.6 C) < 0 giving minus the power, 1 - 2^b, and minus the top bit's
-    saving, 2^(b-1) (3 at 2, -inf at 0); the bits a step leaves (0 from 2)."""
+    """Read-only tables over b = 0..max(top, 2): 2^b - 1 (+0.0 at 0) and
+    2^(b-1) (3 at 2, -inf at 0), factors of -ln(5 BER) / (1.6 C) giving the
+    power and of ln(5 BER) / (1.6 C) minus the top bit's saving; the bits a
+    step leaves (0 from 2)."""
     pow2 = np.ldexp(1.0, np.arange(max(int(top), 2) + 1))
     head = 0.5 * pow2
     head[:3] = (-np.inf, -np.inf, 3.0)
-    tables = 1.0 - pow2, head, np.arange(-1, head.size - 1) * (head > 3.0)
+    tables = pow2 - 1.0, head, np.arange(-1, head.size - 1) * (head > 3.0)
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -143,11 +138,6 @@ def _strip(bits, den, sums, plan, head, down):
         b = bits[run]
 
 
-def _repair_block(cont_bits, cnir, plan, max_bits):
-    """``_repair``'s (bits, powers, steps)."""
-    return _repair(cont_bits, cnir, plan, max_bits)[:3]
-
-
 def _repair(cont_bits, cnir, plan, max_bits):
     """(bits, powers, steps, ``_cap_sums``) of each row of a (T, N) block of
     continuous bits over its checked CNIR, under ``plan``; row t is bitwise
@@ -158,7 +148,7 @@ def _repair(cont_bits, cnir, plan, max_bits):
     bits = bits.astype(int)
     den = 1.6 * cnir
     cost, head, down = _pricing(bits.max())
-    powers = cost[bits] * plan.lg / den
+    powers = cost[bits] * plan.neglog / den
     sums = _cap_sums(powers, plan.omega)
     steps = np.zeros(bits.shape[0], dtype=int)
     over = np.logical_or.reduce(sums > plan.limits, 1)
@@ -169,7 +159,7 @@ def _repair(cont_bits, cnir, plan, max_bits):
         b, d = bits[todo], den[todo]
         steps[todo] = _strip(b, d, sums[todo], plan, head, down)
         bits[todo] = b
-        powers[todo] = cost[b] * plan.lg / d
+        powers[todo] = cost[b] * plan.neglog / d
         # Recompute the sums from scratch to shed accumulated rounding.
         sums[todo] = _cap_sums(powers[todo], plan.omega)
     if np.count_nonzero(sums <= plan.limits) < sums.size:
@@ -178,11 +168,19 @@ def _repair(cont_bits, cnir, plan, max_bits):
     return bits, powers, steps, sums
 
 
+def _own_overlap(caps, omega):
+    """The caps' overlap matrix; ``omega`` must be None, it or equal to it."""
+    own = caps.aci_weights.omega
+    if omega is None or omega is own or np.array_equal(omega, own):
+        return own
+    raise SolverError("the overlap matrix is the caps' own")
+
+
 def _allocation(bits, powers, steps, alpha) -> Allocation:
     """Row 0 of a block repair's (bits, powers, steps)."""
     return Allocation(bits=bits[0], powers=powers[0],
                       objective=objective_value(bits[0], powers[0], alpha),
-                      feasible=True, repair_steps=int(steps[0]))
+                      repair_steps=int(steps[0]))
 
 
 def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
@@ -194,16 +192,13 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     Powers are recomputed to hit the BER ceiling exactly.  While the total
     or any weighted power sum exceeds its cap, the subcarrier whose current
     top bit saves the most power loses it (ties broken by lowest index).
-    ``omega`` defaults to the caps' own overlap matrix, whose plan the
-    repair then shares with ``solve_continuous``.  CNIR must be finite and
-    positive.  This is the one-row case of the block repair.
+    The repair reads the caps' plan, so ``omega`` must be None or their
+    overlap matrix (``_own_overlap``), which callers pass positionally.
+    CNIR must be finite and positive; ``check_feasible`` judges the result.
+    This is the one-row case of the block repair.
     """
-    alpha, c = continuous.alpha, _one_row(cnir)
-    if omega is None or omega is caps.aci_weights.omega:
-        plan = caps.plan(alpha, ber_threshold)
-    else:
-        plan = prepare(alpha, ber_threshold, caps.total_cap, omega,
-                       caps.aci_caps, c.shape[1])
-    return _allocation(*_repair_block(
-        np.asarray(continuous.bits, dtype=float)[None], plan.rows(c), plan,
-        max_bits), alpha)
+    _own_overlap(caps, omega)
+    plan = caps.plan(continuous.alpha, ber_threshold)
+    return _allocation(*_repair(
+        np.asarray(continuous.bits, dtype=float)[None],
+        plan.rows(_one_row(cnir)), plan, max_bits)[:3], continuous.alpha)

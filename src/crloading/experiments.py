@@ -307,18 +307,17 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     master_seed = _seed(cfg, master_seed)
     su = cfg.su
     caps = build_caps(cfg)
-    omega = caps.aci_weights.omega
     rows = []
     for t in range(instances):
         rng = trial_rng(master_seed, t)
         real = sample_su_channel(su, rng)
         t0 = time.perf_counter()
         sol = solve_continuous(real, caps, su)
-        alloc = round_and_repair(sol, caps, omega, real.cnir,
+        alloc = round_and_repair(sol, caps, None, real.cnir,
                                  su.ber_threshold, su.max_bits)
         t1 = time.perf_counter()
         opt = exhaustive_search(real.cnir, su.alpha, su.ber_threshold, caps,
-                                omega, b_max=su.max_bits)
+                                b_max=su.max_bits)
         t2 = time.perf_counter()
         if opt.objective != 0.0:
             gap = (alloc.objective - opt.objective) / abs(opt.objective)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import _cap_sums, power_for_bits
+from .discretizer import _cap_sums, _own_overlap, power_for_bits
 from .errors import SolverError
 from .scenario import _MAX_BITS
 from .solver import (_checked_ber, _checked_cnir, cap_limits, objective_value,
@@ -41,6 +41,7 @@ from .solver import (_checked_ber, _checked_cnir, cap_limits, objective_value,
 # 2^16 (4,096 rows) searches in 13-18 ms at a 0.54 MiB peak, 2^14 (512 rows)
 # in 42 ms, and 2^18 (32,768 rows) in 18 ms at 4.3 MiB.
 _FLAT_ENTRIES = 1 << 16
+_N_LIMIT = 10               # most subcarriers searched (it is exponential)
 
 
 @dataclass(frozen=True)
@@ -52,25 +53,23 @@ class OracleResult:
 
 
 def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
-                      prune=True, n_limit=10) -> OracleResult:
+                      prune=True) -> OracleResult:
     """Globally optimal discrete loading by enumeration.
 
-    Refuses more than ``n_limit`` subcarriers (the search is exponential).
-    ``omega`` defaults to the caps' own overlap matrix.  Ties in the
-    objective resolve to the lexicographically smallest bit vector, so
-    results are deterministic and engine-independent.  CNIR must be finite
-    and positive.
+    Refuses more than ``_N_LIMIT`` subcarriers.  ``omega`` must be None or
+    the caps' overlap matrix (``_own_overlap``), which callers pass
+    positionally.  Objective ties resolve to the lexicographically smallest
+    bit vector, so results are deterministic and engine-independent.  CNIR
+    must be finite and positive.
     """
     c = _checked_cnir(cnir)
     ber = _checked_ber(ber_threshold, c.shape[-1])
     n = c.size
-    if n > n_limit:
+    if n > _N_LIMIT:
         raise SolverError(f"exhaustive search over {n} subcarriers exceeds "
-                          f"the limit {n_limit}; raise n_limit only if you "
-                          f"really mean it")
+                          f"the limit {_N_LIMIT}")
     _, limits = cap_limits(caps.total_cap, caps.aci_caps)
-    omega = overlap_matrix(caps.aci_weights.omega if omega is None else omega,
-                           n, limits.size - 1)
+    omega = overlap_matrix(_own_overlap(caps, omega), n, limits.size - 1)
 
     if (isinstance(b_max, bool) or not isinstance(b_max, numbers.Real)
             or not 2 <= b_max <= _MAX_BITS or b_max % 1):

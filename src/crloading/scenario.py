@@ -125,11 +125,6 @@ class SuParams:
         _power, lambda p: 0 <= p < math.inf,
         "power must be finite and non-negative", tones=True, default=0.0)
 
-    @property
-    def band_width(self) -> float:
-        """Total SU band width in Hz."""
-        return self.num_subcarriers * self.subcarrier_spacing
-
 
 @dataclass(frozen=True)
 class PathLossParams:

@@ -7,7 +7,9 @@ bit.  Each round here runs on every tone of every row left: mu is (T, N)
 whatever the multipliers, every load column multiplies by its weights, bits
 are taken on every row still looping, and a repair round orders all of a
 row's live tones.  The repair gathers the rows over a cap by index and
-sums every load column through one (T, 1+L) array."""
+sums every load column through one (T, 1+L) array.  Its powers are
+``_pricing``'s 2^b - 1 times ``plan.neglog``, as the shipped repair prices
+them, so an empty tone costs +0.0 W."""
 
 import numpy as np
 
@@ -217,7 +219,7 @@ def _repair_block(cont_bits, cnir, plan, max_bits):
     bits = bits.astype(int)
     den = 1.6 * cnir
     cost, head, down = _pricing(bits.max())
-    powers = cost[bits] * plan.lg / den
+    powers = cost[bits] * plan.neglog / den
     sums = _cap_sums(powers, plan.omega)
     steps = np.zeros(bits.shape[0], dtype=int)
     todo = (sums > plan.limits).any(1).nonzero()[0]
@@ -225,7 +227,7 @@ def _repair_block(cont_bits, cnir, plan, max_bits):
         b, d = bits[todo], den[todo]
         steps[todo] = _strip(b, d, sums[todo], plan, head, down)
         bits[todo] = b
-        powers[todo] = cost[b] * plan.lg / d
+        powers[todo] = cost[b] * plan.neglog / d
         # Recompute the sums from scratch to shed accumulated rounding.
         sums[todo] = _cap_sums(powers[todo], plan.omega)
     if np.count_nonzero(sums <= plan.limits) < sums.size:

@@ -10,7 +10,7 @@ import numpy as np
 
 from crloading import experiments
 from crloading.constraints import build_caps
-from crloading.discretizer import _repair_block, round_and_repair
+from crloading.discretizer import _repair, round_and_repair
 from crloading.experiments import run_monte_carlo, run_trial
 from crloading.kkt import kkt_verify
 from crloading.scenario import load_scenario
@@ -29,7 +29,7 @@ def assert_rows_match_one_row_solves(cnir, alpha, ber, total_cap, omega,
     caps = make_caps(cnir.shape[1], total_cap, aci_caps, omega)
     plan = prepare(alpha, ber, total_cap, omega, aci_caps, cnir.shape[1])
     bits, powers, lam, active = _solve_block(cnir, plan)
-    d_bits, d_powers, steps = _repair_block(bits, cnir, plan, max_bits)
+    d_bits, d_powers, steps = _repair(bits, cnir, plan, max_bits)[:3]
     cases = []
     for t, c in enumerate(cnir):
         sol = solve_capped(c, alpha, ber, total_cap, omega, aci_caps)
@@ -114,6 +114,14 @@ class TestMonteCarloBlocks:
         rows = [run_trial(cfg, caps, t, 99)[:6] for t in range(trials)]
         stats = run_monte_carlo(cfg, trials, 99, caps=caps)
         assert stats.to_dict() == reduce_rows(rows)
+
+    def test_nulled_tones_cost_positive_zero(self):
+        # the repaired powers of one run_monte_carlo block of small_n6
+        cfg = load_scenario("configs/small_n6.json")
+        powers = experiments._block(cfg, build_caps(cfg), cfg.experiment.seed,
+                                    range(200))[1][1]
+        assert np.count_nonzero(powers == 0.0) > 100
+        assert not np.signbit(powers).any()
 
 
 class TestFuzzFourAdjacentBands:

@@ -13,6 +13,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import crloading.cli as cli
@@ -86,6 +87,13 @@ class TestSolve:
         assert doc["powers"] == [float(p) for p in alloc.powers]
         first = json.loads(run(capsys, "solve", "--config", SMALL)[1])
         assert first["bits"] != doc["bits"]
+
+    def test_nulled_tones_print_positive_zero(self, capsys):
+        # trial 3 of small_n6 sends no power on three of its tones
+        out = run(capsys, "solve", "--config", SMALL, "--trial", "3")[1]
+        powers = json.loads(out)["powers"]
+        assert powers.count(0.0) == 3
+        assert not np.signbit(powers).any()
 
     def test_violations_are_the_trials_flags(self, capsys):
         # trial 11 of small_n6 violates the adjacent-channel cap

@@ -136,7 +136,7 @@ class TestCheckFeasible:
     def test_all_zero_is_feasible(self):
         n = 4
         alloc = Allocation(bits=np.zeros(n, dtype=int), powers=np.zeros(n),
-                           objective=0.0, feasible=True, repair_steps=0)
+                           objective=0.0, repair_steps=0)
         rep = check_feasible(alloc, make_caps(n, 1.0, [1e-3]),
                             np.full(n, 50.0), 1e-4)
         assert rep.feasible
@@ -147,7 +147,7 @@ class TestCheckFeasible:
         bits = np.array([4, 2])
         powers = power_for_bits(bits, c, 1e-4)
         alloc = Allocation(bits=bits, powers=powers, objective=0.0,
-                           feasible=True, repair_steps=0)
+                           repair_steps=0)
         rep = check_feasible(alloc, make_caps(2, 10.0), c, 1e-4)
         assert rep.feasible
         assert rep.ber_ok.all()
@@ -156,7 +156,7 @@ class TestCheckFeasible:
         c = np.array([100.0])
         powers = np.array([1.01])
         alloc = Allocation(bits=np.array([4]), powers=powers, objective=0.0,
-                           feasible=False, repair_steps=0)
+                           repair_steps=0)
         rep = check_feasible(alloc, make_caps(1, 1.0), c, 1e-1)
         assert not rep.power_ok
         assert not rep.feasible
@@ -167,7 +167,7 @@ class TestCheckFeasible:
         caps = make_caps(2, np.inf, [0.1], omega=[[0.5], [0.5]])
         alloc = Allocation(bits=np.array([2, 2]),
                            powers=np.array([0.2, 0.2]), objective=0.0,
-                           feasible=False, repair_steps=0)
+                           repair_steps=0)
         rep = check_feasible(alloc, caps, c, 1e-1)
         assert not rep.aci_ok[0]
         assert rep.worst_margin == pytest.approx(1.0, rel=1e-9)
@@ -177,7 +177,7 @@ class TestCheckFeasible:
         c = np.array([100.0])
         p = power_for_bits(np.array([4]), c, 1e-4) * 2.0
         alloc = Allocation(bits=np.array([4]), powers=p, objective=0.0,
-                           feasible=True, repair_steps=0)
+                           repair_steps=0)
         assert check_feasible(alloc, make_caps(1, 10.0), c, 1e-4).feasible
 
     def test_scaling_up_never_fixes_a_violation(self, rng):
@@ -188,11 +188,11 @@ class TestCheckFeasible:
         bits = np.full(5, 0, dtype=int)  # skip the BER leg; power legs only
         base = check_feasible(
             Allocation(bits=bits, powers=powers, objective=0.0,
-                       feasible=True, repair_steps=0), caps, c, 1e-4)
+                       repair_steps=0), caps, c, 1e-4)
         for scale in (1.5, 3.0, 10.0):
             worse = check_feasible(
                 Allocation(bits=bits, powers=powers * scale, objective=0.0,
-                           feasible=True, repair_steps=0), caps, c, 1e-4)
+                           repair_steps=0), caps, c, 1e-4)
             if not base.power_ok:
                 assert not worse.power_ok
             if not base.aci_ok.all():
@@ -201,13 +201,13 @@ class TestCheckFeasible:
 
     def test_dimension_mismatch(self):
         alloc = Allocation(bits=np.zeros(3, dtype=int), powers=np.zeros(3),
-                           objective=0.0, feasible=True, repair_steps=0)
+                           objective=0.0, repair_steps=0)
         with pytest.raises(Exception):
             check_feasible(alloc, make_caps(4, 1.0), np.full(4, 50.0), 1e-4)
 
     def test_report_serializes(self):
         alloc = Allocation(bits=np.zeros(2, dtype=int), powers=np.zeros(2),
-                           objective=0.0, feasible=True, repair_steps=0)
+                           objective=0.0, repair_steps=0)
         d = check_feasible(alloc, make_caps(2, 1.0), np.full(2, 50.0),
                            1e-4).to_dict()
         assert d["feasible"] is True
@@ -228,7 +228,7 @@ class TestEveryConsumerReadsOneCapRule:
     def verdicts(self, cnir, bits, caps):
         powers = power_for_bits(bits, cnir, self.BER)
         alloc = Allocation(bits=bits, powers=powers, objective=0.0,
-                           feasible=True, repair_steps=0)
+                           repair_steps=0)
         relaxed = types.SimpleNamespace(
             bits=bits.astype(float), powers=powers, lambda_power=0.0,
             lambda_aci=np.zeros(caps.aci_caps.size), alpha=self.ALPHA)

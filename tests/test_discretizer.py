@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from crloading import discretizer
-from crloading.discretizer import (Allocation, _cap_sums, _pricing,
-                                   _repair_block, power_for_bits,
-                                   round_and_repair)
+from crloading.channel import AciFactors
+from crloading.constraints import ConstraintCaps, check_feasible
+from crloading.discretizer import (Allocation, _cap_sums, _pricing, _repair,
+                                   power_for_bits, round_and_repair)
 from crloading.errors import SolverError
 from crloading.scenario import _MAX_BITS
 from crloading.solver import (FEAS_TOL, objective_value, prepare,
@@ -89,7 +90,7 @@ class TestPowerForBits:
         assert np.array_equal(power_for_bits(b, c, ber, max_bits=100), old)
         cost, head, _ = _pricing(100)
         lg, den = np.log(5.0 * ber), 1.6 * c
-        assert np.array_equal(np.where(b == 0, 0.0, cost[b] * lg / den), old)
+        assert np.array_equal(cost[b] * -lg / den, old)
         assert np.array_equal(-(head[b] * lg / den),
                               _reference_marginal_power(b, c, ber))
 
@@ -102,7 +103,7 @@ class TestPowerForBits:
             warnings.simplefilter("error")
             p = power_for_bits(1014, 1.0, ber, max_bits=1014)
             cost, _, _ = _pricing(1014)
-            price = cost[1014] * np.log(5.0 * ber) / (1.6 * 1.0)
+            price = cost[1014] * -np.log(5.0 * ber) / (1.6 * 1.0)
         assert math.isfinite(p) and p == price
         with np.errstate(over="ignore"):
             assert power_for_bits(1015, 1.0, ber, max_bits=1015) == math.inf
@@ -142,7 +143,7 @@ class TestRounding:
         out = self.round_only([3.8, 4.2], [100.0, 100.0])
         np.testing.assert_allclose(out.powers, [P4_100, P4_100], rtol=1e-12)
         assert out.repair_steps == 0
-        assert out.feasible
+        assert check_feasible(out, make_caps(2), [100.0, 100.0], 1e-4).feasible
 
 
 class TestRepair:
@@ -156,7 +157,8 @@ class TestRepair:
         assert out.repair_steps == 1
         assert np.sum(out.powers) == pytest.approx(1.8527199745133822,
                                                    rel=1e-12)
-        assert out.feasible
+        assert check_feasible(out, make_caps(3, 2.2), [100.0, 50.0, 30.0],
+                              1e-4).feasible
 
     def test_tie_breaks_to_lowest_index(self):
         # identical CNIR, identical bits: both tones offer the same saving
@@ -197,7 +199,8 @@ class TestRepair:
                                np.array([100.0, 50.0]), 1e-4)
         assert np.all(out.bits == 0)
         assert np.all(out.powers == 0.0)
-        assert out.feasible
+        assert check_feasible(out, make_caps(2, 0.0), [100.0, 50.0],
+                              1e-4).feasible
 
     def test_negative_cap_is_hopeless(self):
         with pytest.raises(SolverError, match="repair"):
@@ -228,7 +231,7 @@ class TestEndToEnd:
         for _ in range(200):
             cnir, alpha, ber, caps = random_instance(rng)
             _, out = self.pipeline(cnir, alpha, ber, caps)
-            assert out.feasible
+            assert check_feasible(out, caps, cnir, ber).feasible
             assert np.sum(out.powers) <= caps.total_cap * (1 + 1e-9)
             loads = caps.aci_weights.omega.T @ out.powers
             assert np.all(loads <= caps.aci_caps * (1 + 1e-9))
@@ -276,7 +279,9 @@ class TestOverlapArgument:
         out = round_and_repair(cont([5.0, 4.0]), self.CAPS, None, cnir, 1e-4)
         ref = round_and_repair(cont([5.0, 4.0]), self.CAPS,
                                self.CAPS.aci_weights.omega, cnir, 1e-4)
-        assert list(out.bits) == list(ref.bits) == [4, 4]
+        copy = round_and_repair(cont([5.0, 4.0]), self.CAPS,
+                                [[0.6], [0.05]], cnir, 1e-4)  # an equal array
+        assert list(out.bits) == list(ref.bits) == list(copy.bits) == [4, 4]
         load = float(self.CAPS.aci_weights.omega[:, 0] @ out.powers)
         assert load <= 0.5
 
@@ -286,8 +291,14 @@ class TestOverlapArgument:
         [0.6, 0.05],                    # a vector, not an (N, L) matrix
     ], ids=["extra_column", "extra_row", "one_dimensional"])
     def test_misshapen_overlap_matrix_rejected(self, omega):
-        with pytest.raises(SolverError, match="overlap matrix shape"):
+        with pytest.raises(SolverError, match="the caps' own"):
             round_and_repair(cont([5.0, 4.0]), self.CAPS, omega,
+                             np.array([100.0, 50.0]), 1e-4)
+        # the caps' own matrix misshapen: the plan refuses it
+        caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
+                              aci_weights=AciFactors(np.array(omega)))
+        with pytest.raises(SolverError, match="overlap matrix shape"):
+            round_and_repair(cont([5.0, 4.0]), caps, None,
                              np.array([100.0, 50.0]), 1e-4)
 
     def test_two_caps_without_overlap_matrix_argument(self):
@@ -368,7 +379,7 @@ def reference_round_and_repair(continuous, caps, omega, cnir, ber_threshold,
                           "feasibility")
     return Allocation(bits=bits, powers=powers,
                       objective=objective_value(bits, powers, alpha),
-                      feasible=feasible, repair_steps=steps)
+                      repair_steps=steps)
 
 
 def repair_instance(rng, n=None):
@@ -421,7 +432,6 @@ def assert_same_allocation(got, ref):
     assert np.array_equal(got.powers, ref.powers)
     assert got.objective == ref.objective
     assert got.repair_steps == ref.repair_steps
-    assert got.feasible == ref.feasible
 
 
 class TestMatchesReferenceLoop:
@@ -462,8 +472,9 @@ def assert_block_matches_reference(conts, cnirs, caps, omega, ber, max_bits):
     returns the reference allocations."""
     plan = prepare(conts[0].alpha, ber, caps.total_cap, omega, caps.aci_caps,
                    len(cnirs[0]))
-    bits, powers, steps = _repair_block(
-        np.array([c.bits for c in conts]), np.array(cnirs), plan, max_bits)
+    bits, powers, steps = _repair(
+        np.array([c.bits for c in conts]), np.array(cnirs), plan,
+        max_bits)[:3]
     refs = [reference_round_and_repair(c, caps, omega, cn, ber, max_bits)
             for c, cn in zip(conts, cnirs)]
     for t, ref in enumerate(refs):

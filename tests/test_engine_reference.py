@@ -19,7 +19,7 @@ import engine_reference as ref
 from conftest import adjacent_band_scenario
 from crloading import discretizer, experiments, solver
 from crloading.constraints import build_caps
-from crloading.discretizer import _pricing, _repair_block, round_and_repair
+from crloading.discretizer import _pricing, _repair, round_and_repair
 from crloading.experiments import run_trial
 from crloading.scenario import apply_parameter, load_scenario
 from crloading.solver import (_solve_block, cnir_threshold, prepare,
@@ -37,10 +37,10 @@ def assert_engine_matches_reference(cnir, plan, max_bits, monkeypatch):
     for got, want in zip(solved, ref._solve_block(cnir, plan)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
-    repaired = _repair_block(solved[0], cnir, plan, max_bits)
+    repaired = _repair(solved[0], cnir, plan, max_bits)[:3]
     with monkeypatch.context() as m:
         m.setattr(discretizer, "_strip", ref._strip)
-        expected = _repair_block(solved[0], cnir, plan, max_bits)
+        expected = _repair(solved[0], cnir, plan, max_bits)[:3]
     for got, want in zip(repaired, expected):
         assert np.array_equal(got, want)
     for got, want in zip(repaired, ref._repair_block(solved[0], cnir, plan,
@@ -217,7 +217,7 @@ def tied_rows(rng, t, n, eights):
     cnir = np.full((t, n), 100.0)
     lg = prepare(0.5, 1e-4, math.inf, None, (), n).lg
     cost, head, _ = _pricing(16)
-    power = float(np.sum(cost[row.astype(int)] * lg / 160.0))
+    power = float(np.sum(cost[row.astype(int)] * -lg / 160.0))
     total = power - 4.5 * head[8] * -lg[0] / 160.0
     return bits, cnir, prepare(0.5, 1e-4, total, None, (), n)
 
@@ -235,10 +235,10 @@ def test_narrowed_round_boundary_inside_tied_savings(sort_all, monkeypatch):
     rng = np.random.default_rng(1234)
     cont, cnir, plan = tied_rows(rng, 12, 128, 45)
     assert cont.size > 1024
-    bits, _, steps = _repair_block(cont, cnir, plan, 16)
+    bits, _, steps = _repair(cont, cnir, plan, 16)[:3]
     with monkeypatch.context() as m:
         m.setattr(discretizer, "_strip", ref._strip)
-        want_bits, _, want_steps = _repair_block(cont, cnir, plan, 16)
+        want_bits, _, want_steps = _repair(cont, cnir, plan, 16)[:3]
     assert np.array_equal(bits, want_bits)
     assert np.array_equal(steps, want_steps)
     # the greedy strips the lowest-index 8-bit tones of each row first

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crloading import experiments, solver
 from crloading.channel import sample_sp_gain, sample_su_channel
-from crloading.constraints import build_caps
+from crloading.constraints import build_caps, check_feasible
 from crloading.errors import ConfigError, SolverError
 from crloading.experiments import (
     AggregateStats,
@@ -187,7 +187,10 @@ class TestRunTrial:
                                                     cfg.experiment.seed)
             assert tput == float(np.sum(alloc.bits))
             assert power == pytest.approx(float(np.sum(alloc.powers)))
-            assert alloc.feasible
+            cnir = sample_su_channel(cfg.su,
+                                     trial_rng(cfg.experiment.seed, i)).cnir
+            assert check_feasible(alloc, caps, cnir,
+                                  cfg.su.ber_threshold).feasible
             assert np.sum(alloc.powers) <= caps.total_cap * (1 + 1e-9)
 
 

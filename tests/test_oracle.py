@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crloading.channel import sample_su_channel
-from crloading.constraints import build_caps
+from crloading.channel import AciFactors, sample_su_channel
+from crloading.constraints import ConstraintCaps, build_caps
 from crloading.discretizer import power_for_bits
 from crloading.errors import SolverError
 from crloading.experiments import trial_rng
@@ -88,8 +88,13 @@ class TestOverlapArgument:
         [[0.6, 0.1], [0.05, 0.2]], [[0.6]], [0.6, 0.05],
     ], ids=["extra_column", "missing_row", "one_dimensional"])
     def test_misshapen_overlap_matrix_rejected(self, omega):
-        with pytest.raises(SolverError, match="overlap matrix shape"):
+        with pytest.raises(SolverError, match="the caps' own"):
             exhaustive_search(C2, 0.5, 1e-4, self.CAPS, omega=omega)
+        # the caps' own matrix misshapen: the search refuses it
+        caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
+                              aci_weights=AciFactors(np.array(omega)))
+        with pytest.raises(SolverError, match="overlap matrix shape"):
+            exhaustive_search(C2, 0.5, 1e-4, caps)
 
 
 class TestCnirChecked:
@@ -187,12 +192,6 @@ class TestSearchMechanics:
         cnir = np.full(11, 100.0)
         with pytest.raises(SolverError, match="exhaustive"):
             exhaustive_search(cnir, 0.5, 1e-4, make_caps(11, 1.0), b_max=4)
-
-    def test_limit_can_be_raised_explicitly(self):
-        cnir = np.full(11, 100.0)
-        res = exhaustive_search(cnir, 0.5, 1e-4, make_caps(11, 0.3),
-                                b_max=2, n_limit=11)
-        assert res.bits.size == 11
 
     def test_raising_bmax_never_hurts(self, rng):
         for _ in range(15):

@@ -10,9 +10,10 @@ import pytest
 
 from crloading import constraints, experiments
 from crloading.constraints import build_caps
-from crloading.discretizer import _repair_block, round_and_repair
+from crloading.discretizer import _repair, round_and_repair
 from crloading.errors import SolverError
 from crloading.experiments import run_trial
+from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
 from crloading.solver import prepare, solve_capped, solve_continuous
 
@@ -63,8 +64,8 @@ class TestCachedPlanMatchesRawArguments:
             assert_same(cached, raw)
             plan = prepare(su.alpha, su.ber_threshold, caps.total_cap,
                            omega.copy(), caps.aci_caps, n)
-            bits, powers, steps = _repair_block(raw.bits[None], cnir[None],
-                                                plan, su.max_bits)
+            bits, powers, steps = _repair(raw.bits[None], cnir[None], plan,
+                                          su.max_bits)[:3]
             alloc = round_and_repair(cached, caps, None, cnir,
                                      su.ber_threshold, su.max_bits)
             assert np.array_equal(alloc.bits, bits[0])
@@ -133,13 +134,16 @@ class TestNotStale:
         sol = solve_continuous(cnir, tighter, SU)
         assert np.sum(sol.powers) == pytest.approx(0.5, rel=1e-12)
 
-    def test_other_overlap_matrix_gets_a_plan_of_its_own(self):
+    def test_foreign_overlap_matrix_raises(self):
         caps = make_caps(2, np.inf, [0.5], [[0.6], [0.05]])
         cont = types.SimpleNamespace(bits=np.array([5.0, 4.0]), alpha=0.5)
         cnir = np.array([100.0, 50.0])
         own = round_and_repair(cont, caps, None, cnir, 1e-4)
-        other = round_and_repair(cont, caps, [[0.06], [0.005]], cnir, 1e-4)
-        assert list(own.bits) == [4, 4] and list(other.bits) == [5, 4]
+        assert list(own.bits) == [4, 4]
+        with pytest.raises(SolverError, match="the caps' own"):
+            round_and_repair(cont, caps, [[0.06], [0.005]], cnir, 1e-4)
+        with pytest.raises(SolverError, match="the caps' own"):
+            exhaustive_search(cnir, 0.5, 1e-4, caps, [[0.06], [0.005]])
         assert caps.plan(0.5, 1e-4).omega[0, 0] == 0.6
 
 

@@ -82,7 +82,6 @@ class TestLoader:
     def test_spacing_derived_from_duration(self):
         cfg = load_scenario(base_dict())
         assert cfg.su.subcarrier_spacing == pytest.approx(9765.625, rel=1e-12)
-        assert cfg.su.band_width == pytest.approx(8 * 9765.625)
 
     def test_duration_derived_from_spacing(self):
         d = base_dict()
