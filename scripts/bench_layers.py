@@ -24,7 +24,8 @@ total power, 7: ACI caps alone, 8: both).  Every figure is the median and
 quartiles of the repeats (of the trials, for the call count).
 
 Three figures close the file: one small_n6 ``exhaustive_search`` call
-per repeat, pruned (the default, with the nodes it visits) and flat
+per repeat, pruned (the default, with the nodes it visits and its median
+time per node) and flat
 (``prune=False``, with the tracemalloc peak of one flat call), and one
 ``compare_with_oracle`` run at acceptance criterion 6's N=8 config
 (``--c6-instances`` draws, 100 as the criterion runs it), whose
@@ -339,6 +340,8 @@ def report(docs):
     calls = [d["oracle_small_n6_call"] for d in docs]
     print(f"{'small_n6':16s} {'oracle_call_ms':26s} {cell(calls)} ms ("
           + " -> ".join(str(c["nodes_visited"]) for c in calls) + " nodes)")
+    print(f"{'small_n6':16s} {'oracle_us_per_node':26s} "
+          + " -> ".join(f"{c['us_per_node']:10.2f}" for c in calls) + " us")
     flat = [d["oracle_small_n6_flat"] for d in docs]
     print(f"{'small_n6':16s} {'flat_call_ms':26s} {cell(flat)} ms")
     print(f"{'small_n6':16s} {'flat_peak_mib':26s} "
@@ -381,9 +384,11 @@ def main():
             [{"oracle": timed(oracle_search(t, True), 1),
               "flat": timed(oracle_search(t, False), 1)} for t in trees],
             args.repeats)):
+        call = summary(samples["oracle"], 1e3, "ms")
+        nodes = oracle_search(t, True)().nodes_visited
         doc["oracle_small_n6_call"] = {
-            **summary(samples["oracle"], 1e3, "ms"),
-            "nodes_visited": oracle_search(t, True)().nodes_visited}
+            **call, "nodes_visited": nodes,
+            "us_per_node": 1e3 * call["median"] / nodes}
         doc["oracle_small_n6_flat"] = {
             **summary(samples["flat"], 1e3, "ms"),
             "peak_mib": peak_mib(oracle_search(t, False))}

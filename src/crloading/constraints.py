@@ -21,7 +21,7 @@ import numpy as np
 
 from .channel import AciFactors, aci_overlap_matrix
 from .discretizer import _cap_sums
-from .errors import ConfigError
+from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig, path_loss_db
 from .solver import FEAS_TOL, Plan, cap_limits, prepare
 
@@ -166,6 +166,18 @@ def ber_audit(bits, powers, cnir, ber_threshold):
             excess / ceiling, ber)
 
 
+def _check_tones(bits, powers, cnir, caps: ConstraintCaps):
+    """``SolverError`` naming the shapes unless bits, powers and CNIR each
+    have one entry per row of the caps' overlap matrix."""
+    shapes = np.shape(bits), np.shape(powers), np.shape(cnir)
+    omega = caps.aci_weights.omega
+    if shapes != (omega.shape[:1],) * 3:
+        raise SolverError(
+            f"bits {shapes[0]}, powers {shapes[1]} and CNIR {shapes[2]} must "
+            f"each have one entry per row of the caps' overlap matrix "
+            f"{omega.shape}")
+
+
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
                    ber_threshold) -> FeasibilityReport:
     """Verify an allocation (discrete or continuous) against every constraint.
@@ -173,7 +185,10 @@ def check_feasible(alloc, caps: ConstraintCaps, cnir,
     A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
     (``ber_audit``, ``cap_audit``).  Margins are relative violations (excess
     / ceiling or cap), so a feasible allocation reports a worst margin of 0.
+    Bits, powers and CNIR must each have one entry per tone of the caps
+    (``SolverError`` otherwise).
     """
+    _check_tones(alloc.bits, alloc.powers, cnir, caps)
     ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, cnir,
                                          ber_threshold)
     ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)

@@ -301,7 +301,8 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     """Proposed pipeline vs the pruned exhaustive search on random draws.
 
     The relative optimality gap is (F_proposed - F_opt) / |F_opt| (both
-    objectives are negative for any non-trivial instance).
+    objectives are negative for any non-trivial instance).  A
+    ``SolverError`` in instance t is re-raised naming t and the master seed.
     """
     instances = _integer(instances, "instances", 1)
     master_seed = _seed(cfg, master_seed)
@@ -311,14 +312,18 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     for t in range(instances):
         rng = trial_rng(master_seed, t)
         real = sample_su_channel(su, rng)
-        t0 = time.perf_counter()
-        sol = solve_continuous(real, caps, su)
-        alloc = round_and_repair(sol, caps, None, real.cnir,
-                                 su.ber_threshold, su.max_bits)
-        t1 = time.perf_counter()
-        opt = exhaustive_search(real.cnir, su.alpha, su.ber_threshold, caps,
-                                b_max=su.max_bits)
-        t2 = time.perf_counter()
+        try:
+            t0 = time.perf_counter()
+            sol = solve_continuous(real, caps, su)
+            alloc = round_and_repair(sol, caps, None, real.cnir,
+                                     su.ber_threshold, su.max_bits)
+            t1 = time.perf_counter()
+            opt = exhaustive_search(real.cnir, su.alpha, su.ber_threshold,
+                                    caps, b_max=su.max_bits)
+            t2 = time.perf_counter()
+        except SolverError as exc:
+            raise SolverError(f"instance {t} of master seed {master_seed} "
+                              f"failed: {exc}") from exc
         if opt.objective != 0.0:
             gap = (alloc.objective - opt.objective) / abs(opt.objective)
         else:

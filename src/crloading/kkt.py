@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ber_audit, cap_audit
+from .constraints import _check_tones, ber_audit, cap_audit
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,11 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
 
     Nulled subcarriers sit outside the continuous problem (their BER model
     degenerates), so the per-subcarrier conditions are evaluated on the
-    active set only.
+    active set only.  Bits, powers and CNIR must each have one entry per
+    tone of the caps (``SolverError`` otherwise).
     """
     tols = tols or KktTolerances()
+    _check_tones(solution.bits, solution.powers, cnir, caps)
     c = np.asarray(cnir, dtype=float)
     alpha = solution.alpha
     omega = caps.aci_weights.omega

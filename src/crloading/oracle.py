@@ -9,9 +9,10 @@ objective.  Two equivalent engines:
   of per-subcarrier unconstrained minima as an admissible bound.  Search
   order (subcarrier-major, bit values ascending) makes the first incumbent
   among objective ties the lexicographically smallest, and pruning on
-  ">= incumbent" preserves that.  Its nodes read Python lists but keep the
-  cap loads as numpy vectors: float loads would leave the solver short of
-  acceptance criterion 6's 100x speedup over this search.
+  ">= incumbent" preserves that.  Each tone's (power, objective term, load
+  increment) tuples are built once per search; the cap loads stay numpy
+  vectors, as float loads would leave the solver short of acceptance
+  criterion 6's 100x speedup over this search.
 * ``prune=False``: flat vectorized enumeration in lexicographic order.  The
   last m tones' d^m digit combinations are the rows of one reused (d^m, N)
   power block; each combination of the leading digits, in C order, refills
@@ -99,12 +100,16 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
 
 def _search_dfs(pcand, fcand, omega, limits, lo, hi):
     """Digits of the best vector, and the nodes visited."""
-    d, n = pcand.shape
+    n = pcand.shape[1]
     # Admissible bound: unconstrained per-subcarrier minima, suffix-summed.
     fmin = fcand.min(axis=0)
     bound = np.concatenate([np.cumsum(fmin[::-1])[::-1], [0.0]]).tolist()
-    # Per tone: candidate powers and objective terms as floats, overlap row.
-    pows, fs, rows = pcand.T.tolist(), fcand.T.tolist(), list(omega)
+    # Per tone, per candidate: power and objective term as floats, and the
+    # load increment p * omega[i] a node adds (inf power times 0 is nan).
+    with np.errstate(invalid="ignore"):
+        incs = pcand.T[:, :, None] * omega[:, None, :]          # (n, d, L)
+    tones = [list(zip(*cand)) for cand
+             in zip(pcand.T.tolist(), fcand.T.tolist(), incs)]
     pow_lo, pow_hi, aci_lo, aci_hi = float(lo[0]), float(hi[0]), lo[1:], hi[1:]
 
     best_f = 0.0
@@ -124,17 +129,15 @@ def _search_dfs(pcand, fcand, omega, limits, lo, hi):
             best_f = cur_f
             best = choice.copy()
             return
-        p_i, f_i, w_i = pows[i], fs[i], rows[i]
-        for k in range(d):
+        for k, (p, f, w) in enumerate(tones[i]):
             nodes += 1
-            p = p_i[k]
             if cur_p + p > pow_hi:
                 break                   # power grows with bits: later k worse
-            loads = cur_loads + p * w_i
+            loads = cur_loads + w
             if (loads > aci_hi).any():
                 break
             choice[i] = k
-            dfs(i + 1, cur_f + f_i[k], cur_p + p, loads)
+            dfs(i + 1, cur_f + f, cur_p + p, loads)
         choice[i] = 0
 
     dfs(0, 0.0, 0.0, np.zeros(omega.shape[1]))

@@ -13,12 +13,14 @@ from crloading.constraints import (
     cci_power_cap,
     check_feasible,
 )
+from crloading.channel import sample_su_channel
 from crloading.discretizer import Allocation, power_for_bits, round_and_repair
-from crloading.errors import ConfigError
+from crloading.errors import ConfigError, SolverError
+from crloading.experiments import trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
-from crloading.solver import FEAS_TOL
+from crloading.solver import FEAS_TOL, solve_capped, solve_continuous
 
 from conftest import make_caps
 
@@ -202,7 +204,7 @@ class TestCheckFeasible:
     def test_dimension_mismatch(self):
         alloc = Allocation(bits=np.zeros(3, dtype=int), powers=np.zeros(3),
                            objective=0.0, repair_steps=0)
-        with pytest.raises(Exception):
+        with pytest.raises(SolverError, match="one entry per row"):
             check_feasible(alloc, make_caps(4, 1.0), np.full(4, 50.0), 1e-4)
 
     def test_report_serializes(self):
@@ -212,6 +214,46 @@ class TestCheckFeasible:
                            1e-4).to_dict()
         assert d["feasible"] is True
         assert isinstance(d["ber_ok"], list)
+
+
+class TestToneCounts:
+    """Both audits refuse bits, powers or a CNIR without one entry per row
+    of the caps' overlap matrix, and name the shapes."""
+
+    AUDITS = {
+        "check_feasible": lambda sol, alloc, caps, cnir: check_feasible(
+            alloc, caps, cnir, 1e-4),
+        "kkt_verify": lambda sol, alloc, caps, cnir: kkt_verify(
+            sol, cnir, 1e-4, caps),
+    }
+
+    @pytest.mark.parametrize("audit", sorted(AUDITS))
+    def test_cnir_a_tone_short(self, audit):
+        # a 5-tone CNIR against small_n6's 6-tone solution and allocation
+        cfg = load_scenario("configs/small_n6.json")
+        su, caps = cfg.su, build_caps(cfg)
+        cnir = sample_su_channel(su, trial_rng(42, 0)).cnir
+        sol = solve_continuous(cnir, caps, su)
+        alloc = round_and_repair(sol, caps, None, cnir, su.ber_threshold,
+                                 su.max_bits)
+        with pytest.raises(SolverError, match=(
+                r"bits \(6,\), powers \(6,\) and CNIR \(5,\) must each "
+                r"have one entry per row of the caps' overlap matrix "
+                r"\(6, 1\)")):
+            self.AUDITS[audit](sol, alloc, caps, cnir[:5])
+
+    @pytest.mark.parametrize("audit", sorted(AUDITS))
+    def test_band_narrower_than_caps_without_adjacent_pus(self, audit):
+        # cci_binding's caps are for 32 tones and weight none of them
+        caps = build_caps(load_scenario("configs/cci_binding.json"))
+        cnir = np.array([100.0, 50.0, 25.0])
+        sol = solve_capped(cnir, 0.5, 1e-4)
+        alloc = Allocation(bits=np.zeros(3, dtype=int), powers=np.zeros(3),
+                           objective=0.0, repair_steps=0)
+        with pytest.raises(SolverError, match=(
+                r"bits \(3,\), powers \(3,\) and CNIR \(3,\) .* "
+                r"overlap matrix \(32, 0\)")):
+            self.AUDITS[audit](sol, alloc, caps, cnir)
 
 
 class TestEveryConsumerReadsOneCapRule:

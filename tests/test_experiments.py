@@ -397,6 +397,23 @@ class TestOracleComparison:
         assert [r[1:4] for r in cmp.rows] == [(0.0, 0.0, 0.0)] * 3
         assert cmp.median_gap == cmp.max_gap == 0.0
 
+    def test_failed_instance_names_itself_and_the_seed(self, monkeypatch):
+        # the third search (instance 2) raises: the error names instance 2
+        search, calls = experiments.exhaustive_search, []
+
+        def third_fails(*args, **kw):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverError("injected failure")
+            return search(*args, **kw)
+
+        monkeypatch.setattr(experiments, "exhaustive_search", third_fails)
+        with pytest.raises(SolverError,
+                           match="^instance 2 of master seed 5 failed: "
+                                 "injected failure$"):
+            compare_with_oracle(small_cfg(), instances=4, master_seed=5)
+        assert len(calls) == 3
+
     def test_deterministic_given_seed(self):
         a = compare_with_oracle(small_cfg(), instances=6, master_seed=5)
         b = compare_with_oracle(small_cfg(), instances=6, master_seed=5)

@@ -16,6 +16,7 @@ import pytest
 
 from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
+from crloading.errors import SolverError
 from crloading.experiments import trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.scenario import load_scenario
@@ -198,6 +199,6 @@ class TestTolerancesAndReport:
 
     def test_dimension_mismatch_raises(self):
         sol = solve_capped(C2, 0.5, 1e-4)
-        with pytest.raises(Exception):
+        with pytest.raises(SolverError, match="one entry per row"):
             kkt_verify(sol, np.array([100.0, 50.0, 25.0]), 1e-4,
                        free_caps(3))

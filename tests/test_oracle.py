@@ -209,12 +209,16 @@ class TestBmaxChecked:
         b = exhaustive_search(C2, 0.5, 1e-4, make_caps(2, 2.0), b_max=8)
         assert list(a.bits) == list(b.bits) and a.objective == b.objective
 
-    def test_top_bit_count_at_a_tiny_cnir(self):
+    @pytest.mark.parametrize("caps", [
+        make_caps(2, 2.0), make_caps(2, 2.0, [1.0], omega=[[0.0], [0.5]]),
+    ], ids=["no_band", "band_unweighted_on_the_tiny_tone"])
+    def test_top_bit_count_at_a_tiny_cnir(self, caps):
         # the 1e-3 tone's top powers pass the float range: they are inf,
         # with no overflow warning (an error under the test settings), and
-        # the search returns its b_max = 8 answer
+        # the search returns its b_max = 8 answer; their load increments
+        # (inf times a weight of 0) raise no warning either
         assert power_for_bits(1014, 1e-3, 1e-4, max_bits=1014) == math.inf
-        cnir, caps = np.array([1e-3, 50.0]), make_caps(2, 2.0)
+        cnir = np.array([1e-3, 50.0])
         want = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=8)
         got = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=1014)
         assert list(got.bits) == list(want.bits) == [0, 4]
@@ -274,3 +278,87 @@ class TestStreamedFlatSearch:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+
+def three_band_config():
+    """small_n6's link beside three adjacent bands drawn from seed 8, whose
+    caps bind: the third band's load reaches 89-98% of its cap."""
+    rng = np.random.default_rng(8)
+    pus = [{"kind": "adjacent", "distance": float(rng.uniform(800, 2000)),
+            "interference_cap": float(10.0 ** rng.uniform(-13.5, -12)),
+            "probability": float(rng.uniform(0.8, 0.95)),
+            "bandwidth": float(rng.uniform(0.5, 1.5) * 1.25e6),
+            "center_offset": float(rng.uniform(0.4, 1.5) * 1.25e6)}
+           for _ in range(3)]
+    return load_scenario({
+        "su": {"num_subcarriers": 6, "symbol_duration": 1.024e-4,
+               "noise_variance": 1e-9, "ber_threshold": 1e-4, "alpha": 0.5,
+               "power_threshold": 3.0, "max_bits": 8, "su_link_gain": 1e-7},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": pus, "experiment": {"trials": 10, "seed": 7}})
+
+
+def criterion_6_config():
+    """Acceptance criterion 6's N=8 config: no adjacent band, and only the
+    4 W power threshold caps the total (its co-channel PU has no limit)."""
+    return load_scenario({
+        "su": {"num_subcarriers": 8, "symbol_duration": 1.024e-4,
+               "noise_variance": 1e-9, "ber_threshold": 1e-4,
+               "su_link_gain": 1e-6, "power_threshold": 4.0, "max_bits": 8},
+        "path_loss": {"exponent": 4.0, "wavelength": 1 / 3,
+                      "reference_distance": 500.0},
+        "pus": [{"kind": "cochannel", "distance": 5000.0,
+                 "interference_cap": "inf", "probability": 0.9}],
+        "experiment": {"trials": 1000, "seed": 31415}})
+
+
+PINNED_CONFIGS = {
+    "small_n6": lambda: load_scenario("configs/small_n6.json"),
+    "criterion_6_n8": criterion_6_config,
+    "three_bands": three_band_config,
+}
+
+
+def pinned_search(name, trial):
+    """The pruned search on trial ``trial``'s draw of a pinned config."""
+    cfg = PINNED_CONFIGS[name]()
+    su = cfg.su
+    cnir = sample_su_channel(su, trial_rng(cfg.experiment.seed, trial)).cnir
+    return exhaustive_search(cnir, su.alpha, su.ber_threshold,
+                             build_caps(cfg), b_max=su.max_bits)
+
+
+class TestPinnedSearches:
+    """Bits, objective (as its exact hex) and nodes of the pruned search on
+    the first draws of three configs: with one adjacent band, none, and
+    three.  Any change to the search's order, pruning or load sums that
+    moves a verdict moves one of these."""
+
+    @pytest.mark.parametrize("name, trial, bits, objective, nodes", [
+        ("small_n6", 0, [5, 4, 4, 0, 0, 2], "-0x1.b5efd122ab2e8p+2", 1753),
+        ("small_n6", 1, [2, 2, 2, 2, 3, 2], "-0x1.7c1c37b3c34c9p+2", 1490),
+        ("small_n6", 2, [3, 3, 0, 4, 0, 2], "-0x1.584a6aa0caa90p+2", 763),
+        ("criterion_6_n8", 0, [7, 4, 8, 8, 2, 7, 7, 4],
+         "-0x1.5920eaf7b0cd4p+4", 13667),
+        ("criterion_6_n8", 1, [3, 7, 7, 4, 5, 7, 7, 8],
+         "-0x1.62c5457cec4a6p+4", 16300),
+        ("criterion_6_n8", 2, [8, 6, 5, 6, 6, 8, 8, 7],
+         "-0x1.902914ef485bap+4", 27450),
+        ("three_bands", 0, [3, 3, 2, 3, 0, 5], "-0x1.c4be435946720p+2", 1277),
+        ("three_bands", 1, [4, 2, 2, 0, 0, 3], "-0x1.1eea57b17bfb0p+2", 407),
+        ("three_bands", 2, [2, 4, 5, 4, 3, 0], "-0x1.008d51b41100ap+3", 999),
+    ])
+    def test_frozen_search(self, name, trial, bits, objective, nodes):
+        res = pinned_search(name, trial)
+        assert res.bits.tolist() == bits
+        assert res.objective.hex() == objective
+        assert res.nodes_visited == nodes
+
+    def test_three_bands_binds_an_adjacent_cap(self):
+        cfg = three_band_config()
+        caps = build_caps(cfg)
+        assert caps.aci_caps.size == 3
+        res = pinned_search("three_bands", 1)
+        loads = caps.aci_weights.omega.T @ res.powers
+        assert np.max(loads / caps.aci_caps) > 0.95

@@ -62,7 +62,10 @@ def assert_bench_figures(doc):
         for fig in [*cfg["layers"].values(), *by_case.values()]:
             assert 0 < fig["q1"] <= fig["median"] <= fig["q3"]
     call = doc["oracle_small_n6_call"]
+    assert set(call) == {"median", "q1", "q3", "unit", "nodes_visited",
+                         "us_per_node"}
     assert call["median"] > 0 and call["nodes_visited"] > 0
+    assert call["us_per_node"] == 1e3 * call["median"] / call["nodes_visited"]
     flat = doc["oracle_small_n6_flat"]
     assert flat["median"] > 0 and flat["peak_mib"] > 0
     c6 = doc["criterion_6_n8"]
