@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import AciFactors, aci_overlap_matrix
-from .discretizer import _cap_sums
 from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig, path_loss_db
-from .solver import FEAS_TOL, Plan, cap_limits, prepare
+from .solver import FEAS_TOL, Plan, _cap_sums, cap_limits, prepare
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,10 @@ def ber_audit(bits, powers, cnir, ber_threshold):
             excess / ceiling, ber)
 
 
-def _check_tones(bits, powers, cnir, caps: ConstraintCaps):
+def _check_tones(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
     """``SolverError`` naming the shapes unless bits, powers and CNIR each
-    have one entry per row of the caps' overlap matrix."""
+    have one entry per row of the caps' overlap matrix, and the BER ceiling
+    one value or one per row (as ``solver._checked_ber`` asks)."""
     shapes = np.shape(bits), np.shape(powers), np.shape(cnir)
     omega = caps.aci_weights.omega
     if shapes != (omega.shape[:1],) * 3:
@@ -176,6 +176,10 @@ def _check_tones(bits, powers, cnir, caps: ConstraintCaps):
             f"bits {shapes[0]}, powers {shapes[1]} and CNIR {shapes[2]} must "
             f"each have one entry per row of the caps' overlap matrix "
             f"{omega.shape}")
+    if np.shape(ber_threshold) not in ((), omega.shape[:1]):
+        raise SolverError(
+            f"BER ceiling {np.shape(ber_threshold)} must be one value or one "
+            f"per row of the caps' overlap matrix {omega.shape}")
 
 
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
@@ -185,10 +189,10 @@ def check_feasible(alloc, caps: ConstraintCaps, cnir,
     A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
     (``ber_audit``, ``cap_audit``).  Margins are relative violations (excess
     / ceiling or cap), so a feasible allocation reports a worst margin of 0.
-    Bits, powers and CNIR must each have one entry per tone of the caps
-    (``SolverError`` otherwise).
+    Bits, powers and CNIR must each have one entry per tone of the caps, and
+    the BER ceiling one or one per tone (``SolverError`` otherwise).
     """
-    _check_tones(alloc.bits, alloc.powers, cnir, caps)
+    _check_tones(alloc.bits, alloc.powers, cnir, ber_threshold, caps)
     ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, cnir,
                                          ber_threshold)
     ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)

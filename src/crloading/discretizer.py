@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SolverError
-from .solver import _one_row, objective_value
+from .solver import _cap_sums, _checked_cnir, _one_row, objective_value
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
 # full stable sort is then cheaper than partitioning out the live tones:
@@ -46,10 +46,12 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
         P = -(2^b - 1) * ln(5 BER) / (1.6 C)
 
     Vectorized; bits must be 0 (no power) or integers in [2, max_bits];
-    1 bit is rejected, as is any BER >= 0.2 (the model floor); P may be inf.
+    1 bit is rejected, as is any BER >= 0.2 (the model floor) and any CNIR
+    not finite and positive; P may be inf.
     """
     b = np.asarray(bits)
     c = np.asarray(cnir, dtype=float)
+    _checked_cnir(c)
     ber = np.asarray(ber_threshold, dtype=float)
     if np.count_nonzero(b == 1):
         raise SolverError("1-bit constellations are not part of the scheme")
@@ -58,8 +60,8 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
     if np.count_nonzero((ber >= 0.2) | (ber <= 0)):
         raise SolverError("BER threshold must lie in (0, 0.2) to invert the "
                           "BER model")
-    p = -(np.ldexp(1.0, b.astype(int)) - 1.0) * np.log(5.0 * ber) / (1.6 * c)
-    p = np.where(b == 0, 0.0, p)
+    cost = _pricing(np.max(b, initial=0))[0]    # as the repair prices bits
+    p = cost[b.astype(int)] * -np.log(5.0 * ber) / (1.6 * c)
     return p if p.ndim else float(p)
 
 
@@ -76,19 +78,6 @@ def _pricing(top):
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def _cap_sums(powers, omega):
-    """Total power and adjacent-channel loads of each row, shape (T, 1+L),
-    summed as one row alone is summed: ``np.sum(p)`` and ``omega.T @ p``,
-    the latter by one stacked product that runs its BLAS kernel row by row.
-    Not ``solver._loads``' reduce: that rounds otherwise, and with a zero ACI
-    cap the residue in the sums decides if the repair strips tones that cap
-    does not weight."""
-    sums = np.add.reduce(powers, 1, keepdims=True)
-    if omega.shape[1]:
-        sums = np.concatenate([sums, (omega.T @ powers[..., None])[..., 0]], 1)
-    return sums
 
 
 def _strip(bits, den, sums, plan, head, down):

@@ -30,12 +30,12 @@ from numpy.random.bit_generator import ISeedSequence
 from .channel import (_cnir, _sp_mean, aci_overlap_matrix,
                       pu_interference_to_su, sample_su_channel)
 from .constraints import ConstraintCaps, build_caps
-from .discretizer import _allocation, _cap_sums, _repair, round_and_repair
+from .discretizer import _allocation, _repair, round_and_repair
 from .errors import ConfigError, SolverError
 from .oracle import exhaustive_search
 from .scenario import (_MAX_COUNT, ScenarioConfig, apply_parameter,
                        path_loss_db)
-from .solver import _solution, _solve_block, solve_continuous
+from .solver import _cap_sums, _solution, _solve_block, solve_continuous
 
 # Trials per block in run_monte_carlo: about 2^14 CNIR entries, so each
 # (trials x N) array of a block stays near 128 KiB.

@@ -59,10 +59,11 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     Nulled subcarriers sit outside the continuous problem (their BER model
     degenerates), so the per-subcarrier conditions are evaluated on the
     active set only.  Bits, powers and CNIR must each have one entry per
-    tone of the caps (``SolverError`` otherwise).
+    tone of the caps, and the BER ceiling one or one per tone
+    (``SolverError`` otherwise).
     """
     tols = tols or KktTolerances()
-    _check_tones(solution.bits, solution.powers, cnir, caps)
+    _check_tones(solution.bits, solution.powers, cnir, ber_threshold, caps)
     c = np.asarray(cnir, dtype=float)
     alpha = solution.alpha
     omega = caps.aci_weights.omega

@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import _cap_sums, _own_overlap, power_for_bits
+from .discretizer import _own_overlap, power_for_bits
 from .errors import SolverError
 from .scenario import _MAX_BITS
-from .solver import (_checked_ber, _checked_cnir, cap_limits, objective_value,
-                     overlap_matrix)
+from .solver import (_cap_sums, _checked_ber, _checked_cnir, cap_limits,
+                     objective_value, overlap_matrix)
 
 # Powers (rows x tones) in one block of the flat search, at most, though a
 # block has d rows at least.  Timed on small_n6 at b_max 8 (2-core Xeon VM):

@@ -49,7 +49,6 @@ _LN2 = math.log(2.0)
 _DUAL_TOL = 1e-12
 # Relative slack applied to every cap comparison ("is this violated?").
 FEAS_TOL = 1e-9
-_SPLIT = 4096       # entries from which ``_loads`` sums the total apart (timed)
 
 
 def cap_limits(total_cap, aci_caps):
@@ -128,6 +127,17 @@ def objective_value(bits, powers, alpha) -> float:
                  - (1.0 - alpha) * np.add.reduce(bits, None))
 
 
+def _cap_sums(powers, omega):
+    """Total power and adjacent-channel loads of each row, shape (T, 1+L),
+    summed as one row alone is summed: ``np.sum(p)`` and ``omega.T @ p``,
+    the latter by one stacked product that runs its BLAS kernel row by row.
+    The solve, the repair and both audits judge the caps by these sums."""
+    sums = np.add.reduce(powers, 1, keepdims=True)
+    if omega.shape[1]:
+        sums = np.concatenate([sums, (omega.T @ powers[..., None])[..., 0]], 1)
+    return sums
+
+
 @dataclass(frozen=True, eq=False)
 class Plan:
     """The read-only arrays that every solve and repair under one set of
@@ -192,16 +202,6 @@ def _power_dual(q, active, alpha, cap):
 # ---------------------------------------------------------------------------
 # Dual engine for the capped regimes
 # ---------------------------------------------------------------------------
-
-
-def _loads(p, wt):
-    """Row loads, bitwise ``(p[:, None, :] * wt).sum(2)``; the total (weights
-    1) sums ``p`` alone, save with ACI caps in blocks under _SPLIT entries."""
-    if wt.shape[0] > 1 and p.size < _SPLIT:
-        return np.add.reduce(p[:, None, :] * wt, 2)
-    load = np.add.reduce(p, 1, keepdims=True)
-    return (np.concatenate([load, np.add.reduce(p[:, None, :] * wt[1:], 2)],
-                           1) if wt.shape[0] > 1 else load)
 
 
 def _tol(caps, load, wq):
@@ -289,12 +289,13 @@ def _aci_dual(w, active, q, alpha, cap):
     return out
 
 
-def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
+def _solve_duals(enforced, lam, active, q, alpha, wt, caps, omega):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
     pinning them at 0) on its fixed active set; ``caps`` holds 1 for a cap
-    never enforced.  The one-multiplier closed forms come first, column by
-    column and on every row at once (a row with no active tone gets 0); a
-    row none of them settles runs the coupled Newton alone, from its lam.
+    never enforced, and ``omega`` is the plan's (N, L) overlap matrix.  The
+    one-multiplier closed forms come first, column by column and on every
+    row at once (a row with no active tone gets 0); a row none of them
+    settles runs the coupled Newton alone, from its lam.
     Also gives (mu, powers, loads) at the multipliers if the first column
     tried settled every row (its candidate test computed them), else None."""
     out, todo, seen = np.zeros(lam.shape), np.ones(lam.shape[0], bool), None
@@ -310,14 +311,14 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps):
         # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
         mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
         p = np.where(active, k / mu + q, 0.0)
-        load = _loads(p, wt)
+        load = _cap_sums(p, omega)
         excess = load - caps
         # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
         ok = _meets(need, excess, tol, enforced, x, col)
         settled = np.count_nonzero(ok)
         if settled < wanted:
             if wq is None:
-                wq = _loads(np.where(active, q, 0.0), wt)
+                wq = _cap_sums(np.where(active, q, 0.0), omega)
             ok = _meets(need, excess, _tol(caps, load, wq), enforced, x, col)
             settled = np.count_nonzero(ok)
         seen = (mu, p, load) if settled == out.shape[0] else None
@@ -364,7 +365,7 @@ def _solve_block(cnir, plan):
         # tone, and the rows that did are busy: their p and loads go unused
         p, load = seen[1:] if seen else (np.where(active, k / mu + q, 0.0),
                                          None)
-        newly = (_loads(p, wt) if load is None else load) > plan.limit
+        newly = (load if seen else _cap_sums(p, plan.omega)) > plan.limit
         if it:      # caps newly over, on rows that dropped no tone
             newly = newly > (enforced if held is None
                              else enforced | held[:, None])
@@ -396,7 +397,8 @@ def _solve_block(cnir, plan):
             idx, num, q, active, lam, enforced = (
                 x[busy] for x in (idx, num, q, active, lam, enforced))
         # Every row left has a cap enforced: lam = 0 holds only in round 1.
-        lam, seen = _solve_duals(enforced, lam, active, q, alpha, wt, caps)
+        lam, seen = _solve_duals(enforced, lam, active, q, alpha, wt, caps,
+                                 plan.omega)
     raise SolverError("active-set iteration failed to settle")
 
 

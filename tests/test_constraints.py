@@ -221,26 +221,41 @@ class TestToneCounts:
     of the caps' overlap matrix, and name the shapes."""
 
     AUDITS = {
-        "check_feasible": lambda sol, alloc, caps, cnir: check_feasible(
-            alloc, caps, cnir, 1e-4),
-        "kkt_verify": lambda sol, alloc, caps, cnir: kkt_verify(
-            sol, cnir, 1e-4, caps),
+        "check_feasible": lambda sol, alloc, caps, cnir, ber=1e-4:
+            check_feasible(alloc, caps, cnir, ber),
+        "kkt_verify": lambda sol, alloc, caps, cnir, ber=1e-4: kkt_verify(
+            sol, cnir, ber, caps),
     }
 
-    @pytest.mark.parametrize("audit", sorted(AUDITS))
-    def test_cnir_a_tone_short(self, audit):
-        # a 5-tone CNIR against small_n6's 6-tone solution and allocation
+    @staticmethod
+    def _small_n6():
+        """small_n6's caps, one draw's CNIR, its solution and allocation."""
         cfg = load_scenario("configs/small_n6.json")
         su, caps = cfg.su, build_caps(cfg)
         cnir = sample_su_channel(su, trial_rng(42, 0)).cnir
         sol = solve_continuous(cnir, caps, su)
         alloc = round_and_repair(sol, caps, None, cnir, su.ber_threshold,
                                  su.max_bits)
+        return sol, alloc, caps, cnir
+
+    @pytest.mark.parametrize("audit", sorted(AUDITS))
+    def test_cnir_a_tone_short(self, audit):
+        # a 5-tone CNIR against small_n6's 6-tone solution and allocation
+        sol, alloc, caps, cnir = self._small_n6()
         with pytest.raises(SolverError, match=(
                 r"bits \(6,\), powers \(6,\) and CNIR \(5,\) must each "
                 r"have one entry per row of the caps' overlap matrix "
                 r"\(6, 1\)")):
             self.AUDITS[audit](sol, alloc, caps, cnir[:5])
+
+    @pytest.mark.parametrize("audit", sorted(AUDITS))
+    def test_ber_ceiling_a_tone_short(self, audit):
+        # a 5-entry BER ceiling against small_n6's 6 tones
+        sol, alloc, caps, cnir = self._small_n6()
+        with pytest.raises(SolverError, match=(
+                r"BER ceiling \(5,\) must be one value or one per row of "
+                r"the caps' overlap matrix \(6, 1\)")):
+            self.AUDITS[audit](sol, alloc, caps, cnir, np.full(5, 1e-4))
 
     @pytest.mark.parametrize("audit", sorted(AUDITS))
     def test_band_narrower_than_caps_without_adjacent_pus(self, audit):

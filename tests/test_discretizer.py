@@ -14,11 +14,11 @@ import pytest
 from crloading import discretizer
 from crloading.channel import AciFactors
 from crloading.constraints import ConstraintCaps, check_feasible
-from crloading.discretizer import (Allocation, _cap_sums, _pricing, _repair,
+from crloading.discretizer import (Allocation, _pricing, _repair,
                                    power_for_bits, round_and_repair)
 from crloading.errors import SolverError
 from crloading.scenario import _MAX_BITS
-from crloading.solver import (FEAS_TOL, objective_value, prepare,
+from crloading.solver import (FEAS_TOL, _cap_sums, objective_value, prepare,
                               solve_continuous)
 
 import engine_reference as ref
@@ -112,6 +112,13 @@ class TestPowerForBits:
         for ber in (0.0, 0.2, 0.5, -1e-3):
             with pytest.raises(SolverError):
                 power_for_bits(4, 100.0, ber)
+
+    @pytest.mark.parametrize("bits", [0, 4])
+    def test_bad_cnir_rejected(self, bits):
+        # as every solver entry point: no power is priced at a CNIR <= 0
+        for cnir in (0.0, -1.0, math.inf, math.nan, [100.0, 0.0]):
+            with pytest.raises(SolverError, match="finite and positive"):
+                power_for_bits(bits, cnir, 1e-4)
 
     def test_doubling_rule(self):
         # consecutive-bit power ratio follows (2^{b+1}-1)/(2^b-1) exactly

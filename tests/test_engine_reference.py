@@ -164,15 +164,20 @@ def test_small_n6_mixes_rows_with_and_without_aci_multiplier(psi,
 def test_four_bands_where_only_a_later_column_binds(monkeypatch):
     # Four ACI columns; only column 2, 3 or 4 (or 2 and 4) is tight, the
     # others loose or never enforced.  Rows scale the CNIR, so one block
-    # mixes rows that bind it with rows that do not.
+    # mixes rows that bind it with rows that do not.  The last block, 32
+    # rows x 256 tones, is the one of 4,096 entries or more with several
+    # bands (the shipped configs have one at most): the engine's loads, a
+    # BLAS product per row, must decide there as the reference's
+    # elementwise sums do.
     rng = np.random.default_rng(1492)
     later = 0
-    for k in range(24):
-        n = int(rng.integers(2, 257))
+    for k in range(25):
+        n = 256 if k == 24 else int(rng.integers(2, 257))
         alpha = float(rng.uniform(0.25, 0.75))
         ber = float(10.0 ** rng.uniform(-5.0, -2.3))
         base = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.3, 3.0, n)
-        cnir = base * 10.0 ** rng.uniform(-1.0, 1.0, (8, 1))
+        cnir = base * 10.0 ** rng.uniform(-1.0, 1.0, (32 if k == 24 else 8,
+                                                       1))
         omega = rng.uniform(0.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(
             -3.0, 0.0, (n, 4))
         free = solve_capped(base, alpha, ber).powers

@@ -318,7 +318,7 @@ class TestBerCeiling:
                                      [1e-4, 1e-4])
 
 
-def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps):
+def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps, omega):
     """The dual step with the closed forms skipped: projected Newton on
     every enforced cap at once from zero, row by row (and no powers or
     loads handed back)."""
