@@ -19,10 +19,9 @@ import sys
 import numpy as np
 
 from .constraints import build_caps, check_feasible
-from .channel import sample_su_channel
 from .errors import ConfigError, SolverError
 from .experiments import (_resized, compare_with_oracle, run_trial,
-                          runtime_scaling, sweep_experiment, trial_rng)
+                          runtime_scaling, sweep_experiment)
 from .kkt import kkt_verify
 from .scenario import SWEEPABLE, apply_parameter, load_scenario
 
@@ -67,8 +66,8 @@ def cmd_solve(args):
         cfg = apply_parameter(cfg, args.param, args.value)
     seed = cfg.experiment.seed if args.seed is None else args.seed
     caps = build_caps(cfg)
-    *flags, alloc, sol = run_trial(cfg, caps, args.trial, seed)
-    cnir = sample_su_channel(cfg.su, trial_rng(seed, args.trial)).cnir
+    trial = run_trial(cfg, caps, args.trial, seed)
+    alloc, sol, cnir = trial.allocation, trial.solution, trial.cnir
     ber = cfg.su.ber_threshold
     kkt = kkt_verify(sol, cnir, ber, caps)
     out = alloc.to_dict()
@@ -82,7 +81,7 @@ def cmd_solve(args):
         "feasibility": check_feasible(alloc, caps, cnir, ber).to_dict(),
         "kkt": kkt.to_dict(),
         "violations": dict(zip(("cci", "aci", "cci_discrete",
-                                "aci_discrete"), flags[2:])),
+                                "aci_discrete"), trial[2:6])),
     })
     _emit_json(out, args.output)
     return 0 if kkt.passed else 3

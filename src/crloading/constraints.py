@@ -36,9 +36,13 @@ class ConstraintCaps:
                          compare=False)
 
     def __post_init__(self):
+        omega = self.aci_weights.omega
+        if omega.ndim != 2 or omega.shape[1] != self.aci_caps.size:
+            raise SolverError(f"overlap matrix shape {omega.shape} is not "
+                              f"(N, L) for ACI caps {self.aci_caps.shape}")
         # read-only, so no plan built from them can go stale
         self.aci_caps.flags.writeable = False
-        self.aci_weights.omega.flags.writeable = False
+        omega.flags.writeable = False
 
     def plan(self, alpha, ber_threshold) -> Plan:
         """The solve-and-repair plan at ``alpha`` and this BER ceiling, kept
@@ -58,7 +62,7 @@ class FeasibilityReport:
     """Per-constraint verdicts for one allocation.
 
     ``worst_margin`` is the largest relative constraint violation across all
-    families (0 when the allocation is feasible).
+    families (at most FEAS_TOL when the allocation is feasible).
     """
 
     ber_ok: np.ndarray          # bool per subcarrier (vacuously true at b=0)
@@ -187,10 +191,10 @@ def check_feasible(alloc, caps: ConstraintCaps, cnir,
     """Verify an allocation (discrete or continuous) against every constraint.
 
     A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
-    (``ber_audit``, ``cap_audit``).  Margins are relative violations (excess
-    / ceiling or cap), so a feasible allocation reports a worst margin of 0.
-    Bits, powers and CNIR must each have one entry per tone of the caps, and
-    the BER ceiling one or one per tone (``SolverError`` otherwise).
+    (``ber_audit``, ``cap_audit``).  Margins are relative excesses (over the
+    ceiling or cap), so a feasible allocation has a worst margin of at most
+    FEAS_TOL.  Bits, powers and CNIR must each have one entry per tone of the
+    caps, and the BER ceiling one or one per tone (``SolverError`` if not).
     """
     _check_tones(alloc.bits, alloc.powers, cnir, ber_threshold, caps)
     ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, cnir,

@@ -111,8 +111,8 @@ def _strip(bits, den, sums, plan, head, down):
         live = neg < cut
         # sums - saving * [1, omega[tone]], one pick after another
         dpw = np.where(live, neg, 0.0)[..., None]
-        if plan.wt.shape[0] > 1:            # (the total's weights are 1)
-            dpw = dpw * plan.wt.T[order]
+        if plan.omega.shape[1]:             # (the total's weights are 1)
+            dpw = np.concatenate([dpw, dpw * plan.omega[order]], 2)
         acc = np.add.accumulate(np.concatenate([s[:, None], dpw], 1), 1)
         over = np.logical_or.reduce(acc > plan.limits, 2)
         take = live & over[:, :-1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, replace
 from functools import lru_cache
 
@@ -44,6 +45,9 @@ _BLOCK_ENTRIES = 1 << 14
 # vectorised hash (~0.1 ms); a shorter one calls trial_rng (~15 us a trial).
 _HASHED_BLOCK = 16
 _MASK32 = 0xFFFFFFFF
+Trial = namedtuple("Trial", "throughput_bits power_w cci_viol aci_viol "
+                   "cci_viol_discrete aci_viol_discrete allocation solution "
+                   "cnir")
 
 
 @dataclass(frozen=True)
@@ -195,29 +199,29 @@ def _outcomes(cfg: ScenarioConfig, omega, sp, cont_powers, bits, sums):
 def _block(cfg: ScenarioConfig, caps: ConstraintCaps, master_seed: int,
            trials):
     """Draw, solve, repair and score ``trials`` as one block under the caps'
-    plan: the solve's, ``_repair``'s and ``_outcomes``'s arrays."""
+    plan: the CNIR, the solve's, ``_repair``'s and ``_outcomes``'s arrays."""
     su = cfg.su
     plan = caps.plan(su.alpha, su.ber_threshold)
     c, sp = _draw(cfg, master_seed, trials)
     solved = _solve_block(c, plan)
     repaired = _repair(solved[0], c, plan, su.max_bits)
-    return solved, repaired, _outcomes(cfg, plan.omega, sp, solved[1],
-                                       repaired[0], repaired[3])
+    return c, solved, repaired, _outcomes(cfg, plan.omega, sp, solved[1],
+                                          repaired[0], repaired[3])
 
 
 def run_trial(cfg: ScenarioConfig, caps: ConstraintCaps, trial_index: int,
-              master_seed: int):
+              master_seed: int) -> Trial:
     """One trial: sample, solve, discretize, sample interference outcomes;
     the one-trial block of ``run_monte_carlo``.
 
-    Returns (throughput_bits, power_w, cci_viol, aci_viol,
-    cci_viol_discrete, aci_viol_discrete, allocation, solution).
+    Returns a ``Trial``: the six outcomes ``run_monte_carlo`` reduces, the
+    Allocation, the ContinuousSolution and the CNIR the trial drew.
     """
-    solved, repaired, table = _block(cfg, caps, master_seed, [trial_index])
+    c, solved, repaired, table = _block(cfg, caps, master_seed, [trial_index])
     row = table[0].tolist()
-    return (row[0], row[1], *map(bool, row[2:]),
-            _allocation(*repaired[:3], cfg.su.alpha),
-            _solution(solved, cfg.su.alpha))
+    return Trial(row[0], row[1], *map(bool, row[2:]),
+                 _allocation(*repaired[:3], cfg.su.alpha),
+                 _solution(solved, cfg.su.alpha), c[0])
 
 
 def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
@@ -243,7 +247,7 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
         rows = range(first, min(first + block, trials))
         try:
             table[:, rows.start:rows.stop] = _block(cfg, caps, master_seed,
-                                                    rows)[2].T
+                                                    rows)[3].T
         except SolverError:
             for t in rows:      # replay trial by trial: name the first failure
                 try:
@@ -310,8 +314,7 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     caps = build_caps(cfg)
     rows = []
     for t in range(instances):
-        rng = trial_rng(master_seed, t)
-        real = sample_su_channel(su, rng)
+        real = sample_su_channel(su, trial_rng(master_seed, t))
         try:
             t0 = time.perf_counter()
             sol = solve_continuous(real, caps, su)
@@ -364,8 +367,7 @@ def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
     rows = []
     for cfg_n in [_resized(cfg, n) for n in n_values]:
         caps = build_caps(cfg_n)
-        su = cfg_n.su
-        n = su.num_subcarriers
+        su, n = cfg_n.su, cfg_n.su.num_subcarriers
         times = []
         for r in range(repeats):
             rng = trial_rng(master_seed, 1_000_000 * n + r)

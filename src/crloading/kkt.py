@@ -80,9 +80,7 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     lam_sub_min = math.inf
 
     if np.any(active):
-        b = bits[active]
-        p = powers[active]
-        ca = c[active]
+        b, p, ca = bits[active], powers[active], c[active]
         denom = 2.0 ** b - 1.0
         mu = alpha + lam_pow + omega[active] @ lam_aci
         slope = 1.6 * ca * ber[active]      # -(2^b - 1) dBER/dP

@@ -147,8 +147,7 @@ class Plan:
     lg: np.ndarray              # ln(5 BER) < 0, per tone
     neglog: np.ndarray          # -ln(5 BER)
     threshold: np.ndarray       # smallest CNIR loaded; inf if a zero cap
-    wt: np.ndarray              # (1+L, N): ones, then omega.T
-    omega: np.ndarray           # (N, L) overlap matrix
+    omega: np.ndarray           # (N, L) weights of caps 1..L; cap 0's are 1
     caps: np.ndarray            # (1+L,) caps, 1 where never enforced
     limit: np.ndarray           # enforce above caps * (1 + _DUAL_TOL), or inf
     limits: np.ndarray          # ``cap_limits``: repair above these loads
@@ -168,16 +167,15 @@ def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
     ber = _checked_ber(ber_threshold, n)
     caps, limits = cap_limits(total_cap, aci_caps)
     omega = np.array(overlap_matrix(omega, n, caps.size - 1))
-    wt = np.concatenate([np.ones((1, n)), omega.T])
     want = np.isfinite(caps)
     zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
     want &= ~zero
     lg = np.log(5.0 * ber)
     plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
-        (wt[zero] > 0.0).any(0), math.inf, cnir_threshold(alpha, ber)),
-        wt=wt, omega=omega, caps=np.where(want, caps, 1.0),
-        limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf),
-        limits=limits)
+        zero[0] | (omega[:, zero[1:]] > 0.0).any(1), math.inf,
+        cnir_threshold(alpha, ber)), omega=omega, limits=limits,
+        caps=np.where(want, caps, 1.0),
+        limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf))
     for value in vars(plan).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -289,15 +287,15 @@ def _aci_dual(w, active, q, alpha, cap):
     return out
 
 
-def _solve_duals(enforced, lam, active, q, alpha, wt, caps, omega):
+def _solve_duals(enforced, lam, active, q, plan):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
-    pinning them at 0) on its fixed active set; ``caps`` holds 1 for a cap
-    never enforced, and ``omega`` is the plan's (N, L) overlap matrix.  The
+    pinning them at 0) on its fixed active set, under ``plan``.  The
     one-multiplier closed forms come first, column by column and on every
     row at once (a row with no active tone gets 0); a row none of them
     settles runs the coupled Newton alone, from its lam.
     Also gives (mu, powers, loads) at the multipliers if the first column
     tried settled every row (its candidate test computed them), else None."""
+    alpha, caps, omega = plan.alpha, plan.caps, plan.omega
     out, todo, seen = np.zeros(lam.shape), np.ones(lam.shape[0], bool), None
     left = lam.shape[0]         # rows not settled yet; each enforces a cap
     k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
@@ -306,10 +304,10 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps, omega):
         wanted = np.count_nonzero(need)
         if not wanted:
             continue
-        x = (_power_dual(q, active, alpha, caps[0]) if col == 0
-             else _aci_dual(wt[col], active, q, alpha, caps[col]))
-        # alpha + w * lam of the candidate (other multipliers 0; w_0 = 1)
-        mu = alpha + (wt[col] * x[:, None] if col else x[:, None])
+        w = omega[:, col - 1] if col else 1.0      # cap col's weights
+        x = (_aci_dual(w, active, q, alpha, caps[col]) if col
+             else _power_dual(q, active, alpha, caps[0]))
+        mu = alpha + w * x[:, None]     # the candidate's other multipliers 0
         p = np.where(active, k / mu + q, 0.0)
         load = _cap_sums(p, omega)
         excess = load - caps
@@ -326,11 +324,11 @@ def _solve_duals(enforced, lam, active, q, alpha, wt, caps, omega):
         todo ^= ok
         left -= settled
     for i in todo.nonzero()[0] if left else ():
-        # a cap no active tone loads is slack at 0
-        cols = np.flatnonzero(enforced[i] & wt[:, active[i]].any(1))
-        out[i, cols] = _newton_duals(
-            np.maximum(lam[i, cols], 0.0), wt[cols][:, active[i]].T,
-            q[i, active[i]], alpha, caps[cols])
+        a = active[i]   # weights (k, J) on a, C order: it sets the BLAS bits
+        w = np.c_[np.ones(np.count_nonzero(a)), omega[a]]
+        j = np.flatnonzero(enforced[i] & w.any(0))  # the rest are slack at 0
+        out[i, j] = _newton_duals(np.maximum(lam[i, j], 0.0), w.take(j, 1),
+                                  q[i, a], alpha, caps[j])
     return out, seen
 
 
@@ -341,21 +339,21 @@ def _solve_block(cnir, plan):
     t is bitwise the solve of ``cnir[t]`` alone."""
     c = plan.rows(cnir)
     t, n = c.shape
-    alpha, wt, caps = plan.alpha, plan.wt, plan.caps
+    alpha, caps, omega = plan.alpha, plan.caps, plan.omega
     k = (1.0 - alpha) / _LN2
     active = c >= plan.threshold
-    lam = np.zeros((t, wt.shape[0]))
+    lam = np.zeros((t, caps.size))
     # State of the unsettled rows, compacted once some settle: then idx maps
     # them to block rows, and out holds the settled ones.
     idx = out = seen = None
     num, q = (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
-    for it in range(4 * (n + wt.shape[0] + 3)):
+    for it in range(4 * (n + caps.size + 3)):
         # mu = alpha + w lam over the columns some row has > 0, a scalar
         # while none has, and no matmul (rows stay apart); or the dual's own
         mu, held, arg = seen[0] if seen else alpha, None, None
         if it:  # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
             for j in () if seen else np.logical_or.reduce(lam, 0).nonzero()[0]:
-                mu = mu + (wt[j] * lam[:, j:j + 1] if j else lam[:, :1])
+                mu = mu + (omega[:, j - 1] if j else 1.0) * lam[:, j:j + 1]
             arg = num / (_LN2 * mu * plan.neglog)
             if np.count_nonzero(drop := (arg < 4.0) & active):
                 drop &= np.logical_or.reduce(lam, 1)[:, None]
@@ -365,7 +363,7 @@ def _solve_block(cnir, plan):
         # tone, and the rows that did are busy: their p and loads go unused
         p, load = seen[1:] if seen else (np.where(active, k / mu + q, 0.0),
                                          None)
-        newly = (load if seen else _cap_sums(p, plan.omega)) > plan.limit
+        newly = (load if seen else _cap_sums(p, omega)) > plan.limit
         if it:      # caps newly over, on rows that dropped no tone
             newly = newly > (enforced if held is None
                              else enforced | held[:, None])
@@ -397,8 +395,7 @@ def _solve_block(cnir, plan):
             idx, num, q, active, lam, enforced = (
                 x[busy] for x in (idx, num, q, active, lam, enforced))
         # Every row left has a cap enforced: lam = 0 holds only in round 1.
-        lam, seen = _solve_duals(enforced, lam, active, q, alpha, wt, caps,
-                                 plan.omega)
+        lam, seen = _solve_duals(enforced, lam, active, q, plan)
     raise SolverError("active-set iteration failed to settle")
 
 

@@ -7,7 +7,9 @@ bit.  Each round here runs on every tone of every row left: mu is (T, N)
 whatever the multipliers, every load column multiplies by its weights, bits
 are taken on every row still looping, and a repair round orders all of a
 row's live tones.  The repair gathers the rows over a cap by index and
-sums every load column through one (T, 1+L) array.  Its powers are
+sums every load column through one (T, 1+L) array.  Both weight the caps
+by one (1+L, N) array, ones for the total power, then ``plan.omega.T``
+(``_weights``), as the plan once stored it.  Its powers are
 ``_pricing``'s 2^b - 1 times ``plan.neglog``, as the shipped repair prices
 them, so an empty tone costs +0.0 W."""
 
@@ -19,6 +21,12 @@ from crloading.solver import _DUAL_TOL, _LN2, _newton_duals, _tol
 
 # Rounds over at most this many (row, tone) savings sort them all.
 _SORT_ALL = 1024
+
+
+def _weights(plan):
+    """The (1+L, N) weights of every cap: ones, then the overlap matrix."""
+    omega = plan.omega
+    return np.concatenate([np.ones((1, omega.shape[0])), omega.T])
 
 
 def _power_dual(q, active, alpha, cap):
@@ -120,7 +128,7 @@ def _solve_block(cnir, plan):
     t is bitwise the solve of ``cnir[t]`` alone."""
     c = plan.rows(cnir)
     t, n = c.shape
-    alpha, wt, caps = plan.alpha, plan.wt, plan.caps
+    alpha, wt, caps = plan.alpha, _weights(plan), plan.caps
     k = (1.0 - alpha) / _LN2
     active = c >= plan.threshold
     lam = np.zeros((t, wt.shape[0]))
@@ -169,6 +177,7 @@ def _strip(bits, den, sums, plan, head, down):
     loop's sequential subtractions), or all of them and another round."""
     run, b, s, steps = np.arange(bits.shape[0]), bits, sums, 0
     rows = run[:, None]                     # row positions, as a column
+    wt = _weights(plan)
     while True:
         neg = head[b] * plan.lg / den           # -saving, +inf when empty
         cut = 0.8 * np.minimum.reduce(neg, 1, keepdims=True)
@@ -182,7 +191,7 @@ def _strip(bits, den, sums, plan, head, down):
         neg = neg[rws, order]
         live = neg < cut
         # sums - saving * [1, omega[tone]], one pick after another
-        dpw = np.where(live, neg, 0.0)[..., None] * plan.wt.T[order]
+        dpw = np.where(live, neg, 0.0)[..., None] * wt.T[order]
         acc = np.add.accumulate(np.concatenate([s[:, None], dpw], 1), 1)
         over = (acc > plan.limits).any(2)
         take = live & over[:, :-1]

@@ -35,7 +35,7 @@ def kkt_of_trial(cfg, trial):
     """``kkt_verify`` of ``run_trial``'s continuous solution of ``trial``."""
     caps = build_caps(cfg)
     seed = cfg.experiment.seed
-    sol = run_trial(cfg, caps, trial, seed)[7]
+    sol = run_trial(cfg, caps, trial, seed).solution
     cnir = sample_su_channel(cfg.su, trial_rng(seed, trial)).cnir
     return kkt_verify(sol, cnir, cfg.su.ber_threshold, caps).to_dict()
 
@@ -78,7 +78,7 @@ class TestSolve:
     def test_trial_replays_monte_carlo_trial(self, capsys):
         cfg = load_scenario(SMALL)
         seed = cfg.experiment.seed
-        alloc = run_trial(cfg, build_caps(cfg), 7, seed)[6]
+        alloc = run_trial(cfg, build_caps(cfg), 7, seed).allocation
         code, out, _ = run(capsys, "solve", "--config", SMALL,
                            "--trial", "7")
         assert code == 0
@@ -136,12 +136,30 @@ class TestSolve:
         assert doc["kkt"]["pass"] is False
         assert doc["feasibility"]["feasible"] is True
 
+    @pytest.mark.parametrize("config", ["configs/default.json", CCI, SMALL])
+    def test_bytes_those_of_a_second_draw(self, capsys, monkeypatch,
+                                          config):
+        # solve certifies against the record's CNIR; it once drew the
+        # trial's channel again for that, and its JSON keeps those bytes
+        def redrawn(cfg, caps, t, seed):
+            trial = run_trial(cfg, caps, t, seed)
+            return trial._replace(cnir=sample_su_channel(
+                cfg.su, trial_rng(seed, t)).cnir)
+
+        for t in ("0", "3", "11"):
+            own = run(capsys, "solve", "--config", config, "--trial", t)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "run_trial", redrawn)
+                again = run(capsys, "solve", "--config", config, "--trial", t)
+            assert own == again and own[0] == 0
+
     def test_param_value_replays_sweep_trial(self, capsys):
         # a sweep failure names "psi=0.99" and the trial; --param/--value
         # replays that trial at that point
         cfg = apply_parameter(load_scenario(CCI), "psi", 0.99)
         seed = cfg.experiment.seed
-        alloc, sol = run_trial(cfg, build_caps(cfg), 5, seed)[6:]
+        trial = run_trial(cfg, build_caps(cfg), 5, seed)
+        alloc, sol = trial.allocation, trial.solution
         code, out, _ = run(capsys, "solve", "--config", CCI, "--trial", "5",
                            "--param", "psi", "--value", "0.99")
         assert code == 0

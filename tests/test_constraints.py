@@ -1,6 +1,7 @@
 """Statistical-constraint inversion into power caps, and feasibility checks."""
 
 import math
+import re
 import types
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading.constraints import (
+    ConstraintCaps,
     aci_power_cap,
     build_caps,
     cci_power_cap,
     check_feasible,
 )
-from crloading.channel import sample_su_channel
+from crloading.channel import AciFactors, sample_su_channel
 from crloading.discretizer import Allocation, power_for_bits, round_and_repair
 from crloading.errors import ConfigError, SolverError
-from crloading.experiments import trial_rng
+from crloading.experiments import run_trial, trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
@@ -115,6 +117,27 @@ class TestBuildCaps:
         with pytest.raises(ConfigError, match="shape"):
             build_caps(cfg, AciFactors(omega=np.zeros((4, 1))))
 
+    @pytest.mark.parametrize("omega, aci", [
+        ((3, 2), (1,)),         # two columns for one cap
+        ((3, 1), (2,)),         # one column for two caps
+        ((3, 0), (1,)),
+        ((3,), (1,)),           # a vector, not an (N, L) matrix
+        ((3, 1, 1), (1,)),
+    ])
+    def test_misshapen_matrix_refused_where_made(self, omega, aci):
+        # directly built caps are checked as build_caps' are, and the
+        # message names both shapes
+        with pytest.raises(SolverError, match=re.escape(
+                f"overlap matrix shape {omega} is not (N, L) for ACI caps "
+                f"{aci}")):
+            ConstraintCaps(1.0, np.ones(aci), AciFactors(np.zeros(omega)))
+
+    @pytest.mark.parametrize("omega, aci", [((3, 0), (0,)), ((1, 1), (1,)),
+                                            ((3, 2), (2,))])
+    def test_matching_shapes_accepted(self, omega, aci):
+        caps = ConstraintCaps(1.0, np.ones(aci), AciFactors(np.zeros(omega)))
+        assert caps.plan(0.5, 1e-4).omega.shape == omega
+
     def test_multiple_cochannel_pus_take_min(self):
         base = load_scenario("configs/cci_binding.json")
         d = {
@@ -206,6 +229,22 @@ class TestCheckFeasible:
                            objective=0.0, repair_steps=0)
         with pytest.raises(SolverError, match="one entry per row"):
             check_feasible(alloc, make_caps(4, 1.0), np.full(4, 50.0), 1e-4)
+
+    def test_feasible_margin_is_at_most_feas_tol(self):
+        # a feasible allocation's BER may exceed its ceiling by rounding
+        # once its power is rounded: the margin is then above 0, yet
+        # within FEAS_TOL, and the verdict stays feasible
+        cfg = load_scenario("configs/small_n6.json")
+        caps = build_caps(cfg)
+        margins = []
+        for t in range(500):
+            trial = run_trial(cfg, caps, t, 42)
+            report = check_feasible(trial.allocation, caps, trial.cnir,
+                                    cfg.su.ber_threshold)
+            assert report.feasible
+            margins.append(report.worst_margin)
+        assert 0.0 <= min(margins) and max(margins) <= FEAS_TOL
+        assert np.count_nonzero(margins) > 400
 
     def test_report_serializes(self):
         alloc = Allocation(bits=np.zeros(2, dtype=int), powers=np.zeros(2),

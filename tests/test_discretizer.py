@@ -296,15 +296,17 @@ class TestOverlapArgument:
         [[0.6, 0.1], [0.05, 0.2]],      # two columns for one cap
         [[0.6], [0.05], [0.1]],         # three rows for two tones
         [0.6, 0.05],                    # a vector, not an (N, L) matrix
-    ], ids=["extra_column", "extra_row", "one_dimensional"])
+        [[0.6, 0.1], [0.05, 0.2], [0.1, 0.3]],  # a row and a column extra
+    ], ids=["extra_column", "extra_row", "one_dimensional", "both_extra"])
     def test_misshapen_overlap_matrix_rejected(self, omega):
         with pytest.raises(SolverError, match="the caps' own"):
             round_and_repair(cont([5.0, 4.0]), self.CAPS, omega,
                              np.array([100.0, 50.0]), 1e-4)
-        # the caps' own matrix misshapen: the plan refuses it
-        caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
-                              aci_weights=AciFactors(np.array(omega)))
+        # the caps' own matrix misshapen: refused where the caps are made
+        # unless only its rows are wrong, which the plan refuses
         with pytest.raises(SolverError, match="overlap matrix shape"):
+            caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
+                                  aci_weights=AciFactors(np.array(omega)))
             round_and_repair(cont([5.0, 4.0]), caps, None,
                              np.array([100.0, 50.0]), 1e-4)
 

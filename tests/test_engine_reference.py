@@ -62,7 +62,8 @@ def assert_one_row_calls_match_reference(cfg, trials, seed):
         cnir = experiments._draw(cfg, seed, [t])[0]
         bits, powers, lam, active = ref._solve_block(cnir, plan)
         want = ref._repair_block(bits, cnir, plan, su.max_bits)
-        *_, alloc, sol = run_trial(cfg, caps, t, seed)
+        trial = run_trial(cfg, caps, t, seed)
+        alloc, sol = trial.allocation, trial.solution
         sol_alone = solve_continuous(cnir[0], caps, su)
         for s, a in ((sol, alloc), (sol_alone, round_and_repair(
                 sol_alone, caps, None, cnir[0], su.ber_threshold,
@@ -142,7 +143,7 @@ def test_one_row_calls_under_zero_caps(name):
     # loads nothing, small_n6 only the tones its adjacent band never sees
     cfg = config(name, None, 1.0)
     assert_one_row_calls_match_reference(cfg, range(15), 1234)
-    bits = np.array([run_trial(cfg, build_caps(cfg), t, 1234)[6].bits
+    bits = np.array([run_trial(cfg, build_caps(cfg), t, 1234).allocation.bits
                      for t in range(15)])
     omega = build_caps(cfg).aci_weights.omega
     assert not bits[:, omega.any(1) | (name == "default")].any()

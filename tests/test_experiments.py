@@ -176,17 +176,44 @@ class TestRunTrial:
         caps = build_caps(cfg)
         r1 = run_trial(cfg, caps, 3, cfg.experiment.seed)
         r2 = run_trial(cfg, caps, 3, cfg.experiment.seed)
-        assert r1[0] == r2[0] and r1[1] == r2[1]
-        np.testing.assert_array_equal(r1[6].bits, r2[6].bits)
+        assert r1[:6] == r2[:6]
+        np.testing.assert_array_equal(r1.allocation.bits, r2.allocation.bits)
+        np.testing.assert_array_equal(r1.cnir, r2.cnir)
+
+    @pytest.mark.parametrize("config", ["configs/default.json",
+                                        "configs/cci_binding.json",
+                                        "configs/small_n6.json"])
+    def test_record_carries_the_trials_cnir(self, config):
+        # the CNIR the block drew, bitwise that of the per-trial generator
+        cfg = load_scenario(config)
+        caps = build_caps(cfg)
+        for t in (0, 5, 17):
+            trial = run_trial(cfg, caps, t, 1234)
+            own = sample_su_channel(cfg.su, trial_rng(1234, t)).cnir
+            assert trial.cnir.tobytes() == own.tobytes()
+
+    def test_record_fields_in_order(self):
+        cfg = small_cfg()
+        trial = run_trial(cfg, build_caps(cfg), 3, cfg.experiment.seed)
+        assert trial._fields == (
+            "throughput_bits", "power_w", "cci_viol", "aci_viol",
+            "cci_viol_discrete", "aci_viol_discrete", "allocation",
+            "solution", "cnir")
+        # positions 6 and 7 still read the allocation and the solution
+        assert trial[6] is trial.allocation and trial[7] is trial.solution
+        assert isinstance(trial.solution, solver.ContinuousSolution)
+        assert all(type(x) is bool for x in trial[2:6])
+        with pytest.raises(AttributeError):
+            trial.cnir = None           # frozen
 
     def test_discrete_allocation_feasible(self):
         cfg = small_cfg()
         caps = build_caps(cfg)
         for i in range(10):
-            tput, power, *_, alloc, sol = run_trial(cfg, caps, i,
-                                                    cfg.experiment.seed)
-            assert tput == float(np.sum(alloc.bits))
-            assert power == pytest.approx(float(np.sum(alloc.powers)))
+            trial = run_trial(cfg, caps, i, cfg.experiment.seed)
+            alloc = trial.allocation
+            assert trial.throughput_bits == float(np.sum(alloc.bits))
+            assert trial.power_w == pytest.approx(float(np.sum(alloc.powers)))
             cnir = sample_su_channel(cfg.su,
                                      trial_rng(cfg.experiment.seed, i)).cnir
             assert check_feasible(alloc, caps, cnir,

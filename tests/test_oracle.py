@@ -86,14 +86,16 @@ class TestOverlapArgument:
 
     @pytest.mark.parametrize("omega", [
         [[0.6, 0.1], [0.05, 0.2]], [[0.6]], [0.6, 0.05],
-    ], ids=["extra_column", "missing_row", "one_dimensional"])
+        np.zeros((3, 2)),
+    ], ids=["extra_column", "missing_row", "one_dimensional", "both_extra"])
     def test_misshapen_overlap_matrix_rejected(self, omega):
         with pytest.raises(SolverError, match="the caps' own"):
             exhaustive_search(C2, 0.5, 1e-4, self.CAPS, omega=omega)
-        # the caps' own matrix misshapen: the search refuses it
-        caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
-                              aci_weights=AciFactors(np.array(omega)))
+        # the caps' own matrix misshapen: refused where the caps are made
+        # unless only its rows are wrong, which the search refuses
         with pytest.raises(SolverError, match="overlap matrix shape"):
+            caps = ConstraintCaps(total_cap=np.inf, aci_caps=np.array([0.5]),
+                                  aci_weights=AciFactors(np.array(omega)))
             exhaustive_search(C2, 0.5, 1e-4, caps)
 
 

@@ -318,17 +318,18 @@ class TestBerCeiling:
                                      [1e-4, 1e-4])
 
 
-def _newton_only_duals(enforced, lam, active, q, alpha, wt, caps, omega):
+def _newton_only_duals(enforced, lam, active, q, plan):
     """The dual step with the closed forms skipped: projected Newton on
     every enforced cap at once from zero, row by row (and no powers or
     loads handed back)."""
     out = np.zeros_like(lam)
+    wt = np.concatenate([np.ones((1, active.shape[1])), plan.omega.T])
     for i in range(lam.shape[0]):
         cols = np.flatnonzero(enforced[i])
         if cols.size and np.any(active[i]):
             out[i, cols] = solver._newton_duals(
                 np.zeros(cols.size), wt[cols][:, active[i]].T,
-                q[i, active[i]], alpha, caps[cols])
+                q[i, active[i]], plan.alpha, plan.caps[cols])
     return out, None
 
 
