@@ -237,7 +237,7 @@ def config_work(t, path, n):
             exp, "_outcomes", lambda: exp._block(cfg, caps, SEED, block),
             size),
         "cap_sums_us_per_row": timed(
-            lambda: t.discretizer._cap_sums(powers, plan.omega), size),
+            lambda: t.solver._cap_sums(powers, plan.omega), size),
         "solve_one_row_us": timed(
             lambda: [solve(c, plan) for c, _ in rows], len(rows)),
         "repair_one_row_us": timed(

@@ -16,6 +16,6 @@ from .scenario import (ExperimentParams, PathLossParams, PuDescriptor,
                        ScenarioConfig, SuParams, apply_parameter,
                        load_scenario, path_loss_db)
 from .solver import (ContinuousSolution, cnir_threshold, objective_value,
-                     solve_capped, solve_continuous)
+                     solve_continuous)
 
 __version__ = "0.1.0"

@@ -22,12 +22,15 @@ import numpy as np
 from .channel import AciFactors, aci_overlap_matrix
 from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig, path_loss_db
-from .solver import FEAS_TOL, Plan, _cap_sums, cap_limits, prepare
+from .solver import (_DUAL_TOL, FEAS_TOL, Plan, _cap_sums, _checked_ber,
+                     cap_limits, cnir_threshold)
 
 
 @dataclass(frozen=True)
 class ConstraintCaps:
-    """All deterministic caps the solver enforces."""
+    """All deterministic caps the solver enforces, for as many tones as the
+    overlap matrix has rows: ``Plan.rows`` refuses a CNIR of any other
+    length, naming both shapes."""
 
     total_cap: float            # watts; min of P_th and every CCI-derived cap
     aci_caps: np.ndarray        # watts, one per adjacent PU, shape (L,)
@@ -46,15 +49,28 @@ class ConstraintCaps:
 
     def plan(self, alpha, ber_threshold) -> Plan:
         """The solve-and-repair plan at ``alpha`` and this BER ceiling, kept
-        until another alpha or BER asks for one."""
+        until another alpha or BER asks for one; checks alpha and the BER."""
         ber = np.asarray(ber_threshold, dtype=float)
         key = (alpha, ber.shape, ber.tobytes())
-        if self._plan[0] != key:
-            omega = self.aci_weights.omega
-            object.__setattr__(self, "_plan", (key, prepare(
-                alpha, ber_threshold, self.total_cap, omega, self.aci_caps,
-                len(omega))))
-        return self._plan[1]
+        if self._plan[0] == key:
+            return self._plan[1]
+        omega = np.array(self.aci_weights.omega, dtype=float)
+        ber = _checked_ber(ber, len(omega))
+        caps, limits = cap_limits(self.total_cap, self.aci_caps)
+        want = np.isfinite(caps)
+        zero = want & (caps <= 0.0)     # forbids every tone coupled to it
+        want &= ~zero
+        lg = np.log(5.0 * ber)
+        plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
+            zero[0] | (omega[:, zero[1:]] > 0.0).any(1), math.inf,
+            cnir_threshold(alpha, ber)), omega=omega, limits=limits,
+            caps=np.where(want, caps, 1.0),
+            limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf))
+        for value in vars(plan).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        object.__setattr__(self, "_plan", (key, plan))
+        return plan
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ respect to power fixes lam_i uniquely:
 with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l and BER_i the tone's
 BER 0.2 exp(-1.6 C_i P_i / (2^b_i - 1)) from ``ber_audit``.  That recovered
 multiplier must be positive, and substituting it into the stationarity
-condition with respect to bits must leave a residual of zero.  Primal
-feasibility, complementary slackness, and dual sign complete the check.
+condition with respect to bits must leave a residual of zero.  The power's
+residual, mu_i less mu_i's own quotient, is only rounding of mu_i, so it is
+held to the tolerance times max(1, max mu_i).  Primal feasibility,
+complementary slackness, and dual sign complete the check.
 A BER meets its ceiling, and a load its cap, by ``check_feasible``'s rules
 (``constraints.ber_audit``, ``cap_audit``); ``primal`` is the worst excess.
 """
@@ -77,7 +79,7 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
                                                     ber_threshold)
 
     stat_p = stat_b = comp = 0.0
-    lam_sub_min = math.inf
+    lam_sub_min, mu_top = math.inf, 1.0
 
     if np.any(active):
         b, p, ca = bits[active], powers[active], c[active]
@@ -89,6 +91,7 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
         lam_sub_min = float(np.min(lam_sub))
         resid_p = mu - lam_sub * slope / denom
         stat_p = float(np.max(np.abs(resid_p)))
+        mu_top = max(1.0, float(np.max(mu)))
         resid_b = (-(1.0 - alpha)
                    + lam_sub * math.log(2.0) * p * 2.0 ** b / denom ** 2
                    * slope)
@@ -101,7 +104,8 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     comp = max(comp, float(np.max(np.abs(lam * excess))))
 
     dual = min(lam_sub_min, lam_pow, float(np.min(lam_aci, initial=math.inf)))
-    passed = (stat_p <= tols.stationarity and stat_b <= tols.stationarity
+    passed = (stat_p <= tols.stationarity * mu_top
+              and stat_b <= tols.stationarity
               and bool(np.all(ber_ok)) and bool(np.all(met))
               and comp <= tols.complementarity and dual >= -tols.dual_sign)
     return KktReport(stationarity_power=stat_p, stationarity_bits=stat_b,

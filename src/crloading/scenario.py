@@ -308,28 +308,20 @@ def _parse_experiment(obj):
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Load and validate a scenario from a dict, JSON text, or file path."""
+    """Load and validate a scenario from a dict or a JSON file's path."""
     if isinstance(source, dict):
         data = source
-    else:
-        if hasattr(source, "read"):
-            text = source.read()
-        elif isinstance(source, (str, os.PathLike)):
-            s = os.fspath(source)
-            if s.lstrip().startswith("{"):
-                text = s
-            else:
-                try:
-                    with open(s) as fh:
-                        text = fh.read()
-                except OSError as exc:
-                    raise ConfigError(f"cannot read config file {s!r}: {exc}")
-        else:
-            raise ConfigError(f"cannot load a scenario from {type(source)}")
+    elif isinstance(source, (str, os.PathLike)):
+        path = os.fspath(source)
         try:
-            data = json.loads(text)
+            with open(path) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path!r}: {exc}")
         except ValueError as exc:   # also an integer past Python's digit cap
             raise ConfigError(f"config is not valid JSON: {exc}")
+    else:
+        raise ConfigError(f"cannot load a scenario from {type(source)}")
     _object(data, {"su", "path_loss", "pus", "experiment"}, "config")
     for section in ("su", "path_loss"):
         if section not in data:

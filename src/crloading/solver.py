@@ -19,8 +19,8 @@ optimum, enforces each cap the current point violates, nulls subcarriers
 whose rate falls below 2 bits (remove-only), and repeats until neither
 changes.  Binding a cap only lowers every power, so a cap that holds at the
 unconstrained point is never enforced.  The loop runs on a (T, N) block of
-CNIR rows at once (``solve_capped`` is the T = 1 case); each row is bitwise
-its own one-row solve, as nothing multiplies matrices across rows.
+CNIR rows at once (``solve_continuous`` is the T = 1 case); each row is
+bitwise its own one-row solve, as nothing multiplies matrices across rows.
 
 On a fixed active set the enforced multipliers solve a complementarity
 system (lam >= 0, residual <= 0, lam * residual = 0) with one solution, so
@@ -107,12 +107,9 @@ def cnir_threshold(alpha, ber_threshold):
 
 
 def overlap_matrix(omega, n, num_caps) -> np.ndarray:
-    """``omega`` as a float (N, L) array, one column per ACI cap.
-
-    ``None`` stands for no adjacent bands; any other shape raises.
-    """
-    omega = (np.zeros((n, 0)) if omega is None
-             else np.asarray(omega, dtype=float))
+    """``omega`` as a float (N, L) array, one column per ACI cap; any other
+    shape raises."""
+    omega = np.asarray(omega, dtype=float)
     if omega.shape != (n, num_caps):
         raise SolverError(
             f"overlap matrix shape {omega.shape} does not match {n} "
@@ -141,7 +138,7 @@ def _cap_sums(powers, omega):
 @dataclass(frozen=True, eq=False)
 class Plan:
     """The read-only arrays that every solve and repair under one set of
-    caps, one alpha and one BER ceiling reads (``prepare``)."""
+    caps, one alpha and one BER ceiling reads (``ConstraintCaps.plan``)."""
 
     alpha: float
     lg: np.ndarray              # ln(5 BER) < 0, per tone
@@ -161,27 +158,6 @@ class Plan:
         return c
 
 
-def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
-    """The plan of ``n`` tones under ``total_cap`` and ``aci_caps`` (with
-    overlap matrix ``omega``); checks alpha, the BER and the shapes."""
-    ber = _checked_ber(ber_threshold, n)
-    caps, limits = cap_limits(total_cap, aci_caps)
-    omega = np.array(overlap_matrix(omega, n, caps.size - 1))
-    want = np.isfinite(caps)
-    zero = want & (caps <= 0.0)     # forbids every subcarrier coupled to it
-    want &= ~zero
-    lg = np.log(5.0 * ber)
-    plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
-        zero[0] | (omega[:, zero[1:]] > 0.0).any(1), math.inf,
-        cnir_threshold(alpha, ber)), omega=omega, limits=limits,
-        caps=np.where(want, caps, 1.0),
-        limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf))
-    for value in vars(plan).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return plan
-
-
 # ---------------------------------------------------------------------------
 # Closed forms
 # ---------------------------------------------------------------------------
@@ -190,7 +166,7 @@ def prepare(alpha, ber_threshold, total_cap, omega, aci_caps, n) -> Plan:
 def _power_dual(q, active, alpha, cap):
     """Total-power multiplier per row that makes sum(P) over the ``active``
     tones equal ``cap``, with offsets ``q = ln(5 BER) / (1.6 C)``; 0 when
-    the cap is slack.  Every q is negative and ``prepare`` makes the cap
+    the cap is slack.  Every q is negative and the plan makes the cap
     positive, so the denominator is at least the cap."""
     denom = cap - np.add.reduce(np.where(active, q, 0.0), -1)
     return np.maximum(np.add.reduce(active, -1) * (1.0 - alpha) / _LN2
@@ -419,21 +395,6 @@ def _solution(block, alpha) -> ContinuousSolution:
         case_id=5 + (lam_pow > 0) + 2 * any(lam_aci > 0),
         objective=objective_value(bits, powers, alpha), alpha=alpha,
     )
-
-
-def solve_capped(cnir, alpha, ber_threshold, total_cap=math.inf, omega=None,
-                 aci_caps=()) -> ContinuousSolution:
-    """Optimal continuous loading under every finite cap: the one-row case
-    of the block solve, under a plan built for this call alone.
-
-    ``omega`` (N, L) weights the powers into the adjacent-channel loads
-    capped by ``aci_caps``.  An infinite cap is never enforced, so
-    ``solve_capped(cnir, alpha, ber)`` is the unconstrained optimum.
-    """
-    c = _one_row(cnir)
-    plan = prepare(alpha, ber_threshold, total_cap, omega, aci_caps,
-                   c.shape[1])
-    return _solution(_solve_block(c, plan), alpha)
 
 
 def solve_continuous(realization, caps, su_params) -> ContinuousSolution:

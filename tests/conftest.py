@@ -1,12 +1,14 @@
 """Shared fixtures/helpers for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from crloading.channel import AciFactors, ChannelRealization
 from crloading.constraints import ConstraintCaps
 from crloading.scenario import load_scenario
-from crloading.solver import solve_capped
+from crloading.solver import solve_continuous
 
 
 def make_caps(n, total_cap=np.inf, aci_caps=(), omega=None):
@@ -20,6 +22,14 @@ def make_caps(n, total_cap=np.inf, aci_caps=(), omega=None):
     omega = np.asarray(omega, dtype=float).reshape(n, -1)
     return ConstraintCaps(total_cap=float(total_cap), aci_caps=aci,
                           aci_weights=AciFactors(omega=omega))
+
+
+def solve_raw(cnir, alpha, ber, total_cap=np.inf, omega=None, aci_caps=()):
+    """``solve_continuous`` of one CNIR row under ``make_caps`` of these
+    numbers, at ``alpha`` and the BER ceiling ``ber``."""
+    caps = make_caps(np.shape(cnir)[-1], total_cap, aci_caps, omega)
+    return solve_continuous(cnir, caps, SimpleNamespace(alpha=alpha,
+                                                        ber_threshold=ber))
 
 
 def make_realization(cnir):
@@ -46,7 +56,7 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
     cth = cnir_threshold(alpha, ber)
     cnir = cth * rng.lognormal(mean=0.7, sigma=0.7, size=n)
     omega = rng.uniform(0.05, 0.6, size=(n, 1))
-    base = solve_capped(cnir, alpha, ber)
+    base = solve_raw(cnir, alpha, ber)
     total5 = float(np.sum(base.powers))
     load5 = float(base.powers @ omega[:, 0])
     total_cap = np.inf
@@ -61,7 +71,7 @@ def random_instance(rng, kind=None, n_lo=2, n_hi=8):
             # budget also deflates the weighted load), so squeeze the
             # load of the budget-capped optimum instead.
             total_cap = total5 * float(rng.uniform(0.45, 0.85))
-            capped = solve_capped(cnir, alpha, ber, total_cap)
+            capped = solve_raw(cnir, alpha, ber, total_cap)
             load6 = float(capped.powers @ omega[:, 0])
             if load6 > 0.0:
                 aci_cap = load6 * float(rng.uniform(0.95, 0.995))

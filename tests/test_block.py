@@ -14,10 +14,9 @@ from crloading.discretizer import _repair, round_and_repair
 from crloading.experiments import run_monte_carlo, run_trial
 from crloading.kkt import kkt_verify
 from crloading.scenario import load_scenario
-from crloading.solver import (_solve_block, cnir_threshold, prepare,
-                              solve_capped)
+from crloading.solver import _solve_block, cnir_threshold
 
-from conftest import adjacent_band_scenario, make_caps
+from conftest import adjacent_band_scenario, make_caps, solve_raw
 
 C2 = np.array([100.0, 50.0])
 
@@ -27,12 +26,12 @@ def assert_rows_match_one_row_solves(cnir, alpha, ber, total_cap, omega,
     """Every row of the block solve and repair equals its one-row call;
     returns the case ids of the rows."""
     caps = make_caps(cnir.shape[1], total_cap, aci_caps, omega)
-    plan = prepare(alpha, ber, total_cap, omega, aci_caps, cnir.shape[1])
+    plan = caps.plan(alpha, ber)
     bits, powers, lam, active = _solve_block(cnir, plan)
     d_bits, d_powers, steps = _repair(bits, cnir, plan, max_bits)[:3]
     cases = []
     for t, c in enumerate(cnir):
-        sol = solve_capped(c, alpha, ber, total_cap, omega, aci_caps)
+        sol = solve_raw(c, alpha, ber, total_cap, omega, aci_caps)
         assert np.array_equal(bits[t], sol.bits)
         assert np.array_equal(powers[t], sol.powers)
         assert np.array_equal(lam[t], np.r_[sol.lambda_power,
@@ -58,7 +57,7 @@ def random_block(rng):
     cnir = base * 10.0 ** rng.uniform(-1.0, 1.0, (t, 1))
     omega = rng.uniform(0.0, 1.0, (n, l)) * 10.0 ** rng.uniform(-3.0, 0.0,
                                                                 (n, l))
-    free = solve_capped(base, alpha, ber)
+    free = solve_raw(base, alpha, ber)
     scale = 10.0 ** rng.uniform(-2.0, math.log10(2.0), 1 + l)
     total_cap = (float(np.sum(free.powers)) * scale[0]
                  if rng.random() < 0.7 else math.inf)

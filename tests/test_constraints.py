@@ -22,9 +22,9 @@ from crloading.experiments import run_trial, trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
-from crloading.solver import FEAS_TOL, solve_capped, solve_continuous
+from crloading.solver import FEAS_TOL, solve_continuous
 
-from conftest import make_caps
+from conftest import make_caps, solve_raw
 
 # nu 10^(L/10) P_cci / (-ln(1-Psi)) at L = 125.506... dB, Psi = 0.9,
 # P_cci = 1e-14 W -- frozen from an independent evaluation
@@ -301,7 +301,7 @@ class TestToneCounts:
         # cci_binding's caps are for 32 tones and weight none of them
         caps = build_caps(load_scenario("configs/cci_binding.json"))
         cnir = np.array([100.0, 50.0, 25.0])
-        sol = solve_capped(cnir, 0.5, 1e-4)
+        sol = solve_raw(cnir, 0.5, 1e-4)
         alloc = Allocation(bits=np.zeros(3, dtype=int), powers=np.zeros(3),
                            objective=0.0, repair_steps=0)
         with pytest.raises(SolverError, match=(

@@ -18,7 +18,7 @@ from crloading.discretizer import (Allocation, _pricing, _repair,
                                    power_for_bits, round_and_repair)
 from crloading.errors import SolverError
 from crloading.scenario import _MAX_BITS
-from crloading.solver import (FEAS_TOL, _cap_sums, objective_value, prepare,
+from crloading.solver import (FEAS_TOL, _cap_sums, objective_value,
                               solve_continuous)
 
 import engine_reference as ref
@@ -479,8 +479,7 @@ class TestMatchesReferenceLoop:
 def assert_block_matches_reference(conts, cnirs, caps, omega, ber, max_bits):
     """Each row of one block repair equals the reference loop on it alone;
     returns the reference allocations."""
-    plan = prepare(conts[0].alpha, ber, caps.total_cap, omega, caps.aci_caps,
-                   len(cnirs[0]))
+    plan = caps.plan(conts[0].alpha, ber)
     bits, powers, steps = _repair(
         np.array([c.bits for c in conts]), np.array(cnirs), plan,
         max_bits)[:3]

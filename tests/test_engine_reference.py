@@ -16,14 +16,13 @@ import numpy as np
 import pytest
 
 import engine_reference as ref
-from conftest import adjacent_band_scenario
+from conftest import adjacent_band_scenario, make_caps, solve_raw
 from crloading import discretizer, experiments, solver
 from crloading.constraints import build_caps
 from crloading.discretizer import _pricing, _repair, round_and_repair
 from crloading.experiments import run_trial
 from crloading.scenario import apply_parameter, load_scenario
-from crloading.solver import (_solve_block, cnir_threshold, prepare,
-                              solve_capped, solve_continuous)
+from crloading.solver import _solve_block, cnir_threshold, solve_continuous
 
 CONFIGS = [("cci_binding", None), ("default", None), ("small_n6", None),
            ("default", 1024)]
@@ -181,14 +180,14 @@ def test_four_bands_where_only_a_later_column_binds(monkeypatch):
                                                        1))
         omega = rng.uniform(0.0, 1.0, (n, 4)) * 10.0 ** rng.uniform(
             -3.0, 0.0, (n, 4))
-        free = solve_capped(base, alpha, ber).powers
+        free = solve_raw(base, alpha, ber).powers
         tight = [(1,), (2,), (3,), (1, 3)][k % 4]
         loose = np.setdiff1d(np.arange(4), tight)
         aci = omega.T @ free * rng.uniform(0.05, 0.6, 4)
         aci[loose] *= 100.0
         aci[0] = math.inf if k % 2 else aci[0]
         total = math.inf if k % 3 else 10.0 * float(np.sum(free))
-        plan = prepare(alpha, ber, total, omega, aci, n)
+        plan = make_caps(n, total, aci, omega).plan(alpha, ber)
         lam = assert_engine_matches_reference(cnir, plan, 16, monkeypatch)[2]
         assert not np.count_nonzero(lam[:, 1 + loose])
         later += np.count_nonzero(lam[:, 2:].any(1))
@@ -206,7 +205,7 @@ def test_zero_caps(monkeypatch):
     omega[::2, 0] = 0.0
     for total, aci in ((0.0, [1e-3, 1e-3]), (math.inf, [0.0, 1e-2]),
                        (1e-2, [0.0, 0.0])):
-        plan = prepare(alpha, ber, total, omega, aci, n)
+        plan = make_caps(n, total, aci, omega).plan(alpha, ber)
         bits = assert_engine_matches_reference(cnir, plan, 16,
                                                monkeypatch)[0]
         assert not bits[:, omega[:, 0] > 0].any()
@@ -221,11 +220,11 @@ def tied_rows(rng, t, n, eights):
     row[:eights] = 8.0
     bits = np.array([rng.permutation(row) for _ in range(t)])
     cnir = np.full((t, n), 100.0)
-    lg = prepare(0.5, 1e-4, math.inf, None, (), n).lg
+    lg = make_caps(n).plan(0.5, 1e-4).lg
     cost, head, _ = _pricing(16)
     power = float(np.sum(cost[row.astype(int)] * -lg / 160.0))
     total = power - 4.5 * head[8] * -lg[0] / 160.0
-    return bits, cnir, prepare(0.5, 1e-4, total, None, (), n)
+    return bits, cnir, make_caps(n, total).plan(0.5, 1e-4)
 
 
 @pytest.mark.parametrize("sort_all", [discretizer._SORT_ALL, 0])

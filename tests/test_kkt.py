@@ -20,9 +20,9 @@ from crloading.errors import SolverError
 from crloading.experiments import trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.scenario import load_scenario
-from crloading.solver import solve_capped, solve_continuous
+from crloading.solver import solve_continuous
 
-from conftest import make_caps, random_instance
+from conftest import make_caps, random_instance, solve_raw
 
 C2 = np.array([100.0, 50.0])
 OM = np.array([[0.5], [0.1]])
@@ -39,7 +39,7 @@ def free_caps(n=2, l=0):
 
 class TestCleanSolutionsPass:
     def test_unconstrained(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         rep = kkt_verify(sol, C2, 1e-4, free_caps())
         assert rep.passed
         assert rep.stationarity_bits <= 1e-10
@@ -47,7 +47,7 @@ class TestCleanSolutionsPass:
 
     def test_total_cap(self):
         caps = make_caps(2, 1.0)
-        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
+        sol = solve_raw(C2, 0.5, 1e-4, 1.0)
         rep = kkt_verify(sol, C2, 1e-4, caps)
         assert rep.passed
         assert rep.complementarity <= 1e-10
@@ -55,12 +55,12 @@ class TestCleanSolutionsPass:
 
     def test_aci_cap(self):
         caps = make_caps(2, np.inf, [0.3], omega=OM)
-        sol = solve_capped(C2, 0.5, 1e-4, math.inf, OM, np.array([0.3]))
+        sol = solve_raw(C2, 0.5, 1e-4, math.inf, OM, np.array([0.3]))
         assert kkt_verify(sol, C2, 1e-4, caps).passed
 
     def test_joint_caps(self):
         caps = make_caps(2, 0.8, [0.22], omega=OM)
-        sol = solve_capped(C2, 0.5, 1e-4, 0.8, OM, np.array([0.22]))
+        sol = solve_raw(C2, 0.5, 1e-4, 0.8, OM, np.array([0.22]))
         rep = kkt_verify(sol, C2, 1e-4, caps)
         assert rep.passed
         # both caps bind: complementarity must still be ~0 because the
@@ -68,14 +68,14 @@ class TestCleanSolutionsPass:
         assert rep.complementarity <= 1e-10
 
     def test_all_nulled_passes_trivially(self):
-        sol = solve_capped(np.array([1.0, 2.0]), 0.5, 1e-4)
+        sol = solve_raw(np.array([1.0, 2.0]), 0.5, 1e-4)
         rep = kkt_verify(sol, np.array([1.0, 2.0]), 1e-4, free_caps())
         assert rep.passed
         assert rep.stationarity_bits == 0.0
 
     def test_vector_ber_threshold(self):
         ber = np.array([1e-4, 1e-4])
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         assert kkt_verify(sol, C2, ber, free_caps()).passed
 
     def test_random_instances_certify(self, rng):
@@ -113,21 +113,21 @@ class TestWideBandCertifies:
 
 class TestFailureChannels:
     def test_perturbed_bits_break_stationarity(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, bits=sol.bits + 0.1)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
         assert rep.stationarity_bits > 1e-4
 
     def test_perturbed_powers_break_stationarity(self):
-        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
+        sol = solve_raw(C2, 0.5, 1e-4, 1.0)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.01)
         rep = kkt_verify(bad, C2, 1e-4, make_caps(2, 1.5))
         assert not rep.passed
         assert rep.stationarity_bits > 1e-4
 
     def test_negative_multiplier_flagged(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, lambda_power=-0.1)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
@@ -136,7 +136,7 @@ class TestFailureChannels:
     def test_pricing_a_slack_cap_breaks_complementarity(self):
         # solved for cap 1.0 but audited against cap 1.5: the positive
         # multiplier now prices 0.5 W of slack
-        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
+        sol = solve_raw(C2, 0.5, 1e-4, 1.0)
         rep = kkt_verify(sol, C2, 1e-4, make_caps(2, 1.5))
         assert not rep.passed
         assert rep.complementarity == pytest.approx(
@@ -145,7 +145,7 @@ class TestFailureChannels:
         assert rep.primal <= 1e-12
 
     def test_cap_overrun_breaks_primal(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         cap = 0.9 * float(np.sum(sol.powers))
         rep = kkt_verify(sol, C2, 1e-4, make_caps(2, cap))
         assert not rep.passed
@@ -153,7 +153,7 @@ class TestFailureChannels:
         assert rep.complementarity <= 1e-12      # multiplier is zero
 
     def test_missed_ber_breaks_primal(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 0.99)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert not rep.passed
@@ -162,7 +162,7 @@ class TestFailureChannels:
     def test_overshot_ber_is_not_a_primal_violation(self):
         # more power than needed keeps the link below the BER ceiling;
         # that is primal-feasible (it fails stationarity instead)
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.5)
         rep = kkt_verify(bad, C2, 1e-4, free_caps())
         assert rep.primal == 0.0
@@ -173,7 +173,7 @@ class TestTolerancesAndReport:
     def test_infinite_tolerances_accept_anything(self):
         # anything feasible: a missed BER ceiling fails by FEAS_TOL, as
         # check_feasible judges it, whatever the tolerances
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.5,
                                   lambda_power=-5.0)
         tols = KktTolerances(stationarity=math.inf,
@@ -190,7 +190,7 @@ class TestTolerancesAndReport:
         assert tols.dual_sign == 1e-12
 
     def test_report_to_dict(self):
-        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
+        sol = solve_raw(C2, 0.5, 1e-4, 1.0)
         d = kkt_verify(sol, C2, 1e-4, make_caps(2, 1.0)).to_dict()
         assert d["pass"] is True
         for key in ("stationarity_power", "stationarity_bits", "primal",
@@ -198,7 +198,7 @@ class TestTolerancesAndReport:
             assert isinstance(d[key], float)
 
     def test_dimension_mismatch_raises(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         with pytest.raises(SolverError, match="one entry per row"):
             kkt_verify(sol, np.array([100.0, 50.0, 25.0]), 1e-4,
                        free_caps(3))

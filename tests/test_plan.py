@@ -1,6 +1,6 @@
 """Prepared per-config arrays: the plan a ConstraintCaps builds on first use
-gives bitwise the results of a plan built for the call alone, is built
-once per (caps, alpha, BER) and cannot go stale."""
+gives bitwise the results of a plan that fresh caps build for the call
+alone, is built once per (caps, alpha, BER) and cannot go stale."""
 
 import types
 from dataclasses import replace
@@ -15,7 +15,7 @@ from crloading.errors import SolverError
 from crloading.experiments import run_trial
 from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
-from crloading.solver import prepare, solve_capped, solve_continuous
+from crloading.solver import Plan, solve_continuous
 
 from conftest import adjacent_band_scenario, make_caps
 
@@ -58,12 +58,11 @@ class TestCachedPlanMatchesRawArguments:
         zero_caps = 0
         for t in range(6):
             cnir = experiments._draw(cfg, k, [t])[0][0]
-            raw = solve_capped(cnir, su.alpha, su.ber_threshold,
-                               caps.total_cap, omega.copy(), caps.aci_caps)
+            fresh = make_caps(n, caps.total_cap, caps.aci_caps, omega.copy())
+            raw = solve_continuous(cnir, fresh, su)
             cached = solve_continuous(cnir, caps, su)
             assert_same(cached, raw)
-            plan = prepare(su.alpha, su.ber_threshold, caps.total_cap,
-                           omega.copy(), caps.aci_caps, n)
+            plan = fresh.plan(su.alpha, su.ber_threshold)
             bits, powers, steps = _repair(raw.bits[None], cnir[None], plan,
                                           su.max_bits)[:3]
             alloc = round_and_repair(cached, caps, None, cnir,
@@ -82,11 +81,11 @@ class TestBuiltOnce:
     def test_hundred_trials_one_plan(self, monkeypatch):
         built = []
 
-        def counting(*args):
-            built.append(args)
-            return prepare(*args)
+        def counting(**fields):
+            built.append(fields)
+            return Plan(**fields)
 
-        monkeypatch.setattr(constraints, "prepare", counting)
+        monkeypatch.setattr(constraints, "Plan", counting)
         cfg = load_scenario("configs/default.json")
         caps = build_caps(cfg)
         assert not built                # not in build_caps: on first use
@@ -154,8 +153,6 @@ class TestOneRowEntryPoints:
         caps = make_caps(2, 1.0)
         cnir = np.array([[100.0, 50.0], [80.0, 40.0]])
         cont = types.SimpleNamespace(bits=np.array([5.0, 4.0]), alpha=0.5)
-        with pytest.raises(SolverError, match="one row"):
-            solve_capped(cnir, 0.5, 1e-4, 1.0)
         with pytest.raises(SolverError, match="one row"):
             solve_continuous(cnir, caps, SU)
         for omega in (None, np.zeros((2, 0))):

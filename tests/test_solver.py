@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading import experiments, solver
-from crloading.constraints import build_caps
+from crloading.channel import AciFactors
+from crloading.constraints import ConstraintCaps, build_caps
 from crloading.discretizer import round_and_repair
 from crloading.errors import SolverError
 from crloading.kkt import kkt_verify
@@ -22,11 +23,11 @@ from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
     objective_value,
-    solve_capped,
     solve_continuous,
 )
 
-from conftest import adjacent_band_scenario, make_caps, random_instance
+from conftest import (adjacent_band_scenario, make_caps, random_instance,
+                      solve_raw)
 
 NEGLOG = 7.600902459542082          # -ln(5e-4)
 C_TH = 13.17136027385687            # activation CNIR at alpha=.5, BER=1e-4
@@ -85,14 +86,14 @@ class TestActivationThreshold:
             cnir_threshold(alpha, 1e-4)
 
     def test_bits_hit_two_exactly_at_threshold(self):
-        sol = solve_capped(np.array([C_TH]), 0.5, 1e-4)
+        sol = solve_raw(np.array([C_TH]), 0.5, 1e-4)
         assert sol.bits[0] == pytest.approx(2.0, abs=1e-10)
-        sol2 = solve_capped(np.array([C_TH_2]), 0.3, 1e-3)
+        sol2 = solve_raw(np.array([C_TH_2]), 0.3, 1e-3)
         assert sol2.bits[0] == pytest.approx(2.0, abs=1e-10)
         assert sol2.powers[0] == pytest.approx(2.5247163215556854, rel=1e-12)
 
     def test_below_threshold_is_nulled(self):
-        sol = solve_capped(np.array([C_TH * 0.999, C_TH * 1.001]), 0.5, 1e-4)
+        sol = solve_raw(np.array([C_TH * 0.999, C_TH * 1.001]), 0.5, 1e-4)
         assert sol.bits[0] == 0.0 and sol.powers[0] == 0.0
         assert sol.bits[1] > 2.0
         assert list(sol.active_set) == [1]
@@ -102,14 +103,14 @@ class TestActivationThreshold:
     @settings(max_examples=80)
     def test_threshold_separates_regimes(self, alpha, ber):
         cth = cnir_threshold(alpha, ber)
-        sol = solve_capped(np.array([cth * 0.98, cth * 1.02]), alpha, ber)
+        sol = solve_raw(np.array([cth * 0.98, cth * 1.02]), alpha, ber)
         assert sol.bits[0] == 0.0
         assert sol.bits[1] >= 2.0
 
 
 class TestUnconstrained:
     def test_frozen_allocation(self):
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         np.testing.assert_allclose(sol.bits, B5, rtol=1e-12)
         np.testing.assert_allclose(sol.powers, P5, rtol=1e-12)
         assert sol.case_id == 5
@@ -120,18 +121,18 @@ class TestUnconstrained:
 
     def test_power_bits_identity(self):
         # P = (1-alpha)/(mu ln2) (1 - 2^-b) with mu = alpha here
-        sol = solve_capped(C2, 0.5, 1e-4)
+        sol = solve_raw(C2, 0.5, 1e-4)
         rhs = 0.5 / (0.5 * math.log(2)) * (1.0 - 2.0 ** -sol.bits)
         np.testing.assert_allclose(sol.powers, rhs, rtol=1e-12)
 
     def test_bits_log_in_cnir(self):
         # doubling the CNIR adds exactly one bit on the active set
-        a = solve_capped(C2, 0.5, 1e-4)
-        b = solve_capped(2.0 * C2, 0.5, 1e-4)
+        a = solve_raw(C2, 0.5, 1e-4)
+        b = solve_raw(2.0 * C2, 0.5, 1e-4)
         np.testing.assert_allclose(b.bits - a.bits, 1.0, rtol=1e-12)
 
     def test_all_nulled_collapses_cleanly(self):
-        sol = solve_capped(np.array([1.0, 2.0]), 0.5, 1e-4)
+        sol = solve_raw(np.array([1.0, 2.0]), 0.5, 1e-4)
         assert sol.active_set.size == 0
         assert sol.objective == 0.0
         assert np.all(sol.powers == 0.0)
@@ -139,7 +140,7 @@ class TestUnconstrained:
 
 class TestTotalPowerCap:
     def test_frozen_allocation(self):
-        sol = solve_capped(C2, 0.5, 1e-4, 1.0)
+        sol = solve_raw(C2, 0.5, 1e-4, 1.0)
         np.testing.assert_allclose(sol.bits, B6, rtol=1e-12)
         np.testing.assert_allclose(sol.powers, P6, rtol=1e-12)
         assert sol.lambda_power == pytest.approx(LAM6, rel=1e-12)
@@ -147,31 +148,31 @@ class TestTotalPowerCap:
 
     def test_cap_met_with_equality(self):
         for cap in (0.3, 1.0, 2.0):
-            sol = solve_capped(C2, 0.5, 1e-4, cap)
+            sol = solve_raw(C2, 0.5, 1e-4, cap)
             assert np.sum(sol.powers) == pytest.approx(cap, rel=1e-10)
 
     def test_tight_cap_sheds_weak_subcarrier(self):
         # squeezing hard enough drops the low-CNIR tone entirely and the
         # survivor absorbs the whole budget
-        sol = solve_capped(C2, 0.5, 1e-4, 0.5)
+        sol = solve_raw(C2, 0.5, 1e-4, 0.5)
         assert sol.bits[1] == 0.0
         assert list(sol.active_set) == [0]
         assert np.sum(sol.powers) == pytest.approx(0.5, rel=1e-10)
 
     def test_brutal_cap_sheds_everything(self):
-        sol = solve_capped(C2, 0.5, 1e-4, 0.08)
+        sol = solve_raw(C2, 0.5, 1e-4, 0.08)
         assert sol.active_set.size == 0
         assert np.all(sol.powers == 0.0)
 
     def test_objective_degrades_as_cap_tightens(self):
-        fs = [solve_capped(C2, 0.5, 1e-4, cap).objective
+        fs = [solve_raw(C2, 0.5, 1e-4, cap).objective
               for cap in (2.0, 1.0, 0.5, 0.25)]
         assert all(a < b for a, b in zip(fs, fs[1:]))
 
 
 class TestAciCapOnly:
     def test_frozen_single_band(self):
-        sol = solve_capped(C2, 0.5, 1e-4, math.inf,
+        sol = solve_raw(C2, 0.5, 1e-4, math.inf,
                            np.array([[0.5], [0.1]]), np.array([0.3]))
         assert sol.lambda_aci[0] == pytest.approx(LAM7, rel=1e-10)
         np.testing.assert_allclose(sol.bits, B7, rtol=1e-10)
@@ -184,9 +185,9 @@ class TestAciCapOnly:
     def test_uniform_weights_reduce_to_total_cap(self):
         # omega = w * ones makes the aci cap an ordinary power cap of
         # cap / w, so the allocation must match case 6 exactly
-        sol = solve_capped(C2, 0.5, 1e-4, math.inf,
+        sol = solve_raw(C2, 0.5, 1e-4, math.inf,
                            np.array([[0.3], [0.3]]), np.array([0.3]))
-        ref = solve_capped(C2, 0.5, 1e-4, 1.0)
+        ref = solve_raw(C2, 0.5, 1e-4, 1.0)
         np.testing.assert_allclose(sol.bits, ref.bits, rtol=1e-9)
         np.testing.assert_allclose(sol.powers, ref.powers, rtol=1e-9)
         assert sol.lambda_aci[0] == pytest.approx(LAM6 / 0.3, rel=1e-9)
@@ -194,7 +195,7 @@ class TestAciCapOnly:
     def test_frozen_two_bands(self):
         om = np.array([[0.5, 0.05], [0.1, 0.4]])
         caps = np.array([0.25, 0.30])
-        sol = solve_capped(C2, 0.5, 1e-4, math.inf, om, caps)
+        sol = solve_raw(C2, 0.5, 1e-4, math.inf, om, caps)
         np.testing.assert_allclose(sol.lambda_aci, LAM7_2, rtol=1e-9)
         np.testing.assert_allclose(sol.bits, B7_2, rtol=1e-9)
         np.testing.assert_allclose(sol.powers, P7_2, rtol=1e-9)
@@ -206,7 +207,7 @@ class TestJointCaps:
     OM = np.array([[0.5], [0.1]])
 
     def test_frozen_both_binding(self):
-        sol = solve_capped(C2, 0.5, 1e-4, 0.8, self.OM, np.array([0.22]))
+        sol = solve_raw(C2, 0.5, 1e-4, 0.8, self.OM, np.array([0.22]))
         assert sol.lambda_power == pytest.approx(LAM8_POW, rel=1e-9)
         assert sol.lambda_aci[0] == pytest.approx(LAM8_ACI, rel=1e-9)
         np.testing.assert_allclose(sol.bits, B8, rtol=1e-9)
@@ -220,7 +221,7 @@ class TestJointCaps:
     def test_slack_aci_multiplier_drops_to_zero(self):
         # with cap 0.25 the adjacent-band load settles at ~0.2495 once the
         # total cap binds, so its multiplier must vanish
-        sol = solve_capped(C2, 0.5, 1e-4, 0.8, self.OM, np.array([0.25]))
+        sol = solve_raw(C2, 0.5, 1e-4, 0.8, self.OM, np.array([0.25]))
         assert sol.lambda_power == pytest.approx(LAM8D_POW, rel=1e-9)
         assert sol.lambda_aci[0] == 0.0
         np.testing.assert_allclose(sol.bits, B8D, rtol=1e-9)
@@ -271,14 +272,17 @@ class TestDispatch:
 
 class TestOverlapShape:
     @pytest.mark.parametrize("omega,aci_caps", [
-        (None, (0.3,)),                         # caps but no matrix
+        (np.zeros((2, 0)), (0.3,)),             # caps but no matrix
         (np.array([[0.5], [0.1]]), (0.3, 0.2)),  # one column for two caps
         (np.array([[0.5, 0.1]]), (0.3, 0.2)),    # one row for two tones
         (np.array([0.5, 0.1]), (0.3,)),          # a vector
     ], ids=["missing", "too_few_columns", "too_few_rows", "one_dimensional"])
     def test_shape_must_be_tones_by_caps(self, omega, aci_caps):
+        # where the caps are made, or (rows alone wrong) where the CNIR is
         with pytest.raises(SolverError, match="overlap matrix shape"):
-            solve_capped(C2, 0.5, 1e-4, math.inf, omega, aci_caps)
+            caps = ConstraintCaps(math.inf, np.array(aci_caps),
+                                  AciFactors(omega))
+            solve_continuous(C2, caps, su())
 
     def test_cnir_must_match_the_caps_band(self):
         cfg = load_scenario("configs/small_n6.json")
@@ -289,12 +293,13 @@ class TestOverlapShape:
 
 class TestBerCeiling:
     """BER = 0.2 makes -ln(5 BER) zero: every entry point must refuse it
-    (solve_capped used to divide by zero and return an empty solution).
+    (the one-row solve used to divide by zero and return an empty
+    solution).
     A BER vector must also hold one value per tone."""
 
     CNIR = np.array([10.0, 20.0])
     ENTRY_POINTS = {
-        "solve_capped": lambda c, ber: solve_capped(c, 0.5, ber, 1.0),
+        "caps_plan": lambda c, ber: make_caps(c.size, 1.0).plan(0.5, ber),
         "solve_continuous": lambda c, ber: solve_continuous(
             c, make_caps(c.size, 1.0), su(alpha=0.5, ber=ber)),
         "round_and_repair": lambda c, ber: round_and_repair(
@@ -346,17 +351,17 @@ class TestDualStepAgreesWithNewton:
         cnir = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.5, 4.0, n)
         omega = rng.uniform(0.0, 1.0, (n, l)) * 10.0 ** rng.uniform(
             -3.0, 0.0, (n, l))
-        free = solve_capped(cnir, alpha, ber)
+        free = solve_raw(cnir, alpha, ber)
         scale = 10.0 ** rng.uniform(-3.0, math.log10(2.0), 1 + l)
         total_cap = float(np.sum(free.powers)) * scale[0]
         aci_caps = omega.T @ free.powers * scale[1:]
         return cnir, alpha, ber, total_cap, omega, aci_caps
 
     def _compare(self, monkeypatch, *problem):
-        got = solve_capped(*problem)
+        got = solve_raw(*problem)
         with monkeypatch.context() as m:
             m.setattr(solver, "_solve_duals", _newton_only_duals)
-            ref = solve_capped(*problem)
+            ref = solve_raw(*problem)
         lam_got = np.concatenate([[got.lambda_power], got.lambda_aci])
         lam_ref = np.concatenate([[ref.lambda_power], ref.lambda_aci])
         np.testing.assert_allclose(lam_got, lam_ref, rtol=1e-10, atol=0.0)
@@ -411,9 +416,9 @@ class TestCoupledNewtonHardRows:
         # uniform ACI weights make the ACI load 0.3 x the total power, so
         # the two caps bind at once and share one degree of freedom
         omega, aci_caps = np.full((2, 1), 0.3), np.array([0.3 * 0.8])
-        got = solve_capped(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
+        got = solve_raw(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
         monkeypatch.setattr(solver, "_solve_duals", _newton_only_duals)
-        ref = solve_capped(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
+        ref = solve_raw(C2, 0.5, 1e-4, 0.8, omega, aci_caps)
         assert got.case_id == 6 and ref.case_id == 8
         assert ref.lambda_power + 0.3 * ref.lambda_aci[0] == pytest.approx(
             got.lambda_power, rel=1e-10)
@@ -431,7 +436,7 @@ class TestCoupledNewtonHardRows:
                           [0, 0.54, 0], [0, 0, 0.12], [0, 0.65, 0]])
         aci_caps = np.array([0.048, 0.152, 0.108])
         shapes = self._spy(monkeypatch)
-        sol = solve_capped(cnir, 0.5, 1e-4, 3.62, omega, aci_caps)
+        sol = solve_raw(cnir, 0.5, 1e-4, 3.62, omega, aci_caps)
         assert shapes == [(6, 4), (4, 3)]
         assert sol.lambda_aci[0] == 0.0 and 0 not in sol.active_set
         assert kkt_verify(sol, cnir, 1e-4,
@@ -582,6 +587,6 @@ class TestRandomInstances:
             assert tight.objective >= loose.objective - 1e-12
 
     def test_throughput_decreases_with_power_weight(self):
-        sums = [solve_capped(C2, a, 1e-4).bits.sum()
+        sums = [solve_raw(C2, a, 1e-4).bits.sum()
                 for a in (0.2, 0.4, 0.6, 0.8)]
         assert all(x > y for x, y in zip(sums, sums[1:]))
