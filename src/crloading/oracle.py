@@ -20,7 +20,7 @@ objective.  Two equivalent engines:
 
 Both return identical results; the flat engine is the cross-check.  Each
 sums loads its own way, so a load within 4 N eps of its limit is judged as
-``check_feasible`` judges it: ``_cap_sums`` against ``cap_limits``.
+``check_feasible`` judges it: ``_cap_sums`` against the plan's limits.
 """
 
 from __future__ import annotations
@@ -31,11 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import _own_overlap, power_for_bits
+from .discretizer import _own_overlap, _pricing
 from .errors import SolverError
 from .scenario import _MAX_BITS
-from .solver import (_cap_sums, _checked_ber, _checked_cnir, cap_limits,
-                     objective_value, overlap_matrix)
+from .solver import _cap_sums, _one_row, objective_value
 
 # Powers (rows x tones) in one block of the flat search, at most, though a
 # block has d rows at least.  Timed on small_n6 at b_max 8 (2-core Xeon VM):
@@ -60,26 +59,25 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     Refuses more than ``_N_LIMIT`` subcarriers.  ``omega`` must be None or
     the caps' overlap matrix (``_own_overlap``), which callers pass
     positionally.  Objective ties resolve to the lexicographically smallest
-    bit vector, so results are deterministic and engine-independent.  CNIR
-    must be finite and positive.
+    bit vector, so results are deterministic and engine-independent.  The
+    caps' plan checks alpha, the BER, the CNIR and its tone count.
     """
-    c = _checked_cnir(cnir)
-    ber = _checked_ber(ber_threshold, c.shape[-1])
+    _own_overlap(caps, omega)
+    plan = caps.plan(alpha, ber_threshold)
+    c = plan.rows(_one_row(cnir))[0]
     n = c.size
     if n > _N_LIMIT:
         raise SolverError(f"exhaustive search over {n} subcarriers exceeds "
                           f"the limit {_N_LIMIT}")
-    _, limits = cap_limits(caps.total_cap, caps.aci_caps)
-    omega = overlap_matrix(_own_overlap(caps, omega), n, limits.size - 1)
-
     if (isinstance(b_max, bool) or not isinstance(b_max, numbers.Real)
             or not 2 <= b_max <= _MAX_BITS or b_max % 1):
         raise SolverError(f"b_max must be an integer in [2, {_MAX_BITS}], "
                           f"got {b_max!r}")
     b_max = int(b_max)
-    # Candidate powers per subcarrier, aligned with bit values bcol: (d, n).
+    # Candidate powers (d, n) of bit values bcol, priced as the repair does.
     bcol = np.r_[0, 2:b_max + 1][:, None]
-    pcand = power_for_bits(np.repeat(bcol, n, axis=1), c, ber, max_bits=b_max)
+    with np.errstate(over="ignore"):
+        pcand = _pricing(b_max)[0][bcol] * plan.neglog / (1.6 * c)
     fcand = alpha * pcand - (1.0 - alpha) * bcol
 
     # Sums of n nonnegative terms (powers, or powers times overlap factors)
@@ -87,12 +85,12 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     # (Higham, Accuracy and Stability, 2nd ed., sec. 3.1), so past 4 n eps
     # of its limit a load gets ``_cap_sums``' verdict however it was summed.
     slack = 4 * n * np.finfo(float).eps
-    lo, hi = limits * (1.0 - slack), limits * (1.0 + slack)
-    digits, nodes = (_search_dfs(pcand, fcand, omega, limits, lo, hi) if prune
-                     else _search_flat(pcand, omega, limits, lo, hi, bcol,
-                                       alpha))
+    lo, hi = plan.limits * (1.0 - slack), plan.limits * (1.0 + slack)
+    digits, nodes = (_search_dfs(pcand, fcand, plan.omega, plan.limits, lo, hi)
+                     if prune else _search_flat(pcand, plan.omega, plan.limits,
+                                                lo, hi, bcol, alpha))
     bits = bcol[digits, 0]
-    powers = power_for_bits(bits, c, ber, max_bits=b_max)
+    powers = pcand[digits, np.arange(n)]
     return OracleResult(bits=bits, powers=powers,
                         objective=objective_value(bits, powers, alpha),
                         nodes_visited=nodes)
@@ -144,6 +142,7 @@ def _search_dfs(pcand, fcand, omega, limits, lo, hi):
     return best, nodes
 
 
+@np.errstate(invalid="ignore")  # inf power x weight 0: nan load, not <= hi
 def _search_flat(pcand, omega, limits, lo, hi, bcol, alpha):
     """Digits of the best vector, and the d^n vectors visited."""
     d, n = pcand.shape

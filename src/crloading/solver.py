@@ -106,18 +106,6 @@ def cnir_threshold(alpha, ber_threshold):
     return out if out.ndim else float(out)
 
 
-def overlap_matrix(omega, n, num_caps) -> np.ndarray:
-    """``omega`` as a float (N, L) array, one column per ACI cap; any other
-    shape raises."""
-    omega = np.asarray(omega, dtype=float)
-    if omega.shape != (n, num_caps):
-        raise SolverError(
-            f"overlap matrix shape {omega.shape} does not match {n} "
-            f"subcarriers x {num_caps} adjacent-channel caps"
-        )
-    return omega
-
-
 def objective_value(bits, powers, alpha) -> float:
     """Scalarized objective F = alpha * sum(P) - (1 - alpha) * sum(b)."""
     return float(alpha * np.add.reduce(powers, None)
@@ -154,7 +142,10 @@ class Plan:
         finite, positive and one value per tone of the plan."""
         c = np.atleast_2d(_checked_cnir(cnir))
         if c.shape[1] != self.omega.shape[0]:
-            overlap_matrix(self.omega, c.shape[1], self.omega.shape[1])
+            raise SolverError(
+                f"overlap matrix shape {self.omega.shape} does not match "
+                f"{c.shape[1]} subcarriers x {self.omega.shape[1]} "
+                f"adjacent-channel caps")
         return c
 
 

@@ -190,6 +190,24 @@ class TestSearchMechanics:
             assert np.all(loads <= caps.aci_caps * (1 + 1e-9))
             assert np.all((res.bits == 0) | (res.bits >= 2))
 
+    def test_powers_are_priced_as_power_for_bits(self, rng):
+        # the winner's powers are read off the candidate table: bitwise
+        # (signed zeros too) what power_for_bits gives its bits, with two
+        # or three bands and one BER ceiling per tone
+        for r in range(20):
+            cnir, alpha, ber, caps = random_instance(rng, n_lo=2, n_hi=5)
+            n = cnir.size
+            ber = ber * rng.uniform(0.5, 2.0, n)
+            extra = rng.uniform(0.0, 0.6, (n, 1 + r % 2))
+            caps = make_caps(n, caps.total_cap,
+                             [*caps.aci_caps, *(0.5 * extra.sum(0))],
+                             np.c_[caps.aci_weights.omega, extra])
+            for prune in (True, False):
+                res = exhaustive_search(cnir, alpha, ber, caps, b_max=6,
+                                        prune=prune)
+                assert res.powers.tobytes() == power_for_bits(
+                    res.bits, cnir, ber, max_bits=6).tobytes()
+
     def test_large_n_refused(self):
         cnir = np.full(11, 100.0)
         with pytest.raises(SolverError, match="exhaustive"):
@@ -214,16 +232,20 @@ class TestBmaxChecked:
     @pytest.mark.parametrize("caps", [
         make_caps(2, 2.0), make_caps(2, 2.0, [1.0], omega=[[0.0], [0.5]]),
     ], ids=["no_band", "band_unweighted_on_the_tiny_tone"])
-    def test_top_bit_count_at_a_tiny_cnir(self, caps):
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    def test_top_bit_count_at_a_tiny_cnir(self, caps, prune):
         # the 1e-3 tone's top powers pass the float range: they are inf,
         # with no overflow warning (an error under the test settings), and
         # the search returns its b_max = 8 answer; their load increments
         # (inf times a weight of 0) raise no warning either
         assert power_for_bits(1014, 1e-3, 1e-4, max_bits=1014) == math.inf
         cnir = np.array([1e-3, 50.0])
-        want = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=8)
-        got = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=1014)
+        want = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=8, prune=prune)
+        got = exhaustive_search(cnir, 0.5, 1e-4, caps, b_max=1014,
+                                prune=prune)
         assert list(got.bits) == list(want.bits) == [0, 4]
+        assert got.powers.tobytes() == power_for_bits(
+            got.bits, cnir, 1e-4, max_bits=1014).tobytes()
 
     @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
     @pytest.mark.parametrize("b_max", [4.5, True, 1015, 1, math.nan, "8"],

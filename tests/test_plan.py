@@ -158,3 +158,16 @@ class TestOneRowEntryPoints:
         for omega in (None, np.zeros((2, 0))):
             with pytest.raises(SolverError, match="one row"):
                 round_and_repair(cont, caps, omega, cnir, 1e-4)
+        for rows in (cnir, cnir[:1]):   # a (1, N) block is not a row either
+            for prune in (True, False):
+                with pytest.raises(SolverError, match="one row"):
+                    exhaustive_search(rows, 0.5, 1e-4, caps, b_max=4,
+                                      prune=prune)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5])
+    @pytest.mark.parametrize("prune", [True, False], ids=["dfs", "flat"])
+    def test_oracle_alpha_checked_by_the_plan(self, alpha, prune):
+        caps = make_caps(2, 1.0)
+        with pytest.raises(SolverError, match=r"alpha must lie in \(0, 1\)"):
+            exhaustive_search(np.array([100.0, 50.0]), alpha, 1e-4, caps,
+                              b_max=4, prune=prune)
