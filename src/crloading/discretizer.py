@@ -10,12 +10,14 @@ together, in rounds of batched greedy steps; ``round_and_repair`` is T = 1.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SolverError
+from .scenario import _MAX_BITS
 from .solver import _cap_sums, _checked_cnir, _one_row, objective_value
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
@@ -157,6 +159,15 @@ def _repair(cont_bits, cnir, plan, max_bits):
     return bits, powers, steps, sums
 
 
+def _checked_max_bits(top, name):
+    """``top`` (argument ``name``) as an int in [2, _MAX_BITS], not a bool."""
+    if (isinstance(top, bool) or not isinstance(top, numbers.Real)
+            or not 2 <= top <= _MAX_BITS or top % 1):
+        raise SolverError(f"{name} must be an integer in [2, {_MAX_BITS}], "
+                          f"got {top!r}")
+    return int(top)
+
+
 def _own_overlap(caps, omega):
     """The caps' overlap matrix; ``omega`` must be None, it or equal to it."""
     own = caps.aci_weights.omega
@@ -183,11 +194,15 @@ def round_and_repair(continuous, caps, omega, cnir, ber_threshold,
     top bit saves the most power loses it (ties broken by lowest index).
     The repair reads the caps' plan, so ``omega`` must be None or their
     overlap matrix (``_own_overlap``), which callers pass positionally.
-    CNIR must be finite and positive; ``check_feasible`` judges the result.
-    This is the one-row case of the block repair.
+    The bits must be one number per tone, none NaN, the CNIR finite and
+    positive and ``max_bits`` an integer in [2, 1014]; ``check_feasible``
+    judges the result.  This is the one-row case of the block repair.
     """
     _own_overlap(caps, omega)
     plan = caps.plan(continuous.alpha, ber_threshold)
-    return _allocation(*_repair(
-        np.asarray(continuous.bits, dtype=float)[None],
-        plan.rows(_one_row(cnir)), plan, max_bits)[:3], continuous.alpha)
+    b, c = np.asarray(continuous.bits, dtype=float), plan.rows(_one_row(cnir))
+    if b.shape != c.shape[1:] or np.count_nonzero(np.isnan(b)):
+        raise SolverError(f"continuous bits must be one number per tone, none "
+                          f"NaN: got shape {b.shape} for CNIR {c.shape[1:]}")
+    return _allocation(*_repair(b[None], c, plan, _checked_max_bits(
+        max_bits, "max_bits"))[:3], continuous.alpha)

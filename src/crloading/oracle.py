@@ -26,14 +26,12 @@ sums loads its own way, so a load within 4 N eps of its limit is judged as
 from __future__ import annotations
 
 import itertools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .discretizer import _own_overlap, _pricing
+from .discretizer import _checked_max_bits, _own_overlap, _pricing
 from .errors import SolverError
-from .scenario import _MAX_BITS
 from .solver import _cap_sums, _one_row, objective_value
 
 # Powers (rows x tones) in one block of the flat search, at most, though a
@@ -69,11 +67,7 @@ def exhaustive_search(cnir, alpha, ber_threshold, caps, omega=None, b_max=8,
     if n > _N_LIMIT:
         raise SolverError(f"exhaustive search over {n} subcarriers exceeds "
                           f"the limit {_N_LIMIT}")
-    if (isinstance(b_max, bool) or not isinstance(b_max, numbers.Real)
-            or not 2 <= b_max <= _MAX_BITS or b_max % 1):
-        raise SolverError(f"b_max must be an integer in [2, {_MAX_BITS}], "
-                          f"got {b_max!r}")
-    b_max = int(b_max)
+    b_max = _checked_max_bits(b_max, "b_max")
     # Candidate powers (d, n) of bit values bcol, priced as the repair does.
     bcol = np.r_[0, 2:b_max + 1][:, None]
     with np.errstate(over="ignore"):

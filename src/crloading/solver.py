@@ -254,17 +254,25 @@ def _aci_dual(w, active, q, alpha, cap):
     return out
 
 
+def _state(lam, active, q, plan):
+    """(mu, powers, loads) of each row at ``lam``: mu = alpha + w lam over
+    the columns some row has > 0 (alpha while none has), with no matmul."""
+    mu = plan.alpha
+    for j in np.logical_or.reduce(lam, 0).nonzero()[0]:
+        mu = mu + (plan.omega[:, j - 1] if j else 1.0) * lam[:, j:j + 1]
+    p = np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
+    return mu, p, _cap_sums(p, plan.omega)
+
+
 def _solve_duals(enforced, lam, active, q, plan):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
-    pinning them at 0) on its fixed active set, under ``plan``.  The
-    one-multiplier closed forms come first, column by column and on every
-    row at once (a row with no active tone gets 0); a row none of them
-    settles runs the coupled Newton alone, from its lam.
-    Also gives (mu, powers, loads) at the multipliers if the first column
-    tried settled every row (its candidate test computed them), else None."""
+    pinning them at 0) on its fixed active set under ``plan``, and each
+    row's (mu, powers, loads) at them.  The one-multiplier closed forms come
+    first, column by column on every row at once (a row with no active tone
+    gets 0); a row none settles runs the coupled Newton alone, from its lam.
+    A column that settles every row hands back its candidate's state."""
     alpha, caps, omega = plan.alpha, plan.caps, plan.omega
-    out, todo, seen = np.zeros(lam.shape), np.ones(lam.shape[0], bool), None
-    left = lam.shape[0]         # rows not settled yet; each enforces a cap
+    out, todo = np.zeros(lam.shape), np.ones(lam.shape[0], bool)
     k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
     for col in range(lam.shape[1]):
         need = todo & enforced[:, col]
@@ -280,23 +288,21 @@ def _solve_duals(enforced, lam, active, q, plan):
         excess = load - caps
         # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
         ok = _meets(need, excess, tol, enforced, x, col)
-        settled = np.count_nonzero(ok)
-        if settled < wanted:
+        if np.count_nonzero(ok) < wanted:
             if wq is None:
                 wq = _cap_sums(np.where(active, q, 0.0), omega)
             ok = _meets(need, excess, _tol(caps, load, wq), enforced, x, col)
-            settled = np.count_nonzero(ok)
-        seen = (mu, p, load) if settled == out.shape[0] else None
         np.copyto(out[:, col], x, where=ok)
+        if np.count_nonzero(ok) == ok.size:     # the candidate's state holds
+            return out, mu, p, load
         todo ^= ok
-        left -= settled
-    for i in todo.nonzero()[0] if left else ():
+    for i in todo.nonzero()[0]:
         a = active[i]   # weights (k, J) on a, C order: it sets the BLAS bits
         w = np.c_[np.ones(np.count_nonzero(a)), omega[a]]
         j = np.flatnonzero(enforced[i] & w.any(0))  # the rest are slack at 0
         out[i, j] = _newton_duals(np.maximum(lam[i, j], 0.0), w.take(j, 1),
                                   q[i, a], alpha, caps[j])
-    return out, seen
+    return (out, *_state(out, active, q, plan))
 
 
 def _solve_block(cnir, plan):
@@ -306,50 +312,35 @@ def _solve_block(cnir, plan):
     t is bitwise the solve of ``cnir[t]`` alone."""
     c = plan.rows(cnir)
     t, n = c.shape
-    alpha, caps, omega = plan.alpha, plan.caps, plan.omega
-    k = (1.0 - alpha) / _LN2
-    active = c >= plan.threshold
-    lam = np.zeros((t, caps.size))
+    active, lam = c >= plan.threshold, np.zeros((t, plan.caps.size))
+    enforced = np.zeros(lam.shape, bool)
     # State of the unsettled rows, compacted once some settle: then idx maps
     # them to block rows, and out holds the settled ones.
-    idx = out = seen = None
-    num, q = (1.0 - alpha) * 1.6 * c, plan.lg / (1.6 * c)
-    for it in range(4 * (n + caps.size + 3)):
-        # mu = alpha + w lam over the columns some row has > 0, a scalar
-        # while none has, and no matmul (rows stay apart); or the dual's own
-        mu, held, arg = seen[0] if seen else alpha, None, None
-        if it:  # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
-            for j in () if seen else np.logical_or.reduce(lam, 0).nonzero()[0]:
-                mu = mu + (omega[:, j - 1] if j else 1.0) * lam[:, j:j + 1]
-            arg = num / (_LN2 * mu * plan.neglog)
-            if np.count_nonzero(drop := (arg < 4.0) & active):
-                drop &= np.logical_or.reduce(lam, 1)[:, None]
-                held = np.logical_or.reduce(drop, 1)
-                active ^= drop
-        # the dual step's own p and loads hold on every row that dropped no
-        # tone, and the rows that did are busy: their p and loads go unused
-        p, load = seen[1:] if seen else (np.where(active, k / mu + q, 0.0),
-                                         None)
-        newly = (load if seen else _cap_sums(p, omega)) > plan.limit
-        if it:      # caps newly over, on rows that dropped no tone
-            newly = newly > (enforced if held is None
-                             else enforced | held[:, None])
-            enforced |= newly
-        else:
-            enforced = newly
+    idx = out = None
+    num, q = (1.0 - plan.alpha) * 1.6 * c, plan.lg / (1.6 * c)
+    mu, p, load = _state(lam, active, q, plan)
+    for it in range(4 * (n + lam.shape[1] + 3)):
+        arg, held = num / (_LN2 * mu * plan.neglog), None
+        # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
+        if it and np.count_nonzero(drop := (arg < 4.0) & active):
+            drop &= np.logical_or.reduce(lam, 1)[:, None]
+            held = np.logical_or.reduce(drop, 1)
+            active ^= drop
+        # p and loads hold on every row that dropped no tone, and the rows
+        # that did are busy: caps count as newly over only on the others
+        newly = (load > plan.limit) > (enforced if held is None
+                                       else enforced | held[:, None])
+        enforced |= newly
         busy = np.logical_or.reduce(newly, 1)
         if held is not None:
             busy |= held
         left = np.count_nonzero(busy)
         if left < busy.size:                # some rows settle this round
-            if arg is None:     # round 1 takes the rates for their bits alone
-                arg = num / (_LN2 * mu * plan.neglog)
             if out is None and not left:    # all rows, all at once
                 return (np.log2(arg, out=np.zeros(arg.shape), where=active),
                         p, lam, active)
             if out is None:
-                idx, out = np.arange(t), [np.empty((t,) + v.shape[1:],
-                                                   v.dtype)
+                idx, out = np.arange(t), [np.empty((t, v.shape[1]), v.dtype)
                                           for v in (p, p, lam, active)]
             done = ~busy
             rows, arg = idx[done], arg[done]    # bits of the settled alone
@@ -362,7 +353,7 @@ def _solve_block(cnir, plan):
             idx, num, q, active, lam, enforced = (
                 x[busy] for x in (idx, num, q, active, lam, enforced))
         # Every row left has a cap enforced: lam = 0 holds only in round 1.
-        lam, seen = _solve_duals(enforced, lam, active, q, plan)
+        lam, mu, p, load = _solve_duals(enforced, lam, active, q, plan)
     raise SolverError("active-set iteration failed to settle")
 
 

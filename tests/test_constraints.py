@@ -59,6 +59,10 @@ class TestCciCap:
         with pytest.raises(ConfigError, match="probability"):
             cci_power_cap(1.0, L5000, 0.0, 1e-14)
 
+    def test_negative_limit(self):
+        with pytest.raises(ConfigError, match="co-channel .* must be >= 0"):
+            cci_power_cap(1.0, L5000, 0.9, -1e-14)
+
 
 class TestAciCap:
     def test_reference_value(self):
@@ -74,6 +78,11 @@ class TestAciCap:
 
     def test_infinite_limit_is_vacuous(self):
         assert aci_power_cap(1.0, 0.9, math.inf) == math.inf
+
+    def test_negative_limit(self):
+        with pytest.raises(ConfigError, match="adjacent-channel .* must be "
+                                              ">= 0"):
+            aci_power_cap(1.0, 0.9, -1e-8)
 
     @given(st.floats(min_value=0.01, max_value=0.98),
            st.floats(min_value=0.011, max_value=0.99))

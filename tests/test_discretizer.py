@@ -5,6 +5,7 @@ before running the implementation, then frozen here.
 """
 
 import math
+import re
 import types
 import warnings
 
@@ -330,6 +331,50 @@ class TestCnirChecked:
         with pytest.raises(SolverError, match="finite and positive"):
             round_and_repair(cont([4.0, 4.0]), make_caps(2, 0.5), None,
                              cnir, 1e-4)
+
+
+class TestArgumentsChecked:
+    """``max_bits`` follows the oracle's rule for ``b_max``, and the bits
+    must be one number per tone of the CNIR, none NaN."""
+
+    BITS = [4.0, 3.0, 0.0, 2.2, 5.1, 6.0]
+
+    def repair(self, bits=BITS, max_bits=16):
+        return round_and_repair(cont(bits), make_caps(6, 1.0), None,
+                                np.full(6, 100.0), 1e-4, max_bits=max_bits)
+
+    @pytest.mark.parametrize("max_bits", [1, -3, math.nan, 4.5, True,
+                                          _MAX_BITS + 1, "8"],
+                             ids=["one", "negative", "nan", "fractional",
+                                  "bool", "above_1014", "string"])
+    def test_bad_max_bits_names_the_bound(self, max_bits):
+        # unchecked, 1 gave 1-bit tones and -3 bits of -3, both "feasible",
+        # and NaN an IndexError
+        with pytest.raises(SolverError, match=r"max_bits must be an integer "
+                                              r"in \[2, 1014\]"):
+            self.repair(max_bits=max_bits)
+
+    def test_integral_max_bits_of_any_type(self):
+        want = self.repair(max_bits=3)
+        assert list(want.bits) == [2, 2, 0, 2, 2, 3]
+        for max_bits in (3.0, np.int64(3), np.float64(3.0)):
+            got = self.repair(max_bits=max_bits)
+            assert np.array_equal(got.bits, want.bits)
+            assert got.powers.tobytes() == want.powers.tobytes()
+
+    @pytest.mark.parametrize("bits", [BITS[:5], [BITS], BITS + [1.0]],
+                             ids=["short", "block", "long"])
+    def test_bits_one_per_tone(self, bits):
+        shape = re.escape(str(np.shape(bits)))
+        with pytest.raises(SolverError, match=f"shape {shape} for CNIR "
+                                              r"\(6,\)"):
+            self.repair(bits)
+
+    def test_nan_bits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # not the cast's RuntimeWarning
+            with pytest.raises(SolverError, match="none NaN"):
+                self.repair(self.BITS[:5] + [math.nan])
 
 
 # The greedy loop as it stood before the savings vector was kept across

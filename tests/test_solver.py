@@ -6,6 +6,7 @@ brentq on the stationarity system) before the solver existed.
 
 import math
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -325,8 +326,8 @@ class TestBerCeiling:
 
 def _newton_only_duals(enforced, lam, active, q, plan):
     """The dual step with the closed forms skipped: projected Newton on
-    every enforced cap at once from zero, row by row (and no powers or
-    loads handed back)."""
+    every enforced cap at once from zero, row by row, with each row's
+    state at the multipliers it lands on (``solver._state``)."""
     out = np.zeros_like(lam)
     wt = np.concatenate([np.ones((1, active.shape[1])), plan.omega.T])
     for i in range(lam.shape[0]):
@@ -335,7 +336,7 @@ def _newton_only_duals(enforced, lam, active, q, plan):
             out[i, cols] = solver._newton_duals(
                 np.zeros(cols.size), wt[cols][:, active[i]].T,
                 q[i, active[i]], plan.alpha, plan.caps[cols])
-    return out, None
+    return (out, *solver._state(out, active, q, plan))
 
 
 class TestDualStepAgreesWithNewton:
@@ -384,6 +385,90 @@ class TestDualStepAgreesWithNewton:
         # one positive multiplier: a closed form settled it; two or more:
         # only the coupled Newton can have
         assert positive[1] >= 50 and positive[2] >= 50, positive
+
+
+def _monte_carlo_block(name, power_threshold=None):
+    """The first Monte Carlo block of a shipped config at seed 1234, and the
+    caps' plan; ``power_threshold`` replaces the SU's total-power limit."""
+    cfg = load_scenario(f"configs/{name}.json")
+    if power_threshold is not None:
+        cfg = replace(cfg, su=replace(cfg.su,
+                                      power_threshold=power_threshold))
+    su = cfg.su
+    plan = build_caps(cfg).plan(su.alpha, su.ber_threshold)
+    trials = experiments._BLOCK_ENTRIES // su.num_subcarriers
+    return experiments._draw(cfg, 1234, range(trials))[0], plan
+
+
+class TestDualStepHandsBackItsState:
+    """``_solve_duals`` returns each row's (mu, powers, loads) at the
+    multipliers it returns, byte for byte what ``_state`` computes from
+    them: its candidate's when one column settles every row (the fast
+    path), ``_state``'s own otherwise (the recompute path)."""
+
+    def _check_block(self, monkeypatch, cnir, plan):
+        """Checks every dual step of the block's solve: as the solve takes
+        it, on each of its first 8 rows alone, and on those rows with a row
+        appended that enforces no cap, so that no column settles every row.
+        Returns the paths that the steps, the appended ones aside, took,
+        and the solve's multipliers."""
+        duals, state = solver._solve_duals, solver._state
+        calls, paths = [], []
+
+        def counted(*args):
+            calls.append(None)
+            return state(*args)
+
+        def checked(enforced, lam, active, q):
+            """The step, the same with mu one per tone, and its path, once
+            its state is checked against ``_state``'s."""
+            before = len(calls)
+            step = duals(enforced, lam, active, q, plan)
+            path = "recompute" if len(calls) > before else "fast"
+            for got, want in zip(step[1:], state(step[0], active, q, plan)):
+                # mu may be alpha, or one value per row
+                got, want = np.broadcast_arrays(got, want)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            return step, (step[0], np.broadcast_to(step[1], active.shape),
+                          *step[2:]), path
+
+        def spy(enforced, lam, active, q, plan):
+            args = enforced, lam, active, q
+            raw, step, path = checked(*args)
+            paths.append(path)
+            head = min(8, len(lam))
+            for i in range(head):
+                alone, path = checked(*(x[i:i + 1] for x in args))[1:]
+                paths.append(path)
+                for got, want in zip(alone, step):      # rows stay apart
+                    assert got.tobytes() == want[i:i + 1].tobytes()
+            wide, path = checked(*(np.concatenate([x[:head], x[:1] * False])
+                                   for x in args))[1:]
+            assert path == "recompute"
+            for got, want in zip(wide, step):
+                assert got[:head].tobytes() == want[:head].tobytes()
+            return raw
+
+        monkeypatch.setattr(solver, "_state", counted)
+        monkeypatch.setattr(solver, "_solve_duals", spy)
+        return paths, solver._solve_block(cnir, plan)[2]
+
+    def test_total_power_closed_form(self, monkeypatch):
+        paths, lam = self._check_block(monkeypatch,
+                                       *_monte_carlo_block("cci_binding"))
+        assert set(paths) == {"fast"} and np.count_nonzero(lam[:, 0])
+
+    def test_single_cap_newton(self, monkeypatch):
+        paths, lam = self._check_block(monkeypatch,
+                                       *_monte_carlo_block("small_n6"))
+        assert "fast" in paths and np.count_nonzero(lam[:, 1])
+
+    def test_coupled_newton(self, monkeypatch):
+        paths, lam = self._check_block(
+            monkeypatch, *_monte_carlo_block("small_n6", power_threshold=1.0))
+        assert {"fast", "recompute"} <= set(paths)
+        assert np.count_nonzero(np.logical_and.reduce(lam > 0.0, 1)) == 419
 
 
 class TestCoupledNewtonHardRows:
