@@ -14,13 +14,12 @@ mu_i = alpha + lam_pow + sum_l w_il lam_aci_l:
     b_i = log2[ (1-alpha) * 1.6 C_i / (ln2 * mu_i * (-ln(5 BER_i))) ]
     P_i = (1-alpha) / (ln2 * mu_i) + ln(5 BER_i) / (1.6 C_i)
 
-One active-set loop covers every regime.  It starts from the unconstrained
-optimum, enforces each cap the current point violates, nulls subcarriers
-whose rate falls below 2 bits (remove-only), and repeats until neither
-changes.  Binding a cap only lowers every power, so a cap that holds at the
-unconstrained point is never enforced.  The loop runs on a (T, N) block of
-CNIR rows at once (``solve_continuous`` is the T = 1 case); each row is
-bitwise its own one-row solve, as nothing multiplies matrices across rows.
+One active-set loop covers every regime.  From the unconstrained optimum
+it enforces, once, each cap the unconstrained point violates (binding a cap
+only lowers every power), then nulls subcarriers whose rate falls below 2
+bits (remove-only) until none does.  It runs on a (T, N) block of CNIR rows
+at once (``solve_continuous`` is the T = 1 case); each row is bitwise its
+own one-row solve, as nothing multiplies matrices across rows.
 
 On a fixed active set the enforced multipliers solve a complementarity
 system (lam >= 0, residual <= 0, lam * residual = 0) with one solution, so
@@ -255,19 +254,18 @@ def _aci_dual(w, active, q, alpha, cap):
 
 
 def _state(lam, active, q, plan):
-    """(mu, powers, loads) of each row at ``lam``: mu = alpha + w lam over
-    the columns some row has > 0 (alpha while none has), with no matmul."""
+    """(mu, powers) of each row at ``lam``: mu = alpha + w lam over the
+    columns some row has > 0 (alpha while none has), with no matmul."""
     mu = plan.alpha
     for j in np.logical_or.reduce(lam, 0).nonzero()[0]:
         mu = mu + (plan.omega[:, j - 1] if j else 1.0) * lam[:, j:j + 1]
-    p = np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
-    return mu, p, _cap_sums(p, plan.omega)
+    return mu, np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
 
 
 def _solve_duals(enforced, lam, active, q, plan):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
     pinning them at 0) on its fixed active set under ``plan``, and each
-    row's (mu, powers, loads) at them.  The one-multiplier closed forms come
+    row's (mu, powers) at them.  The one-multiplier closed forms come
     first, column by column on every row at once (a row with no active tone
     gets 0); a row none settles runs the coupled Newton alone, from its lam.
     A column that settles every row hands back its candidate's state."""
@@ -294,7 +292,7 @@ def _solve_duals(enforced, lam, active, q, plan):
             ok = _meets(need, excess, _tol(caps, load, wq), enforced, x, col)
         np.copyto(out[:, col], x, where=ok)
         if np.count_nonzero(ok) == ok.size:     # the candidate's state holds
-            return out, mu, p, load
+            return out, mu, p
         todo ^= ok
     for i in todo.nonzero()[0]:
         a = active[i]   # weights (k, J) on a, C order: it sets the BLAS bits
@@ -309,33 +307,30 @@ def _solve_block(cnir, plan):
     """(bits, powers, lam, active) of each row of a (T, N) CNIR block under
     ``plan``, the total-power multiplier first in lam.  The active-set loop
     runs on all unsettled rows at once, elementwise and by row sums, so row
-    t is bitwise the solve of ``cnir[t]`` alone."""
+    t is bitwise the solve of ``cnir[t]`` alone.
+
+    Round 0 prices every tone at mu = alpha and enforces, once, the caps
+    it violates: no later load exceeds round 0's, in floating point too.
+    Each multiplier is >= 0 (``_power_dual`` clamps, ``_aci_dual`` climbs
+    from 0, ``_newton_duals`` projects), so mu_i = fl(alpha + ...) >= alpha,
+    fl(k/mu_i + q_i) <= fl(k/alpha + q_i) by monotone rounding, a nulled
+    tone's 0.0 is below its round-0 power (>= 0.75 k/alpha), and each row's
+    ``_cap_sums`` adds powers >= 0 with weights >= 0 in a fixed order."""
     c = plan.rows(cnir)
     t, n = c.shape
     active, lam = c >= plan.threshold, np.zeros((t, plan.caps.size))
-    enforced = np.zeros(lam.shape, bool)
+    num, q, mu = (1.0 - plan.alpha) * 1.6 * c, plan.lg / (1.6 * c), plan.alpha
+    p = np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
+    enforced = _cap_sums(p, plan.omega) > plan.limit
+    busy = np.logical_or.reduce(enforced, 1)
     # State of the unsettled rows, compacted once some settle: then idx maps
     # them to block rows, and out holds the settled ones.
-    idx = out = None
-    num, q = (1.0 - plan.alpha) * 1.6 * c, plan.lg / (1.6 * c)
-    mu, p, load = _state(lam, active, q, plan)
-    for it in range(4 * (n + lam.shape[1] + 3)):
-        arg, held = num / (_LN2 * mu * plan.neglog), None
-        # lam = 0 in round 1, and only lam > 0 pushes a rate under 2
-        if it and np.count_nonzero(drop := (arg < 4.0) & active):
-            drop &= np.logical_or.reduce(lam, 1)[:, None]
-            held = np.logical_or.reduce(drop, 1)
-            active ^= drop
-        # p and loads hold on every row that dropped no tone, and the rows
-        # that did are busy: caps count as newly over only on the others
-        newly = (load > plan.limit) > (enforced if held is None
-                                       else enforced | held[:, None])
-        enforced |= newly
-        busy = np.logical_or.reduce(newly, 1)
-        if held is not None:
-            busy |= held
+    idx = out = arg = None
+    for _ in range(n + 2):      # after round 0, a row nulls a tone or settles
         left = np.count_nonzero(busy)
         if left < busy.size:                # some rows settle this round
+            if arg is None:                 # round 0: rates at mu = alpha
+                arg = num / (_LN2 * mu * plan.neglog)
             if out is None and not left:    # all rows, all at once
                 return (np.log2(arg, out=np.zeros(arg.shape), where=active),
                         p, lam, active)
@@ -352,8 +347,12 @@ def _solve_block(cnir, plan):
                 return out
             idx, num, q, active, lam, enforced = (
                 x[busy] for x in (idx, num, q, active, lam, enforced))
-        # Every row left has a cap enforced: lam = 0 holds only in round 1.
-        lam, mu, p, load = _solve_duals(enforced, lam, active, q, plan)
+        lam, mu, p = _solve_duals(enforced, lam, active, q, plan)
+        arg = num / (_LN2 * mu * plan.neglog)
+        # only lam > 0 pushes a rate under 2 bits
+        drop = (arg < 4.0) & active & np.logical_or.reduce(lam, 1)[:, None]
+        busy = np.logical_or.reduce(drop, 1)
+        active ^= drop
     raise SolverError("active-set iteration failed to settle")
 
 

@@ -327,7 +327,7 @@ class TestBerCeiling:
 def _newton_only_duals(enforced, lam, active, q, plan):
     """The dual step with the closed forms skipped: projected Newton on
     every enforced cap at once from zero, row by row, with each row's
-    state at the multipliers it lands on (``solver._state``)."""
+    (mu, powers) at the multipliers it lands on (``solver._state``)."""
     out = np.zeros_like(lam)
     wt = np.concatenate([np.ones((1, active.shape[1])), plan.omega.T])
     for i in range(lam.shape[0]):
@@ -401,7 +401,7 @@ def _monte_carlo_block(name, power_threshold=None):
 
 
 class TestDualStepHandsBackItsState:
-    """``_solve_duals`` returns each row's (mu, powers, loads) at the
+    """``_solve_duals`` returns each row's (mu, powers) at the
     multipliers it returns, byte for byte what ``_state`` computes from
     them: its candidate's when one column settles every row (the fast
     path), ``_state``'s own otherwise (the recompute path)."""
@@ -469,6 +469,76 @@ class TestDualStepHandsBackItsState:
             monkeypatch, *_monte_carlo_block("small_n6", power_threshold=1.0))
         assert {"fast", "recompute"} <= set(paths)
         assert np.count_nonzero(np.logical_and.reduce(lam > 0.0, 1)) == 419
+
+
+class TestCapsHoldBelowTheUnconstrainedPoint:
+    """The active-set loop enforces only the caps a row violates at lam = 0
+    and never re-tests them.  That rests on every dual step leaving each
+    row's loads at or below its lam = 0 loads, so a cap not enforced stays
+    within its limit."""
+
+    @staticmethod
+    def _check_block(monkeypatch, cnir, plan):
+        """Checks the loads of every state the dual step hands back during
+        the block's solve; returns how many (row, cap) pairs it checked,
+        and how many of them were not enforced."""
+        cnir = np.atleast_2d(cnir)
+        q = plan.lg / (1.6 * cnir)
+        free = np.where(cnir >= plan.threshold,
+                        (1.0 - plan.alpha) / math.log(2.0) / plan.alpha + q,
+                        0.0)
+        # the loop hands the dual step copies of q's rows: they name the row
+        start = dict(zip(map(bytes, q), solver._cap_sums(free, plan.omega)))
+        duals, counts = solver._solve_duals, np.zeros(2, int)
+
+        def spy(enforced, lam, active, q, plan):
+            step = duals(enforced, lam, active, q, plan)
+            loads = solver._cap_sums(step[2], plan.omega)
+            assert np.all((loads <= plan.limit) | enforced)
+            assert np.all(loads <= np.array([start[bytes(r)] for r in q]))
+            counts[:] += enforced.size, np.count_nonzero(~enforced)
+            return step
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_solve_duals", spy)
+            solver._solve_block(cnir, plan)
+        return counts
+
+    @pytest.mark.parametrize("name, power_threshold", [
+        ("default", None), ("cci_binding", None), ("small_n6", None),
+        ("small_n6", 1.0)])
+    def test_first_monte_carlo_block(self, monkeypatch, name,
+                                     power_threshold):
+        cnir, plan = _monte_carlo_block(name, power_threshold)
+        assert self._check_block(monkeypatch, cnir, plan)[0]
+
+    def test_zero_caps(self, monkeypatch):
+        # the blocks of test_engine_reference.py::test_zero_caps
+        rng = np.random.default_rng(7)
+        n, alpha, ber = 64, 0.5, 1e-4
+        cnir = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.5, 3.0,
+                                                                (40, n))
+        omega = rng.uniform(0.1, 1.0, (n, 2))
+        omega[::2, 0] = 0.0
+        checked = np.zeros(2, int)
+        for total, aci in ((0.0, [1e-3, 1e-3]), (math.inf, [0.0, 1e-2]),
+                           (1e-2, [0.0, 0.0])):
+            plan = make_caps(n, total, aci, omega).plan(alpha, ber)
+            checked += self._check_block(monkeypatch, cnir, plan)
+        assert checked[1]
+
+    def test_four_adjacent_bands(self, monkeypatch):
+        # twelve random four-band scenarios, four trials each
+        rng = np.random.default_rng(1066)
+        checked = np.zeros(2, int)
+        for k in range(12):
+            cfg = adjacent_band_scenario(rng)
+            su = cfg.su
+            cnir = experiments._draw(cfg, k, range(4))[0]
+            checked += self._check_block(
+                monkeypatch, cnir,
+                build_caps(cfg).plan(su.alpha, su.ber_threshold))
+        assert checked[1]
 
 
 class TestCoupledNewtonHardRows:
