@@ -49,7 +49,9 @@ class ConstraintCaps:
 
     def plan(self, alpha, ber_threshold) -> Plan:
         """The solve-and-repair plan at ``alpha`` and this BER ceiling, kept
-        until another alpha or BER asks for one; checks alpha and the BER."""
+        until another alpha or BER asks for one; checks alpha and the BER,
+        and refuses a NaN cap and a weight that is negative or not finite
+        (the solve decides its caps once, at lam = 0, so weights are >= 0)."""
         ber = np.asarray(ber_threshold, dtype=float)
         key = (alpha, ber.shape, ber.tobytes())
         if self._plan[0] == key:
@@ -57,15 +59,17 @@ class ConstraintCaps:
         omega = np.array(self.aci_weights.omega, dtype=float)
         ber = _checked_ber(ber, len(omega))
         caps, limits = cap_limits(self.total_cap, self.aci_caps)
-        want = np.isfinite(caps)
-        zero = want & (caps <= 0.0)     # forbids every tone coupled to it
-        want &= ~zero
+        if np.count_nonzero(np.isnan(caps)):
+            raise SolverError("caps must not be NaN")
+        if np.count_nonzero((omega >= 0.0) & (omega < math.inf)) < omega.size:
+            raise SolverError("overlap weights must be finite and >= 0")
+        zero = caps <= 0.0      # forbids every tone coupled to it
         lg = np.log(5.0 * ber)
         plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
             zero[0] | (omega[:, zero[1:]] > 0.0).any(1), math.inf,
-            cnir_threshold(alpha, ber)), omega=omega, limits=limits,
-            caps=np.where(want, caps, 1.0),
-            limit=np.where(want, caps * (1.0 + _DUAL_TOL), math.inf))
+            cnir_threshold(alpha, ber)), omega=omega, caps=caps,
+            limit=np.where(zero, math.inf, caps * (1.0 + _DUAL_TOL)),
+            limits=limits)
         for value in vars(plan).values():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import SolverError
 from .scenario import _MAX_BITS
-from .solver import _cap_sums, _checked_cnir, _one_row, objective_value
+from .solver import (_ber_in_range, _cap_sums, _checked_cnir, _one_row,
+                     objective_value)
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
 # full stable sort is then cheaper than partitioning out the live tones:
@@ -48,20 +49,17 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
         P = -(2^b - 1) * ln(5 BER) / (1.6 C)
 
     Vectorized; bits must be 0 (no power) or integers in [2, max_bits];
-    1 bit is rejected, as is any BER >= 0.2 (the model floor) and any CNIR
-    not finite and positive; P may be inf.
+    1 bit is rejected, as is any BER outside (0, 0.2) (NaN too) and any
+    CNIR not finite and positive; P may be inf.
     """
     b = np.asarray(bits)
     c = np.asarray(cnir, dtype=float)
     _checked_cnir(c)
-    ber = np.asarray(ber_threshold, dtype=float)
     if np.count_nonzero(b == 1):
         raise SolverError("1-bit constellations are not part of the scheme")
     if np.count_nonzero((b < 0) | (b > max_bits) | (b % 1 != 0)):
         raise SolverError(f"bit counts must lie in {{0}} u [2, {max_bits}]")
-    if np.count_nonzero((ber >= 0.2) | (ber <= 0)):
-        raise SolverError("BER threshold must lie in (0, 0.2) to invert the "
-                          "BER model")
+    ber = _ber_in_range(ber_threshold)
     cost = _pricing(np.max(b, initial=0))[0]    # as the repair prices bits
     p = cost[b.astype(int)] * -np.log(5.0 * ber) / (1.6 * c)
     return p if p.ndim else float(p)

@@ -81,26 +81,33 @@ def _checked_cnir(cnir):
     return c
 
 
+def _ber_in_range(ber_threshold):
+    """BER ceilings as a float array once each lies in (0, 0.2), the range
+    the BER model inverts on; a NaN ceiling lies in no range."""
+    ber = np.asarray(ber_threshold, dtype=float)
+    if np.count_nonzero((ber > 0) & (ber < 0.2)) < ber.size:
+        raise SolverError("BER thresholds must lie in (0, 0.2)")
+    return ber
+
+
 def _checked_ber(ber_threshold, n):
     """One BER ceiling per tone of ``n``, each in (0, 0.2)."""
     ber = np.asarray(ber_threshold, dtype=float)
     if ber.ndim and ber.shape != (n,):
         raise SolverError(f"BER thresholds must be one value or one per "
                           f"tone: got {ber.shape} for {n} tones")
-    ber = np.zeros(n) + ber
-    if np.count_nonzero((ber <= 0) | (ber >= 0.2)):
-        raise SolverError("BER thresholds must lie in (0, 0.2)")
-    return ber
+    return np.zeros(n) + _ber_in_range(ber)
 
 
 def cnir_threshold(alpha, ber_threshold):
     """Smallest CNIR loaded by the unconstrained solution (rate hits 2 bits).
 
-    Below this, the subcarrier is nulled.  Vectorized over ber_threshold.
+    Below this, the subcarrier is nulled.  Vectorized over ber_threshold,
+    each in (0, 0.2).
     """
     if not 0.0 < alpha < 1.0:
         raise SolverError(f"alpha must lie in (0, 1), got {alpha}")
-    ber = np.asarray(ber_threshold, dtype=float)
+    ber = _ber_in_range(ber_threshold)
     out = -(4.0 / 1.6) * (alpha * _LN2 / (1.0 - alpha)) * np.log(5.0 * ber)
     return out if out.ndim else float(out)
 
@@ -132,8 +139,8 @@ class Plan:
     neglog: np.ndarray          # -ln(5 BER)
     threshold: np.ndarray       # smallest CNIR loaded; inf if a zero cap
     omega: np.ndarray           # (N, L) weights of caps 1..L; cap 0's are 1
-    caps: np.ndarray            # (1+L,) caps, 1 where never enforced
-    limit: np.ndarray           # enforce above caps * (1 + _DUAL_TOL), or inf
+    caps: np.ndarray            # (1+L,) caps as ``cap_limits`` gives them
+    limit: np.ndarray           # enforce over caps*(1+_DUAL_TOL); inf if <= 0
     limits: np.ndarray          # ``cap_limits``: repair above these loads
 
     def rows(self, cnir):
@@ -175,12 +182,12 @@ def _tol(caps, load, wq):
     return _DUAL_TOL * np.maximum(caps, load - 2.0 * wq)
 
 
-def _meets(need, excess, tol, enforced, x, col):
-    """Rows of ``need`` whose enforced loads are within ``tol`` above their
-    caps, and whose cap ``col`` is within it below unless its multiplier
-    ``x`` is 0."""
-    return ((need > np.logical_or.reduce((excess > tol) & enforced, 1))
-            & ((excess[:, col] >= -tol[..., col]) | (x == 0.0)))
+def _settled(excess, tol, lam, enforced):
+    """Whether ``lam`` settles each row's caps, from its loads' ``excess``:
+    each enforced load is at most ``tol`` above its cap, each load with a
+    multiplier > 0 at most ``tol`` below it, and a NaN load never is."""
+    return np.logical_and.reduce(((excess <= tol) | ~enforced)
+                                 & ((excess >= -tol) | (lam == 0.0)), -1)
 
 
 def _newton_duals(lam, w, q, alpha, caps):
@@ -202,8 +209,7 @@ def _newton_duals(lam, w, q, alpha, caps):
         mu = alpha + w @ lam
         load = w.T @ (k / mu + q)
         g = load - caps
-        tol = _tol(caps, load, wq)
-        if np.all((g <= tol) & ((g >= -tol) | (lam == 0.0))):
+        if _settled(g, _tol(caps, load, wq), lam, np.True_):  # all enforced
             return lam
         wm = w / mu[:, None]
         hess = k * wm.T @ wm            # minus the Hessian of phi
@@ -280,16 +286,18 @@ def _solve_duals(enforced, lam, active, q, plan):
         w = omega[:, col - 1] if col else 1.0      # cap col's weights
         x = (_aci_dual(w, active, q, alpha, caps[col]) if col
              else _power_dual(q, active, alpha, caps[0]))
-        mu = alpha + w * x[:, None]     # the candidate's other multipliers 0
+        cand = np.zeros(lam.shape)      # the candidate: x in column col
+        cand[:, col] = x
+        mu = alpha + w * x[:, None]
         p = np.where(active, k / mu + q, 0.0)
         load = _cap_sums(p, omega)
         excess = load - caps
         # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
-        ok = _meets(need, excess, tol, enforced, x, col)
+        ok = need & _settled(excess, tol, cand, enforced)
         if np.count_nonzero(ok) < wanted:
             if wq is None:
                 wq = _cap_sums(np.where(active, q, 0.0), omega)
-            ok = _meets(need, excess, _tol(caps, load, wq), enforced, x, col)
+            ok = need & _settled(excess, _tol(caps, load, wq), cand, enforced)
         np.copyto(out[:, col], x, where=ok)
         if np.count_nonzero(ok) == ok.size:     # the candidate's state holds
             return out, mu, p

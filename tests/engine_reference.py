@@ -1,7 +1,8 @@
 """The block engine as it stood before each round was narrowed to its work:
-``_solve_block``, ``_solve_duals`` (with the ``_power_dual``, ``_aci_dual``
-and ``_meets`` they call), ``_strip`` and the block repair ``_repair_block``
-around it (with ``_cap_sums``), kept verbatim as the reference that
+``_solve_block``, ``_solve_duals`` (with the ``_power_dual``, ``_aci_dual``,
+``_meets``, ``_tol`` and the coupled Newton ``_newton_duals`` they call),
+``_strip`` and the block repair ``_repair_block`` around it (with
+``_cap_sums``), kept verbatim as the reference that
 ``test_engine_reference.py`` requires the shipped engine to equal bit for
 bit.  Each round here runs on every tone of every row left: mu is (T, N)
 whatever the multipliers, every load column multiplies by its weights, bits
@@ -17,7 +18,7 @@ import numpy as np
 
 from crloading.discretizer import _pricing
 from crloading.errors import SolverError
-from crloading.solver import _DUAL_TOL, _LN2, _newton_duals, _tol
+from crloading.solver import _DUAL_TOL, _LN2
 
 # Rounds over at most this many (row, tone) savings sort them all.
 _SORT_ALL = 1024
@@ -68,6 +69,56 @@ def _aci_dual(w, active, q, alpha, cap):
         lam = lam + excess / (k * (wm * wm).sum(1, keepdims=True))
     out[idx] = lam[:, 0]
     return out
+
+
+def _tol(caps, load, wq):
+    """How far a load may miss its cap and count as met: _DUAL_TOL times the
+    cap or, if larger, the load's terms in magnitude, sum w (k/mu - q) =
+    load - 2 sum w q (k/mu and q cancel on a tone that will yet be nulled)."""
+    return _DUAL_TOL * np.maximum(caps, load - 2.0 * wq)
+
+
+def _newton_duals(lam, w, q, alpha, caps):
+    """Multipliers of the caps weighted by ``w`` (active tones x caps), by
+    projected Newton ascent from ``lam >= 0`` on the concave dual
+
+        phi(lam) = k * sum(ln mu) - lam . (caps - w^T q),  mu = alpha + w lam,
+
+    whose gradient is the load excess (D. P. Bertsekas, SIAM J. Control
+    Optim. 20(2), 1982).  A multiplier whose scaled gradient step reaches
+    0 is held on its bound by that step; the others take a Newton step
+    damped by nu times the Hessian's diagonal, so a singular Hessian (more
+    caps than tones, collinear weights) still ascends.  Each step
+    backtracks along the projection arc (Armijo)."""
+    k = (1.0 - alpha) / _LN2
+    wq = w.T @ q
+    nu = 1e-12
+    for _ in range(100):
+        mu = alpha + w @ lam
+        load = w.T @ (k / mu + q)
+        g = load - caps
+        tol = _tol(caps, load, wq)
+        if np.all((g <= tol) & ((g >= -tol) | (lam == 0.0))):
+            return lam
+        wm = w / mu[:, None]
+        hess = k * wm.T @ wm            # minus the Hessian of phi
+        diag = hess.diagonal()
+        step = g / diag
+        free = lam + step > 0.0
+        step[free] = np.linalg.solve(
+            hess[np.ix_(free, free)] + nu * np.diag(diag[free]), g[free])
+        for t in 0.5 ** np.arange(50):
+            trial = np.maximum(lam + t * step, 0.0)
+            d = trial - lam
+            # phi(trial) - phi(lam), free of phi's own rounding
+            gain = k * np.log1p((w @ d) / mu).sum() - d @ (caps - wq)
+            if gain >= 1e-4 * (t * g[free] @ step[free] + g[~free] @ d[~free]):
+                break
+        else:
+            break
+        lam = trial
+        nu = max(0.1 * nu, 1e-12) if t == 1.0 else min(10.0 * nu, 1e6)
+    raise SolverError(f"cap equalization did not converge; excess {g}")
 
 
 def _meets(excess, tol, enforced, x, col):

@@ -141,6 +141,25 @@ class TestBuildCaps:
                 f"{aci}")):
             ConstraintCaps(1.0, np.ones(aci), AciFactors(np.zeros(omega)))
 
+    @pytest.mark.parametrize("total, aci, omega, match", [
+        (math.nan, [1.0], [[0.5], [0.5]], "NaN"),
+        (1.0, [math.nan], [[0.5], [0.5]], "NaN"),
+        # a negative weight once let the solve load the ACI cap to 0.20086
+        # at these caps and CNIR (298.6951599, 71.99024681), infeasibly
+        (0.2008576442932259, [0.17932873902656254], [[1.0], [-1.0]],
+         ">= 0"),
+        (1.0, [1.0], [[math.inf], [0.5]], "finite"),
+        (1.0, [1.0], [[math.nan], [0.5]], "finite"),
+    ], ids=["nan_total", "nan_aci", "negative_weight", "inf_weight",
+            "nan_weight"])
+    def test_nan_cap_or_bad_weight_refused(self, total, aci, omega, match):
+        # refused by the plan, which every solve, repair and search reads
+        caps = ConstraintCaps(total, np.array(aci), AciFactors(np.array(omega)))
+        with pytest.raises(SolverError, match=match):
+            solve_continuous(np.array([298.6951599, 71.99024681]), caps,
+                             types.SimpleNamespace(alpha=0.5,
+                                                   ber_threshold=1e-4))
+
     @pytest.mark.parametrize("omega, aci", [((3, 0), (0,)), ((1, 1), (1,)),
                                             ((3, 2), (2,))])
     def test_matching_shapes_accepted(self, omega, aci):

@@ -110,7 +110,7 @@ class TestPowerForBits:
             assert power_for_bits(1015, 1.0, ber, max_bits=1015) == math.inf
 
     def test_bad_ber_rejected(self):
-        for ber in (0.0, 0.2, 0.5, -1e-3):
+        for ber in (0.0, 0.2, 0.5, -1e-3, math.nan):
             with pytest.raises(SolverError):
                 power_for_bits(4, 100.0, ber)
 

@@ -295,7 +295,8 @@ class TestOverlapShape:
 class TestBerCeiling:
     """BER = 0.2 makes -ln(5 BER) zero: every entry point must refuse it
     (the one-row solve used to divide by zero and return an empty
-    solution).
+    solution), and NaN too, which fails every comparison and so passed a
+    test for BERs outside (0, 0.2).
     A BER vector must also hold one value per tone."""
 
     CNIR = np.array([10.0, 20.0])
@@ -310,12 +311,21 @@ class TestBerCeiling:
             c, 0.5, ber, make_caps(c.size, 1.0)),
     }
 
-    @pytest.mark.parametrize("ber", [0.2, [1e-4, 0.2]],
-                             ids=["scalar", "one_tone"])
+    @pytest.mark.parametrize(
+        "ber", [0.2, [1e-4, 0.2], math.nan, [1e-4, math.nan]],
+        ids=["scalar", "one_tone", "nan_scalar", "nan_one_tone"])
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_ber_of_one_fifth_rejected(self, entry, ber):
         with pytest.raises(SolverError, match=r"\(0, 0\.2\)"):
             self.ENTRY_POINTS[entry](self.CNIR, np.asarray(ber))
+
+    @pytest.mark.parametrize(
+        "ber", [0.0, 0.2, 0.3, math.nan, [1e-4, math.nan]],
+        ids=["zero", "one_fifth", "above", "nan", "nan_one_tone"])
+    def test_cnir_threshold_rejects_a_ber_outside_the_model(self, ber):
+        # no tone count here, so it stays out of ENTRY_POINTS
+        with pytest.raises(SolverError, match=r"\(0, 0\.2\)"):
+            cnir_threshold(0.5, ber)
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_ber_vector_of_wrong_length_rejected(self, entry):
@@ -539,6 +549,38 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
                 monkeypatch, cnir,
                 build_caps(cfg).plan(su.alpha, su.ber_threshold))
         assert checked[1]
+
+
+class TestPermutedTones:
+    """Nothing in the solve ranks tones by position: permuting the CNIR
+    columns and the overlap matrix's rows together permutes the active
+    sets exactly, and bits, F and the multipliers up to rounding."""
+
+    @pytest.mark.parametrize("name, power_threshold", [
+        ("default", None), ("cci_binding", None), ("small_n6", None),
+        ("small_n6", 1.0)])
+    def test_first_monte_carlo_block(self, name, power_threshold):
+        cnir, plan = _monte_carlo_block(name, power_threshold)
+        ber = load_scenario(f"configs/{name}.json").su.ber_threshold
+        alpha, n = plan.alpha, cnir.shape[1]
+
+        def solve(perm):
+            """Bits, F, lam and active of the block with tones ``perm``."""
+            caps = make_caps(n, plan.caps[0], plan.caps[1:], plan.omega[perm])
+            bits, powers, lam, active = solver._solve_block(
+                cnir[:, perm], caps.plan(alpha, ber))
+            f = alpha * powers.sum(1) - (1.0 - alpha) * bits.sum(1)
+            return bits, f, lam, active
+
+        bits, f, lam, active = solve(np.arange(n))
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            perm = rng.permutation(n)
+            got = solve(perm)
+            assert np.array_equal(got[3], active[:, perm])
+            for x, want, rtol in ((got[0], bits[:, perm], 1e-12),
+                                  (got[1], f, 1e-12), (got[2], lam, 1e-9)):
+                np.testing.assert_allclose(x, want, rtol=rtol, atol=0.0)
 
 
 class TestCoupledNewtonHardRows:
