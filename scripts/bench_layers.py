@@ -15,6 +15,8 @@ config's own psi) each repeat times:
 - ``_outcomes``, per trial: the time ``_block`` spends in it on that block
 - ``_cap_sums`` of the block's repaired powers, per row
 - ``run_trial``, per call
+- ``check_feasible`` of the allocation and ``kkt_verify`` of the
+  continuous solution, per call, on the first ``ONE_ROW`` trials
 - ``run_monte_carlo`` over two blocks, as trials per second
 
 and, not repeated, the cProfile function calls of one ``run_trial`` (over
@@ -65,8 +67,8 @@ CONFIGS = [("default", None), ("cci_binding", None), ("small_n6", None),
 SEED = 1234
 ONE_ROW = 20                # one-row (or per-call) calls per repeat
 BY_CASE = 100               # draws split by regime for the one-row solve
-MODULES = ("channel", "constraints", "discretizer", "experiments", "oracle",
-           "scenario", "solver")
+MODULES = ("channel", "constraints", "discretizer", "experiments", "kkt",
+           "oracle", "scenario", "solver")
 # Acceptance criterion 6 at N=8 (tests/test_acceptance.py, test_c06).
 CRITERION_6 = {
     "su": {"num_subcarriers": 8, "symbol_duration": 1.024e-4,
@@ -219,6 +221,11 @@ def config_work(t, path, n):
     powers = repair(bits, cnir, plan, su.max_bits)[1]
     rows = [(c[None], b[None]) for c, b in zip(cnir[:ONE_ROW],
                                                bits[:ONE_ROW])]
+    sols = [(c, t.solver.solve_continuous(c, caps, su))
+            for c in cnir[:ONE_ROW]]
+    allocs = [(c, t.discretizer.round_and_repair(
+        sol, caps, None, c, su.ber_threshold, su.max_bits))
+        for c, sol in sols]
     size = len(block)
     work = {
         "load_scenario_us": timed(
@@ -246,6 +253,13 @@ def config_work(t, path, n):
         "run_trial_us": timed(
             lambda: [exp.run_trial(cfg, caps, i, SEED)
                      for i in range(ONE_ROW)], ONE_ROW),
+        "check_feasible_us": timed(
+            lambda: [t.constraints.check_feasible(a, caps, c,
+                                                  su.ber_threshold)
+                     for c, a in allocs], len(allocs)),
+        "kkt_verify_us": timed(
+            lambda: [t.kkt.kkt_verify(sol, c, su.ber_threshold, caps)
+                     for c, sol in sols], len(sols)),
         "monte_carlo_us_per_trial": timed(
             lambda: exp.run_monte_carlo(cfg, 2 * size, SEED, caps=caps),
             2 * size),

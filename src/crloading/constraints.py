@@ -23,7 +23,7 @@ from .channel import AciFactors, aci_overlap_matrix
 from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig, path_loss_db
 from .solver import (_DUAL_TOL, FEAS_TOL, Plan, _cap_sums, _checked_ber,
-                     cap_limits, cnir_threshold)
+                     _checked_cnir, cap_limits, cnir_threshold)
 
 
 @dataclass(frozen=True)
@@ -175,13 +175,12 @@ def cap_audit(powers, caps: ConstraintCaps):
     return load <= limit, excess, excess / np.where(cap > 0, cap, 1.0)
 
 
-def ber_audit(bits, powers, cnir, ber_threshold):
+def ber_audit(bits, powers, c, ceiling):
     """Per tone, as ``cap_audit`` per cap: whether the BER of ``bits`` at
-    ``powers`` (0 on an unloaded tone) meets its ceiling up to FEAS_TOL of
-    it, its excess over the ceiling, that excess relative to it and the BER."""
+    ``powers`` (0 on an unloaded tone) meets its ``ceiling`` up to FEAS_TOL
+    of it, its excess over the ceiling, that excess relative to it and the
+    BER; the CNIR ``c`` and ``ceiling`` as ``_check_tones`` returns them."""
     bits, powers = np.asarray(bits, float), np.asarray(powers, float)
-    c = np.asarray(cnir, dtype=float)
-    ceiling = np.broadcast_to(np.asarray(ber_threshold, dtype=float), c.shape)
     on, ber = bits > 0, np.zeros_like(c)
     ber[on] = 0.2 * np.exp(-1.6 * powers[on] * c[on] / (2.0 ** bits[on] - 1))
     excess = ber - ceiling
@@ -190,9 +189,10 @@ def ber_audit(bits, powers, cnir, ber_threshold):
 
 
 def _check_tones(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
-    """``SolverError`` naming the shapes unless bits, powers and CNIR each
-    have one entry per row of the caps' overlap matrix, and the BER ceiling
-    one value or one per row (as ``solver._checked_ber`` asks)."""
+    """The CNIR and the per-tone BER ceiling as ``solver._checked_cnir`` and
+    ``_checked_ber`` hand them back (refusing what they refuse), once bits,
+    powers and CNIR each have one entry per row of the caps' overlap matrix
+    (``SolverError`` naming the shapes if not)."""
     shapes = np.shape(bits), np.shape(powers), np.shape(cnir)
     omega = caps.aci_weights.omega
     if shapes != (omega.shape[:1],) * 3:
@@ -200,10 +200,7 @@ def _check_tones(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
             f"bits {shapes[0]}, powers {shapes[1]} and CNIR {shapes[2]} must "
             f"each have one entry per row of the caps' overlap matrix "
             f"{omega.shape}")
-    if np.shape(ber_threshold) not in ((), omega.shape[:1]):
-        raise SolverError(
-            f"BER ceiling {np.shape(ber_threshold)} must be one value or one "
-            f"per row of the caps' overlap matrix {omega.shape}")
+    return _checked_cnir(cnir), _checked_ber(ber_threshold, len(omega))
 
 
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
@@ -214,11 +211,11 @@ def check_feasible(alloc, caps: ConstraintCaps, cnir,
     (``ber_audit``, ``cap_audit``).  Margins are relative excesses (over the
     ceiling or cap), so a feasible allocation has a worst margin of at most
     FEAS_TOL.  Bits, powers and CNIR must each have one entry per tone of the
-    caps, and the BER ceiling one or one per tone (``SolverError`` if not).
+    caps, and CNIR and BER ceiling pass the plan's checks (``_check_tones``).
     """
-    _check_tones(alloc.bits, alloc.powers, cnir, ber_threshold, caps)
-    ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, cnir,
-                                         ber_threshold)
+    c, ceiling = _check_tones(alloc.bits, alloc.powers, cnir, ber_threshold,
+                              caps)
+    ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, c, ceiling)
     ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)
     worst = max(float(np.max(ber_margin, initial=0.0)),
                 float(np.max(margin, initial=0.0)))

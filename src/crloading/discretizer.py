@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import SolverError
 from .scenario import _MAX_BITS
-from .solver import (_ber_in_range, _cap_sums, _checked_cnir, _one_row,
+from .solver import (_cap_sums, _checked_ber, _checked_cnir, _one_row,
                      objective_value)
 
 # Rounds over at most this many (row, tone) savings sort them all, as a
@@ -48,9 +48,9 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
 
         P = -(2^b - 1) * ln(5 BER) / (1.6 C)
 
-    Vectorized; bits must be 0 (no power) or integers in [2, max_bits];
-    1 bit is rejected, as is any BER outside (0, 0.2) (NaN too) and any
-    CNIR not finite and positive; P may be inf.
+    Vectorized, tones on the last axis; bits must be 0 (no power) or
+    integers in [2, max_bits], the CNIR finite and positive and the BER as
+    the solve asks (``solver._checked_ber``); P may be inf.
     """
     b = np.asarray(bits)
     c = np.asarray(cnir, dtype=float)
@@ -59,10 +59,11 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
         raise SolverError("1-bit constellations are not part of the scheme")
     if np.count_nonzero((b < 0) | (b > max_bits) | (b % 1 != 0)):
         raise SolverError(f"bit counts must lie in {{0}} u [2, {max_bits}]")
-    ber = _ber_in_range(ber_threshold)
+    shape = np.broadcast_shapes(b.shape, c.shape)
+    ber = _checked_ber(ber_threshold, shape[-1] if shape else 1)
     cost = _pricing(np.max(b, initial=0))[0]    # as the repair prices bits
     p = cost[b.astype(int)] * -np.log(5.0 * ber) / (1.6 * c)
-    return p if p.ndim else float(p)
+    return p if shape else float(p[0])
 
 
 @lru_cache(maxsize=64)

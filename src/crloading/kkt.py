@@ -60,13 +60,12 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
 
     Nulled subcarriers sit outside the continuous problem (their BER model
     degenerates), so the per-subcarrier conditions are evaluated on the
-    active set only.  Bits, powers and CNIR must each have one entry per
-    tone of the caps, and the BER ceiling one or one per tone
-    (``SolverError`` otherwise).
+    active set only.  Bits, powers, CNIR and BER ceiling are checked as
+    ``check_feasible`` checks them (``SolverError`` otherwise).
     """
     tols = tols or KktTolerances()
-    _check_tones(solution.bits, solution.powers, cnir, ber_threshold, caps)
-    c = np.asarray(cnir, dtype=float)
+    c, ceiling = _check_tones(solution.bits, solution.powers, cnir,
+                              ber_threshold, caps)
     alpha = solution.alpha
     omega = caps.aci_weights.omega
     lam_pow = solution.lambda_power
@@ -75,8 +74,7 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     bits = np.asarray(solution.bits, dtype=float)
     powers = np.asarray(solution.powers, dtype=float)
     active = bits > 0
-    ber_ok, ber_excess, ber_margin, ber = ber_audit(bits, powers, c,
-                                                    ber_threshold)
+    ber_ok, ber_excess, ber_margin, ber = ber_audit(bits, powers, c, ceiling)
 
     stat_p = stat_b = comp = 0.0
     lam_sub_min, mu_top = math.inf, 1.0

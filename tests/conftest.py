@@ -24,6 +24,14 @@ def make_caps(n, total_cap=np.inf, aci_caps=(), omega=None):
                           aci_weights=AciFactors(omega=omega))
 
 
+def make_loading(n):
+    """A loading of ``n`` tones at 4 bits and 1 mW each, at alpha = 0.5
+    with no multiplier positive: what either audit reads of a solution."""
+    return SimpleNamespace(bits=np.full(n, 4.0), powers=np.full(n, 1e-3),
+                           alpha=0.5, lambda_power=0.0,
+                           lambda_aci=np.zeros(0))
+
+
 def solve_raw(cnir, alpha, ber, total_cap=np.inf, omega=None, aci_caps=()):
     """``solve_continuous`` of one CNIR row under ``make_caps`` of these
     numbers, at ``alpha`` and the BER ceiling ``ber``."""

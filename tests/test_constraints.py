@@ -317,11 +317,11 @@ class TestToneCounts:
 
     @pytest.mark.parametrize("audit", sorted(AUDITS))
     def test_ber_ceiling_a_tone_short(self, audit):
-        # a 5-entry BER ceiling against small_n6's 6 tones
+        # a 5-entry BER ceiling against small_n6's 6 tones: the plan's rule
         sol, alloc, caps, cnir = self._small_n6()
         with pytest.raises(SolverError, match=(
-                r"BER ceiling \(5,\) must be one value or one per row of "
-                r"the caps' overlap matrix \(6, 1\)")):
+                r"BER thresholds must be one value or one per tone: got "
+                r"\(5,\) for 6 tones")):
             self.AUDITS[audit](sol, alloc, caps, cnir, np.full(5, 1e-4))
 
     @pytest.mark.parametrize("audit", sorted(AUDITS))

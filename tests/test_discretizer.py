@@ -18,12 +18,13 @@ from crloading.constraints import ConstraintCaps, check_feasible
 from crloading.discretizer import (Allocation, _pricing, _repair,
                                    power_for_bits, round_and_repair)
 from crloading.errors import SolverError
+from crloading.kkt import kkt_verify
 from crloading.scenario import _MAX_BITS
 from crloading.solver import (FEAS_TOL, _cap_sums, objective_value,
                               solve_continuous)
 
 import engine_reference as ref
-from conftest import make_caps, random_instance
+from conftest import make_caps, make_loading, random_instance
 
 P2_100 = 0.14251692111641404
 P3_100 = 0.3325394826049661
@@ -331,6 +332,20 @@ class TestCnirChecked:
         with pytest.raises(SolverError, match="finite and positive"):
             round_and_repair(cont([4.0, 4.0]), make_caps(2, 0.5), None,
                              cnir, 1e-4)
+
+    @pytest.mark.parametrize("cnir", [[0.0, 100.0], [-1.0, 100.0],
+                                      [np.nan, 100.0], [np.inf, 100.0]],
+                             ids=["zero", "minus_one", "nan", "inf"])
+    @pytest.mark.parametrize("audit", ["check_feasible", "kkt_verify"])
+    def test_audits_refuse_it_too(self, audit, cnir):
+        # unchecked, both audits judged a loading at these CNIRs, and at
+        # NaN check_feasible's worst margin read NaN
+        sol, caps = make_loading(2), make_caps(2, 0.5)
+        with pytest.raises(SolverError, match="finite and positive"):
+            if audit == "check_feasible":
+                check_feasible(sol, caps, cnir, 1e-4)
+            else:
+                kkt_verify(sol, cnir, 1e-4, caps)
 
 
 class TestArgumentsChecked:

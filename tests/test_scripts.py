@@ -52,8 +52,8 @@ def assert_bench_figures(doc):
             "draw_us_per_trial", "solve_block_us_per_row",
             "repair_block_us_per_row", "outcomes_us_per_trial",
             "cap_sums_us_per_row", "solve_one_row_us",
-            "repair_one_row_us", "run_trial_us", "monte_carlo_trials_per_s",
-            "run_trial_calls"}
+            "repair_one_row_us", "run_trial_us", "check_feasible_us",
+            "kkt_verify_us", "monte_carlo_trials_per_s", "run_trial_calls"}
         assert cfg["overlap_peak_mib"] > 0
         by_case = cfg["solve_one_row_by_case"]
         assert by_case and set(by_case) <= {"case5", "case6", "case7",

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from crloading import experiments, solver
 from crloading.channel import AciFactors
-from crloading.constraints import ConstraintCaps, build_caps
-from crloading.discretizer import round_and_repair
+from crloading.constraints import ConstraintCaps, build_caps, check_feasible
+from crloading.discretizer import power_for_bits, round_and_repair
 from crloading.errors import SolverError
 from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
@@ -27,8 +27,8 @@ from crloading.solver import (
     solve_continuous,
 )
 
-from conftest import (adjacent_band_scenario, make_caps, random_instance,
-                      solve_raw)
+from conftest import (adjacent_band_scenario, make_caps, make_loading,
+                      random_instance, solve_raw)
 
 NEGLOG = 7.600902459542082          # -ln(5e-4)
 C_TH = 13.17136027385687            # activation CNIR at alpha=.5, BER=1e-4
@@ -296,7 +296,8 @@ class TestBerCeiling:
     """BER = 0.2 makes -ln(5 BER) zero: every entry point must refuse it
     (the one-row solve used to divide by zero and return an empty
     solution), and NaN too, which fails every comparison and so passed a
-    test for BERs outside (0, 0.2).
+    test for BERs outside (0, 0.2); the audits used to judge a loading
+    against any ceiling (0.5 feasible, -1e-4 a margin of 0, NaN one of NaN).
     A BER vector must also hold one value per tone."""
 
     CNIR = np.array([10.0, 20.0])
@@ -309,11 +310,19 @@ class TestBerCeiling:
             make_caps(c.size, 1.0), None, c, ber),
         "exhaustive_search": lambda c, ber: exhaustive_search(
             c, 0.5, ber, make_caps(c.size, 1.0)),
+        "power_for_bits": lambda c, ber: power_for_bits(
+            np.full(c.size, 4), c, ber),
+        "check_feasible": lambda c, ber: check_feasible(
+            make_loading(c.size), make_caps(c.size, 1.0), c, ber),
+        "kkt_verify": lambda c, ber: kkt_verify(
+            make_loading(c.size), c, ber, make_caps(c.size, 1.0)),
     }
 
     @pytest.mark.parametrize(
-        "ber", [0.2, [1e-4, 0.2], math.nan, [1e-4, math.nan]],
-        ids=["scalar", "one_tone", "nan_scalar", "nan_one_tone"])
+        "ber", [0.2, [1e-4, 0.2], math.nan, [1e-4, math.nan], 0.0, 0.5,
+                -1e-4],
+        ids=["scalar", "one_tone", "nan_scalar", "nan_one_tone", "zero",
+             "one_half", "negative"])
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_ber_of_one_fifth_rejected(self, entry, ber):
         with pytest.raises(SolverError, match=r"\(0, 0\.2\)"):
@@ -581,6 +590,47 @@ class TestPermutedTones:
             for x, want, rtol in ((got[0], bits[:, perm], 1e-12),
                                   (got[1], f, 1e-12), (got[2], lam, 1e-9)):
                 np.testing.assert_allclose(x, want, rtol=rtol, atol=0.0)
+
+
+# (log10 P_th, trial) of the first 500 seed-1234 small_n6 draws whose
+# continuous F rises when P_th is raised by 5%
+SMALL_N6_RISES = {
+    (-1.0, 69), (-0.75, 335), (-0.75, 438), (-0.5, 325), (-0.25, 57),
+    (-0.25, 337), (0.0, 123), (0.0, 179), (0.0, 187), (0.0, 199), (0.0, 210),
+    (0.0, 281), (0.0, 336), (0.0, 339), (0.0, 341), (0.0, 378), (0.0, 420),
+    (0.0, 480), (0.0, 493)}
+
+
+class TestLooserTotalCap:
+    """A looser cap must not give a worse answer: raising ``power_threshold``
+    by 5% never raises a row's continuous F, up to 1e-12 relative.  On
+    small_n6 it does on the rows named, where a round nulls every tone
+    under 2 bits at once (ROADMAP item 14); a better drop rule shrinks that
+    set, and no looser bound hides it."""
+
+    @pytest.mark.parametrize("name, exponents, trials, rises", [
+        ("cci_binding", np.linspace(-5.0, 1.0, 25), 2000, set()),
+        ("default", np.linspace(-4.0, -3.0, 5), 500, set()),
+        ("small_n6", np.linspace(-5.0, 1.0, 25), 500, SMALL_N6_RISES)],
+        ids=["cci_binding", "default", "small_n6"])
+    def test_continuous_f_never_rises(self, name, exponents, trials, rises):
+        cfg = load_scenario(f"configs/{name}.json")
+        cnir = experiments._draw(cfg, 1234, range(trials))[0]
+        alpha, ber = cfg.su.alpha, cfg.su.ber_threshold
+
+        def f(power_threshold):
+            """Continuous F of each row at this total-power limit."""
+            su_p = replace(cfg.su, power_threshold=power_threshold)
+            plan = build_caps(replace(cfg, su=su_p)).plan(alpha, ber)
+            bits, powers, _, _ = solver._solve_block(cnir, plan)
+            return alpha * powers.sum(1) - (1.0 - alpha) * bits.sum(1)
+
+        got = set()
+        for e in exponents:
+            tight, loose = f(10.0 ** e), f(1.05 * 10.0 ** e)
+            got |= {(float(e), int(t)) for t in np.flatnonzero(
+                loose > tight + 1e-12 * np.abs(tight))}
+        assert got == rises
 
 
 class TestCoupledNewtonHardRows:
