@@ -16,7 +16,8 @@ config's own psi) each repeat times:
 - ``_cap_sums`` of the block's repaired powers, per row
 - ``run_trial``, per call
 - ``check_feasible`` of the allocation and ``kkt_verify`` of the
-  continuous solution, per call, on the first ``ONE_ROW`` trials
+  continuous solution, per call, in ``AUDIT_PASSES`` passes over the first
+  ``ONE_ROW`` trials (200 calls per repeat)
 - ``run_monte_carlo`` over two blocks, as trials per second
 
 and, not repeated, the cProfile function calls of one ``run_trial`` (over
@@ -66,6 +67,7 @@ CONFIGS = [("default", None), ("cci_binding", None), ("small_n6", None),
            ("default", 1024)]
 SEED = 1234
 ONE_ROW = 20                # one-row (or per-call) calls per repeat
+AUDIT_PASSES = 10           # passes of each audit over those ONE_ROW trials
 BY_CASE = 100               # draws split by regime for the one-row solve
 MODULES = ("channel", "constraints", "discretizer", "experiments", "kkt",
            "oracle", "scenario", "solver")
@@ -256,10 +258,12 @@ def config_work(t, path, n):
         "check_feasible_us": timed(
             lambda: [t.constraints.check_feasible(a, caps, c,
                                                   su.ber_threshold)
-                     for c, a in allocs], len(allocs)),
+                     for _ in range(AUDIT_PASSES) for c, a in allocs],
+            AUDIT_PASSES * len(allocs)),
         "kkt_verify_us": timed(
             lambda: [t.kkt.kkt_verify(sol, c, su.ber_threshold, caps)
-                     for c, sol in sols], len(sols)),
+                     for _ in range(AUDIT_PASSES) for c, sol in sols],
+            AUDIT_PASSES * len(sols)),
         "monte_carlo_us_per_trial": timed(
             lambda: exp.run_monte_carlo(cfg, 2 * size, SEED, caps=caps),
             2 * size),

@@ -22,8 +22,8 @@ import numpy as np
 from .channel import AciFactors, aci_overlap_matrix
 from .errors import ConfigError, SolverError
 from .scenario import ScenarioConfig, path_loss_db
-from .solver import (_DUAL_TOL, FEAS_TOL, Plan, _cap_sums, _checked_ber,
-                     _checked_cnir, cap_limits, cnir_threshold)
+from .solver import (FEAS_TOL, Plan, _cap_sums, _checked_ber, _checked_cnir,
+                     cap_limits, cnir_threshold)
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ class ConstraintCaps:
         plan = Plan(alpha=alpha, lg=lg, neglog=-lg, threshold=np.where(
             zero[0] | (omega[:, zero[1:]] > 0.0).any(1), math.inf,
             cnir_threshold(alpha, ber)), omega=omega, caps=caps,
-            limit=np.where(zero, math.inf, caps * (1.0 + _DUAL_TOL)),
             limits=limits)
         for value in vars(plan).values():
             if isinstance(value, np.ndarray):

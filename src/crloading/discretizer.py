@@ -48,9 +48,9 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
 
         P = -(2^b - 1) * ln(5 BER) / (1.6 C)
 
-    Vectorized, tones on the last axis; bits must be 0 (no power) or
-    integers in [2, max_bits], the CNIR finite and positive and the BER as
-    the solve asks (``solver._checked_ber``); P may be inf.
+    Vectorized, tones on the last axis; bits 0 (no power) or integers in
+    [2, max_bits] that broadcast with the CNIR, finite and positive, and
+    the BER as the solve asks (``solver._checked_ber``); P may be inf.
     """
     b = np.asarray(bits)
     c = np.asarray(cnir, dtype=float)
@@ -59,7 +59,11 @@ def power_for_bits(bits, cnir, ber_threshold, max_bits=16):
         raise SolverError("1-bit constellations are not part of the scheme")
     if np.count_nonzero((b < 0) | (b > max_bits) | (b % 1 != 0)):
         raise SolverError(f"bit counts must lie in {{0}} u [2, {max_bits}]")
-    shape = np.broadcast_shapes(b.shape, c.shape)
+    try:
+        shape = np.broadcast_shapes(b.shape, c.shape)
+    except ValueError:
+        raise SolverError(f"bits {b.shape} and CNIR {c.shape} do not "
+                          f"broadcast to one shape") from None
     ber = _checked_ber(ber_threshold, shape[-1] if shape else 1)
     cost = _pricing(np.max(b, initial=0))[0]    # as the repair prices bits
     p = cost[b.astype(int)] * -np.log(5.0 * ber) / (1.6 * c)

@@ -15,11 +15,11 @@ mu_i = alpha + lam_pow + sum_l w_il lam_aci_l:
     P_i = (1-alpha) / (ln2 * mu_i) + ln(5 BER_i) / (1.6 C_i)
 
 One active-set loop covers every regime.  From the unconstrained optimum
-it enforces, once, each cap the unconstrained point violates (binding a cap
-only lowers every power), then nulls subcarriers whose rate falls below 2
-bits (remove-only) until none does.  It runs on a (T, N) block of CNIR rows
-at once (``solve_continuous`` is the T = 1 case); each row is bitwise its
-own one-row solve, as nothing multiplies matrices across rows.
+it enforces, once, each cap whose load there fails ``cap_limits`` (binding
+a cap only lowers every power), then nulls subcarriers whose rate falls
+below 2 bits (remove-only) until none does.  It runs on a (T, N) block of
+CNIR rows at once (``solve_continuous`` is the T = 1 case); each row is
+bitwise its own one-row solve, as nothing multiplies matrices across rows.
 
 On a fixed active set the enforced multipliers solve a complementarity
 system (lam >= 0, residual <= 0, lam * residual = 0) with one solution, so
@@ -140,8 +140,7 @@ class Plan:
     threshold: np.ndarray       # smallest CNIR loaded; inf if a zero cap
     omega: np.ndarray           # (N, L) weights of caps 1..L; cap 0's are 1
     caps: np.ndarray            # (1+L,) caps as ``cap_limits`` gives them
-    limit: np.ndarray           # enforce over caps*(1+_DUAL_TOL); inf if <= 0
-    limits: np.ndarray          # ``cap_limits``: repair above these loads
+    limits: np.ndarray          # ``cap_limits``: enforce and repair above
 
     def rows(self, cnir):
         """``cnir`` as a float (T, N) block once it is checked to be
@@ -236,27 +235,22 @@ def _aci_dual(w, active, q, alpha, cap):
     """Multiplier of one adjacent-channel cap per row, every other at 0.
 
     The load is convex and decreasing in the multiplier, so Newton from 0
-    climbs monotonically to the root; each row stops at its own test.
+    climbs monotonically to the root; a row that meets its stop test steps
+    by 0.0 from then on, dividing nothing.
     """
     k = (1.0 - alpha) / _LN2
     wa = np.where(active, w, 0.0)
     offset = np.add.reduce(wa * q, 1, keepdims=True) - cap
-    out = np.zeros(wa.shape[0])
-    idx = np.arange(wa.shape[0])
     lam = np.zeros((wa.shape[0], 1))
     for _ in range(100):
         wm = wa / (alpha + wa * lam)
         excess = k * np.add.reduce(wm, 1, keepdims=True) + offset
-        go = excess[:, 0] > _DUAL_TOL * cap
-        if np.count_nonzero(go) < go.size:
-            out[idx[~go]] = lam[~go, 0]
-            idx, wa, offset, lam, wm, excess = (
-                x[go] for x in (idx, wa, offset, lam, wm, excess))
-            if not idx.size:
-                return out
-        lam = lam + excess / (k * np.add.reduce(wm * wm, 1, keepdims=True))
-    out[idx] = lam[:, 0]
-    return out
+        go = excess > _DUAL_TOL * cap
+        if not np.count_nonzero(go):
+            break
+        lam = lam + np.divide(excess, k * np.add.reduce(
+            wm * wm, 1, keepdims=True), out=np.zeros(lam.shape), where=go)
+    return lam[:, 0]
 
 
 def _state(lam, active, q, plan):
@@ -318,7 +312,8 @@ def _solve_block(cnir, plan):
     t is bitwise the solve of ``cnir[t]`` alone.
 
     Round 0 prices every tone at mu = alpha and enforces, once, the caps
-    it violates: no later load exceeds round 0's, in floating point too.
+    whose loads there exceed ``plan.limits``: no later load exceeds round
+    0's, in floating point too, so every other cap stays within its limit.
     Each multiplier is >= 0 (``_power_dual`` clamps, ``_aci_dual`` climbs
     from 0, ``_newton_duals`` projects), so mu_i = fl(alpha + ...) >= alpha,
     fl(k/mu_i + q_i) <= fl(k/alpha + q_i) by monotone rounding, a nulled
@@ -329,7 +324,8 @@ def _solve_block(cnir, plan):
     active, lam = c >= plan.threshold, np.zeros((t, plan.caps.size))
     num, q, mu = (1.0 - plan.alpha) * 1.6 * c, plan.lg / (1.6 * c), plan.alpha
     p = np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
-    enforced = _cap_sums(p, plan.omega) > plan.limit
+    # nothing lowers a load of 0: a cap < 0, whose tones the plan nulls
+    enforced = _cap_sums(p, plan.omega) > np.maximum(plan.limits, 0.0)
     busy = np.logical_or.reduce(enforced, 1)
     # State of the unsettled rows, compacted once some settle: then idx maps
     # them to block rows, and out holds the settled ones.

@@ -10,9 +10,12 @@ are taken on every row still looping, and a repair round orders all of a
 row's live tones.  The repair gathers the rows over a cap by index and
 sums every load column through one (T, 1+L) array.  Both weight the caps
 by one (1+L, N) array, ones for the total power, then ``plan.omega.T``
-(``_weights``), as the plan once stored it.  Its powers are
+(``_weights``), as the plan once stored it.  It enforces a cap above its
+own limit, not the audits' (``_enforce_limit``).  Its powers are
 ``_pricing``'s 2^b - 1 times ``plan.neglog``, as the shipped repair prices
 them, so an empty tone costs +0.0 W."""
+
+import math
 
 import numpy as np
 
@@ -22,6 +25,13 @@ from crloading.solver import _DUAL_TOL, _LN2
 
 # Rounds over at most this many (row, tone) savings sort them all.
 _SORT_ALL = 1024
+
+
+def _enforce_limit(plan):
+    """The loads above which the reference enforces a cap: caps*(1+_DUAL_TOL),
+    inf for a cap <= 0.  Its bitwise comparisons show that no tested row
+    has a load between this and ``plan.limits``, where the rules differ."""
+    return np.where(plan.caps <= 0.0, math.inf, plan.caps * (1.0 + _DUAL_TOL))
 
 
 def _weights(plan):
@@ -198,7 +208,7 @@ def _solve_block(cnir, plan):
             dropping = drop.any(1)
             active &= ~drop
         p = np.where(active, k / mu + q, 0.0)
-        newly = ((p[:, None, :] * wt).sum(2) > plan.limit) & ~(
+        newly = ((p[:, None, :] * wt).sum(2) > _enforce_limit(plan)) & ~(
             enforced | dropping[:, None])
         enforced |= newly
         done = ~(dropping | newly.any(1))

@@ -122,6 +122,15 @@ class TestPowerForBits:
             with pytest.raises(SolverError, match="finite and positive"):
                 power_for_bits(bits, cnir, 1e-4)
 
+    @pytest.mark.parametrize("bits, cnir", [
+        ([4, 4, 4], [10.0, 20.0]), ([[4, 4]] * 3, [10.0, 20.0, 30.0])],
+        ids=["three_bits_two_tones", "rows_of_two_over_three_tones"])
+    def test_shape_mismatch_rejected(self, bits, cnir):
+        # numpy's own broadcast error once escaped here
+        want = f"bits {np.shape(bits)} and CNIR {np.shape(cnir)}"
+        with pytest.raises(SolverError, match=re.escape(want)):
+            power_for_bits(bits, cnir, 1e-4)
+
     def test_doubling_rule(self):
         # consecutive-bit power ratio follows (2^{b+1}-1)/(2^b-1) exactly
         bs = np.arange(3, 10)

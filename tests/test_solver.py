@@ -491,10 +491,10 @@ class TestDualStepHandsBackItsState:
 
 
 class TestCapsHoldBelowTheUnconstrainedPoint:
-    """The active-set loop enforces only the caps a row violates at lam = 0
-    and never re-tests them.  That rests on every dual step leaving each
-    row's loads at or below its lam = 0 loads, so a cap not enforced stays
-    within its limit."""
+    """The active-set loop enforces only the caps whose lam = 0 loads fail
+    ``plan.limits``, the limit the audits judge by, and never re-tests them.
+    That rests on every dual step leaving each row's loads at or below its
+    lam = 0 loads, so a cap not enforced stays within its limit."""
 
     @staticmethod
     def _check_block(monkeypatch, cnir, plan):
@@ -513,8 +513,10 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
         def spy(enforced, lam, active, q, plan):
             step = duals(enforced, lam, active, q, plan)
             loads = solver._cap_sums(step[2], plan.omega)
-            assert np.all((loads <= plan.limit) | enforced)
-            assert np.all(loads <= np.array([start[bytes(r)] for r in q]))
+            first = np.array([start[bytes(r)] for r in q])
+            assert np.array_equal(enforced, first > plan.limits)
+            assert np.all((loads <= plan.limits) | enforced)
+            assert np.all(loads <= first)
             counts[:] += enforced.size, np.count_nonzero(~enforced)
             return step
 
@@ -545,6 +547,40 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
             plan = make_caps(n, total, aci, omega).plan(alpha, ber)
             checked += self._check_block(monkeypatch, cnir, plan)
         assert checked[1]
+
+    @pytest.mark.parametrize("col", [0, 1], ids=["total", "aci"])
+    def test_load_within_feas_tol_is_not_enforced(self, col):
+        # the lam = 0 load 1e-10 over its cap meets it by cap_limits, so the
+        # solve keeps the cap-free point, as the audits accept it
+        omega = np.array([[0.5], [0.1]])
+        free = solve_raw(C2, 0.5, 1e-4, omega=omega, aci_caps=[math.inf])
+        caps = np.full(2, math.inf)
+        caps[col] = solver._cap_sums(free.powers[None], omega)[0, col] / (
+            1.0 + 1e-10)
+        c = make_caps(2, caps[0], caps[1:], omega)
+        sol = solve_continuous(C2, c, su())
+        assert sol.lambda_power == 0.0 and np.all(sol.lambda_aci == 0.0)
+        assert sol.powers.tobytes() == free.powers.tobytes()
+        assert check_feasible(sol, c, C2, 1e-4).feasible
+        assert kkt_verify(sol, C2, 1e-4, c).passed
+
+    def test_negative_cap_is_not_enforced(self):
+        # the plan nulls every tone a cap < 0 weights, so its load is 0 and
+        # no multiplier lowers it: the solve is the one under a zero cap
+        rng = np.random.default_rng(7)
+        n, alpha, ber = 64, 0.5, 1e-4
+        cnir = cnir_threshold(alpha, ber) * 10.0 ** rng.uniform(-0.5, 3.0,
+                                                                (40, n))
+        omega = rng.uniform(0.1, 1.0, (n, 2))
+        omega[::2, 0] = 0.0
+        for total, aci in ((-1.0, [1e-3, 1e-3]), (1e-2, [-1.0, 1e-3]),
+                           (math.inf, [-1.0, 1.0])):
+            neg = make_caps(n, total, aci, omega).plan(alpha, ber)
+            zero = make_caps(n, max(total, 0.0), np.maximum(aci, 0.0),
+                             omega).plan(alpha, ber)
+            for a, b in zip(solver._solve_block(cnir, neg),
+                            solver._solve_block(cnir, zero)):
+                assert a.tobytes() == b.tobytes()
 
     def test_four_adjacent_bands(self, monkeypatch):
         # twelve random four-band scenarios, four trials each
