@@ -31,13 +31,17 @@ the cheapest solver that settles it wins:
 3. projected Newton ascent on the coupled dual, which is concave, so each
    step backtracks on the dual itself and the method needs no fallback.
 
+Of 1 and 2, each row tries first the cap its unconstrained load is over
+by the largest factor, then the others in index order.
+
 ``case_id`` (5..8) only labels the result by which multipliers are positive.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -141,6 +145,20 @@ class Plan:
     omega: np.ndarray           # (N, L) weights of caps 1..L; cap 0's are 1
     caps: np.ndarray            # (1+L,) caps as ``cap_limits`` gives them
     limits: np.ndarray          # ``cap_limits``: enforce and repair above
+    rank: np.ndarray = field(init=False)    # load * rank orders the caps
+
+    def __post_init__(self):
+        """``rank``, the least cap > 0 over each cap: times a load, the
+        load's factor over its cap, scaled so that no product overflows (0
+        for a cap <= 0 or infinite).  The total's is raised by FEAS_TOL, so
+        that a row whose caps tie tries the total first, as the index order
+        does."""
+        caps = self.caps
+        finite = (caps > 0.0) & (caps < math.inf)
+        rank = np.divide(caps[finite].min(initial=math.inf), caps,
+                         out=np.zeros(caps.shape), where=finite)
+        rank[0] *= 1.0 + FEAS_TOL
+        object.__setattr__(self, "rank", rank)
 
     def rows(self, cnir):
         """``cnir`` as a float (T, N) block once it is checked to be
@@ -262,18 +280,32 @@ def _state(lam, active, q, plan):
     return mu, np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
 
 
-def _solve_duals(enforced, lam, active, q, plan):
+def _solve_duals(enforced, first, lam, active, q, plan):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
     pinning them at 0) on its fixed active set under ``plan``, and each
     row's (mu, powers) at them.  The one-multiplier closed forms come
     first, column by column on every row at once (a row with no active tone
     gets 0); a row none settles runs the coupled Newton alone, from its lam.
-    A column that settles every row hands back its candidate's state."""
+    A column that settles every row hands back its candidate's state.
+
+    Each row tries its preferred column ``first``, if enforced, before the
+    rest, which go in index order, and no column twice.  Whether a
+    candidate settles a row rests on that row alone, and the system has one
+    solution, so the order moves a row's answer only if two single-cap
+    candidates both settle it: both caps binding within the equalization
+    tolerance at once."""
     alpha, caps, omega = plan.alpha, plan.caps, plan.omega
     out, todo = np.zeros(lam.shape), np.ones(lam.shape[0], bool)
     k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
-    for col in range(lam.shape[1]):
-        need = todo & enforced[:, col]
+    order = enumerate(enforced.T)       # (column, rows that may try it)
+    if np.count_nonzero(first):
+        order = itertools.chain(
+            ((col, enforced[:, col] & (first == col))
+             for col in range(1, lam.shape[1])),
+            ((col, rows & (first != col) if col else rows)
+             for col, rows in order))
+    for col, rows in order:
+        need = todo & rows
         wanted = np.count_nonzero(need)
         if not wanted:
             continue
@@ -314,6 +346,10 @@ def _solve_block(cnir, plan):
     Round 0 prices every tone at mu = alpha and enforces, once, the caps
     whose loads there exceed ``plan.limits``: no later load exceeds round
     0's, in floating point too, so every other cap stays within its limit.
+    Those loads also give each row the cap it is over by the largest
+    factor, which the dual step tries first; two single-cap candidates
+    both settle a row only when both caps bind within ``_DUAL_TOL`` at
+    once, so outside such a tie the order moves no answer.
     Each multiplier is >= 0 (``_power_dual`` clamps, ``_aci_dual`` climbs
     from 0, ``_newton_duals`` projects), so mu_i = fl(alpha + ...) >= alpha,
     fl(k/mu_i + q_i) <= fl(k/alpha + q_i) by monotone rounding, a nulled
@@ -325,8 +361,11 @@ def _solve_block(cnir, plan):
     num, q, mu = (1.0 - plan.alpha) * 1.6 * c, plan.lg / (1.6 * c), plan.alpha
     p = np.where(active, (1.0 - plan.alpha) / _LN2 / mu + q, 0.0)
     # nothing lowers a load of 0: a cap < 0, whose tones the plan nulls
-    enforced = _cap_sums(p, plan.omega) > np.maximum(plan.limits, 0.0)
+    load = _cap_sums(p, plan.omega)
+    enforced = load > np.maximum(plan.limits, 0.0)
     busy = np.logical_or.reduce(enforced, 1)
+    # each row's preferred cap, the one it is over by the largest factor
+    first = (load * plan.rank).argmax(1)
     # State of the unsettled rows, compacted once some settle: then idx maps
     # them to block rows, and out holds the settled ones.
     idx = out = arg = None
@@ -349,9 +388,9 @@ def _solve_block(cnir, plan):
                 a[rows] = v[done]
             if not left:
                 return out
-            idx, num, q, active, lam, enforced = (
-                x[busy] for x in (idx, num, q, active, lam, enforced))
-        lam, mu, p = _solve_duals(enforced, lam, active, q, plan)
+            idx, num, q, active, lam, enforced, first = (
+                x[busy] for x in (idx, num, q, active, lam, enforced, first))
+        lam, mu, p = _solve_duals(enforced, first, lam, active, q, plan)
         arg = num / (_LN2 * mu * plan.neglog)
         # only lam > 0 pushes a rate under 2 bits
         drop = (arg < 4.0) & active & np.logical_or.reduce(lam, 1)[:, None]

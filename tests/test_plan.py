@@ -119,9 +119,9 @@ class TestNotStale:
     def test_plan_arrays_are_read_only(self):
         plan = make_caps(2, 1.0, [0.5], [[0.6], [0.05]]).plan(0.5, 1e-4)
         arrays = [v for v in vars(plan).values() if isinstance(v, np.ndarray)]
-        # lg, neglog, threshold, omega, caps, limits: one overlap matrix,
-        # with no stored weight rows beside it, and one limit per cap
-        assert len(arrays) == 6 and not hasattr(plan, "wt")
+        # lg, neglog, threshold, omega, caps, limits, rank: one overlap
+        # matrix, with no stored weight rows beside it, and one limit per cap
+        assert len(arrays) == 7 and not hasattr(plan, "wt")
         for a in arrays:
             with pytest.raises(ValueError):
                 a[...] = 0

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crloading import experiments, solver
-from crloading.channel import AciFactors
+from crloading.channel import AciFactors, aci_overlap_matrix
 from crloading.constraints import ConstraintCaps, build_caps, check_feasible
 from crloading.discretizer import power_for_bits, round_and_repair
 from crloading.errors import SolverError
 from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
-from crloading.scenario import load_scenario
+from crloading.scenario import apply_parameter, load_scenario
 from crloading.solver import (
     ContinuousSolution,
     cnir_threshold,
@@ -343,10 +343,11 @@ class TestBerCeiling:
                                      [1e-4, 1e-4])
 
 
-def _newton_only_duals(enforced, lam, active, q, plan):
+def _newton_only_duals(enforced, first, lam, active, q, plan):
     """The dual step with the closed forms skipped: projected Newton on
     every enforced cap at once from zero, row by row, with each row's
-    (mu, powers) at the multipliers it lands on (``solver._state``)."""
+    (mu, powers) at the multipliers it lands on (``solver._state``); with
+    no closed form to try, the preferred columns ``first`` go unused."""
     out = np.zeros_like(lam)
     wt = np.concatenate([np.ones((1, active.shape[1])), plan.omega.T])
     for i in range(lam.shape[0]):
@@ -438,11 +439,11 @@ class TestDualStepHandsBackItsState:
             calls.append(None)
             return state(*args)
 
-        def checked(enforced, lam, active, q):
+        def checked(enforced, first, lam, active, q):
             """The step, the same with mu one per tone, and its path, once
             its state is checked against ``_state``'s."""
             before = len(calls)
-            step = duals(enforced, lam, active, q, plan)
+            step = duals(enforced, first, lam, active, q, plan)
             path = "recompute" if len(calls) > before else "fast"
             for got, want in zip(step[1:], state(step[0], active, q, plan)):
                 # mu may be alpha, or one value per row
@@ -452,8 +453,8 @@ class TestDualStepHandsBackItsState:
             return step, (step[0], np.broadcast_to(step[1], active.shape),
                           *step[2:]), path
 
-        def spy(enforced, lam, active, q, plan):
-            args = enforced, lam, active, q
+        def spy(enforced, first, lam, active, q, plan):
+            args = enforced, first, lam, active, q
             raw, step, path = checked(*args)
             paths.append(path)
             head = min(8, len(lam))
@@ -462,6 +463,7 @@ class TestDualStepHandsBackItsState:
                 paths.append(path)
                 for got, want in zip(alone, step):      # rows stay apart
                     assert got.tobytes() == want[i:i + 1].tobytes()
+            # the appended row enforces no cap and prefers column 0
             wide, path = checked(*(np.concatenate([x[:head], x[:1] * False])
                                    for x in args))[1:]
             assert path == "recompute"
@@ -510,13 +512,13 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
         start = dict(zip(map(bytes, q), solver._cap_sums(free, plan.omega)))
         duals, counts = solver._solve_duals, np.zeros(2, int)
 
-        def spy(enforced, lam, active, q, plan):
-            step = duals(enforced, lam, active, q, plan)
+        def spy(enforced, first, lam, active, q, plan):
+            step = duals(enforced, first, lam, active, q, plan)
             loads = solver._cap_sums(step[2], plan.omega)
-            first = np.array([start[bytes(r)] for r in q])
-            assert np.array_equal(enforced, first > plan.limits)
+            lam0 = np.array([start[bytes(r)] for r in q])   # lam = 0 loads
+            assert np.array_equal(enforced, lam0 > plan.limits)
             assert np.all((loads <= plan.limits) | enforced)
-            assert np.all(loads <= first)
+            assert np.all(loads <= lam0)
             counts[:] += enforced.size, np.count_nonzero(~enforced)
             return step
 
@@ -596,6 +598,51 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
         assert checked[1]
 
 
+class TestPreferredCapFirst:
+    """Each row's dual step tries first the cap its unconstrained load is
+    over by the largest factor, then the rest in index order.  Only a row
+    that two single-cap candidates both settle could end elsewhere."""
+
+    def test_aci_rows_skip_the_total_power_candidate(self, monkeypatch):
+        # small_n6 is 94% case 7: its ACI load is over its cap by far more
+        # than its total power, so the total-power closed form never runs
+        cfg = load_scenario("configs/small_n6.json")
+        plan = build_caps(cfg).plan(cfg.su.alpha, cfg.su.ber_threshold)
+        calls, power_dual = [], solver._power_dual
+
+        def spy(*args):
+            calls.append(None)
+            return power_dual(*args)
+
+        monkeypatch.setattr(solver, "_power_dual", spy)
+        cases = []
+        for row in experiments._draw(cfg, 1234, range(100))[0]:
+            lam = solver._solve_block(row[None], plan)[2][0]
+            cases.append(5 + (lam[0] > 0) + 2 * (lam[1] > 0))
+        assert (cases.count(5), cases.count(7)) == (6, 94) and not calls
+
+    def test_mixed_block_rows_equal_their_one_row_solves(self):
+        # at 1 W small_n6 ends in every case; 1,729 case-6 rows prefer the
+        # ACI cap, whose candidate fails, and settle by the total's
+        cnir, plan = _monte_carlo_block("small_n6", power_threshold=1.0)
+        block = solver._solve_block(cnir, plan)
+        lam = block[2]
+        case = 5 + (lam[:, 0] > 0) + 2 * (lam[:, 1] > 0)
+        assert np.bincount(case)[5:].tolist() == [25, 2072, 214, 419]
+        q = plan.lg / (1.6 * cnir)
+        free = np.where(cnir >= plan.threshold,
+                        (1.0 - plan.alpha) / math.log(2.0) / plan.alpha + q,
+                        0.0)
+        load = solver._cap_sums(free, plan.omega)
+        over = np.where(load > plan.limits, load / plan.caps, 0.0)
+        prefers_aci = over[:, 1] > over[:, 0]
+        assert np.count_nonzero(prefers_aci & (case == 6)) == 1729
+        for t in range(200):
+            for got, want in zip(solver._solve_block(cnir[t:t + 1], plan),
+                                 block):
+                assert got.tobytes() == want[t:t + 1].tobytes()
+
+
 class TestPermutedTones:
     """Nothing in the solve ranks tones by position: permuting the CNIR
     columns and the overlap matrix's rows together permutes the active
@@ -667,6 +714,41 @@ class TestLooserTotalCap:
             got |= {(float(e), int(t)) for t in np.flatnonzero(
                 loose > tight + 1e-12 * np.abs(tight))}
         assert got == rises
+
+
+# exponent index k of ACI_EXPONENTS -> the first 500 seed-1234 small_n6
+# draws (at 3 W) whose continuous F rises when p_aci is raised by 5%
+ACI_EXPONENTS = np.linspace(-13.0, -9.0, 20)
+SMALL_N6_ACI_RISES = {
+    4: [0], 5: [377], 7: [255], 10: [64], 11: [59, 390],
+    12: [34, 45, 82, 241, 295, 390, 416, 430, 485]}
+
+
+class TestLooserAciCap:
+    """``TestLooserTotalCap`` for the adjacent-channel cap: raising
+    small_n6's ``p_aci`` by 5% never raises a row's continuous F, up to
+    1e-12 relative, but on the rows named (ROADMAP item 14)."""
+
+    def test_continuous_f_never_rises(self):
+        cfg = load_scenario("configs/small_n6.json")
+        cnir = experiments._draw(cfg, 1234, range(500))[0]
+        alpha, ber = cfg.su.alpha, cfg.su.ber_threshold
+        omega = aci_overlap_matrix(cfg)
+
+        def f(p_aci):
+            """Continuous F of each row at this adjacent-channel cap."""
+            caps = build_caps(apply_parameter(cfg, "p_aci", p_aci), omega)
+            bits, powers, _, _ = solver._solve_block(
+                cnir, caps.plan(alpha, ber))
+            return alpha * powers.sum(1) - (1.0 - alpha) * bits.sum(1)
+
+        got = set()
+        for k, e in enumerate(ACI_EXPONENTS):
+            tight, loose = f(10.0 ** e), f(1.05 * 10.0 ** e)
+            got |= {(k, int(t)) for t in np.flatnonzero(
+                loose > tight + 1e-12 * np.abs(tight))}
+        assert got == {(k, t) for k, ts in SMALL_N6_ACI_RISES.items()
+                       for t in ts}
 
 
 class TestCoupledNewtonHardRows:
