@@ -31,15 +31,14 @@ the cheapest solver that settles it wins:
 3. projected Newton ascent on the coupled dual, which is concave, so each
    step backtracks on the dual itself and the method needs no fallback.
 
-Of 1 and 2, each row tries first the cap its unconstrained load is over
-by the largest factor, then the others in index order.
+A step prices each cap's 1 or 2 at most once; each row tries first the cap
+its unconstrained load is over by the largest factor, then all in index order.
 
 ``case_id`` (5..8) only labels the result by which multipliers are positive.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -284,46 +283,46 @@ def _solve_duals(enforced, first, lam, active, q, plan):
     """Multipliers (R, J) solving each row's enforced caps to equality (or
     pinning them at 0) on its fixed active set under ``plan``, and each
     row's (mu, powers) at them.  The one-multiplier closed forms come
-    first, column by column on every row at once (a row with no active tone
-    gets 0); a row none settles runs the coupled Newton alone, from its lam.
-    A column that settles every row hands back its candidate's state.
+    first, each column's priced at most once, on every row at once (a row
+    with no active tone gets 0), and read by every row that tries it; a row
+    none settles runs the coupled Newton alone, from its lam.  A column
+    that settles every row hands back its candidate's state.
 
-    Each row tries its preferred column ``first``, if enforced, before the
-    rest, which go in index order, and no column twice.  Whether a
-    candidate settles a row rests on that row alone, and the system has one
-    solution, so the order moves a row's answer only if two single-cap
-    candidates both settle it: both caps binding within the equalization
-    tolerance at once."""
+    Each row tries its preferred column ``first``, if enforced, then all in
+    index order (meeting ``first`` again, it reads the verdict it failed).
+    A candidate settles a row or not by that row alone, and the system has
+    one solution, so the order moves an answer only if two single-cap
+    candidates both settle a row: both caps bind within tolerance at once."""
     alpha, caps, omega = plan.alpha, plan.caps, plan.omega
     out, todo = np.zeros(lam.shape), np.ones(lam.shape[0], bool)
     k, wq, tol = (1.0 - alpha) / _LN2, None, _DUAL_TOL * caps
-    order = enumerate(enforced.T)       # (column, rows that may try it)
-    if np.count_nonzero(first):
-        order = itertools.chain(
-            ((col, enforced[:, col] & (first == col))
-             for col in range(1, lam.shape[1])),
-            ((col, rows & (first != col) if col else rows)
-             for col, rows in order))
+    order = list(enumerate(enforced.T))     # (column, rows that may try it)
+    if np.count_nonzero(first):     # each ACI cap's preferring rows first
+        order[:0] = [(col, rows & (first == col)) for col, rows in order[1:]]
+    priced = {}     # column -> its candidate's (x, mu, p, rows it settles)
     for col, rows in order:
         need = todo & rows
-        wanted = np.count_nonzero(need)
-        if not wanted:
+        if not np.count_nonzero(need):
             continue
-        w = omega[:, col - 1] if col else 1.0      # cap col's weights
-        x = (_aci_dual(w, active, q, alpha, caps[col]) if col
-             else _power_dual(q, active, alpha, caps[0]))
-        cand = np.zeros(lam.shape)      # the candidate: x in column col
-        cand[:, col] = x
-        mu = alpha + w * x[:, None]
-        p = np.where(active, k / mu + q, 0.0)
-        load = _cap_sums(p, omega)
-        excess = load - caps
-        # _tol >= _DUAL_TOL * cap: wq = sum w q only if a row fails that
-        ok = need & _settled(excess, tol, cand, enforced)
-        if np.count_nonzero(ok) < wanted:
-            if wq is None:
-                wq = _cap_sums(np.where(active, q, 0.0), omega)
-            ok = need & _settled(excess, _tol(caps, load, wq), cand, enforced)
+        if col not in priced:
+            w = omega[:, col - 1] if col else 1.0      # cap col's weights
+            x = (_aci_dual(w, active, q, alpha, caps[col]) if col
+                 else _power_dual(q, active, alpha, caps[0]))
+            cand = np.zeros(lam.shape)      # the candidate: x in column col
+            cand[:, col] = x
+            mu = alpha + w * x[:, None]
+            p = np.where(active, k / mu + q, 0.0)
+            load = _cap_sums(p, omega)
+            excess = load - caps
+            # _tol >= _DUAL_TOL * cap: wq = sum w q if a row to try col fails
+            ok = _settled(excess, tol, cand, enforced)
+            if np.count_nonzero(todo & enforced[:, col] & ~ok):
+                if wq is None:
+                    wq = _cap_sums(np.where(active, q, 0.0), omega)
+                ok = _settled(excess, _tol(caps, load, wq), cand, enforced)
+            priced[col] = x, mu, p, ok
+        x, mu, p, ok = priced[col]
+        ok = need & ok
         np.copyto(out[:, col], x, where=ok)
         if np.count_nonzero(ok) == ok.size:     # the candidate's state holds
             return out, mu, p
@@ -332,8 +331,8 @@ def _solve_duals(enforced, first, lam, active, q, plan):
         a = active[i]   # weights (k, J) on a, C order: it sets the BLAS bits
         w = np.c_[np.ones(np.count_nonzero(a)), omega[a]]
         j = np.flatnonzero(enforced[i] & w.any(0))  # the rest are slack at 0
-        out[i, j] = _newton_duals(np.maximum(lam[i, j], 0.0), w.take(j, 1),
-                                  q[i, a], alpha, caps[j])
+        out[i, j] = _newton_duals(lam[i, j], w.take(j, 1), q[i, a], alpha,
+                                  caps[j])
     return (out, *_state(out, active, q, plan))
 
 

@@ -600,8 +600,9 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
 
 class TestPreferredCapFirst:
     """Each row's dual step tries first the cap its unconstrained load is
-    over by the largest factor, then the rest in index order.  Only a row
-    that two single-cap candidates both settle could end elsewhere."""
+    over by the largest factor, then all in index order, and the step
+    prices each cap once for all its rows.  Only a row that two single-cap
+    candidates both settle could end elsewhere."""
 
     def test_aci_rows_skip_the_total_power_candidate(self, monkeypatch):
         # small_n6 is 94% case 7: its ACI load is over its cap by far more
@@ -641,6 +642,34 @@ class TestPreferredCapFirst:
             for got, want in zip(solver._solve_block(cnir[t:t + 1], plan),
                                  block):
                 assert got.tobytes() == want[t:t + 1].tobytes()
+
+    @pytest.mark.parametrize("power_threshold", [0.5, 1.0, 2.0])
+    def test_each_cap_priced_once_per_step(self, monkeypatch,
+                                           power_threshold):
+        # these blocks mix rows that prefer the ACI cap with rows that
+        # prefer the total, and rows of both kinds try both caps
+        cnir, plan = _monte_carlo_block("small_n6", power_threshold)
+        steps, duals = [], solver._solve_duals
+
+        def step(*args):
+            steps.append({"_aci_dual": 0, "_power_dual": 0})
+            return duals(*args)
+
+        def counted(name):
+            """``solver.<name>``, counting its calls into the open step."""
+            fn = getattr(solver, name)
+
+            def spy(*args):
+                steps[-1][name] += 1
+                return fn(*args)
+            return spy
+
+        monkeypatch.setattr(solver, "_solve_duals", step)
+        for name in ("_aci_dual", "_power_dual"):
+            monkeypatch.setattr(solver, name, counted(name))
+        solver._solve_block(cnir, plan)
+        assert steps and all(s["_aci_dual"] for s in steps)
+        assert max(max(s.values()) for s in steps) == 1, steps
 
 
 class TestPermutedTones:
@@ -806,6 +835,18 @@ class TestCoupledNewtonHardRows:
         assert sol.lambda_aci[0] == 0.0 and 0 not in sol.active_set
         assert kkt_verify(sol, cnir, 1e-4,
                           make_caps(6, 3.62, aci_caps, omega)).passed
+
+    @pytest.mark.parametrize("name, power_threshold, coupled", [
+        ("default", None, 0), ("cci_binding", None, 0), ("small_n6", 3.0, 0),
+        ("small_n6", 2.0, 39), ("small_n6", 1.0, 419)])
+    def test_multipliers_carry_no_sign_bit(self, name, power_threshold,
+                                           coupled):
+        # every producer of a multiplier yields +0.0 or more, so the coupled
+        # Newton starts from lam as the last step left it, unclamped
+        lam = solver._solve_block(*_monte_carlo_block(name,
+                                                      power_threshold))[2]
+        assert not np.count_nonzero(np.signbit(lam))
+        assert np.count_nonzero(np.count_nonzero(lam > 0.0, 1) > 1) == coupled
 
     def test_four_band_fuzz_scenario_zero(self, monkeypatch):
         # A provisional active set holds tones whose k/mu and q cancel:
