@@ -102,9 +102,9 @@ def _sinc2_windows(shift, start, width, gain=1.0):
     panels only within _PANELS / 2 of the main lobe and ``_sinc2_tail``
     beyond.  Panels repeat on whole-panel tone spacings and in windows
     clipped alike; sinc^2 is evaluated once per distinct (start, h) in a
-    chunk of _CHUNK starts and, with one h, across chunks via a carried table
-    (one-panel chunks fill it, to about two panels' starts, until one of them
-    repeats none of the starts carried).
+    chunk of _CHUNK starts (at least two panels) and, with one h, across
+    chunks via a carried table; a chunk that repeats no start, its own or a
+    carried one, is evaluated directly.
     """
     tails, panels = 0.0, math.ceil(width)
     if width > _PANELS:
@@ -119,17 +119,15 @@ def _sinc2_windows(shift, start, width, gain=1.0):
     n, h, total = len(shift), width / panels, np.zeros(len(shift))
     offsets = np.multiply.outer(0.5 * np.broadcast_to(h, n), _GL_NODES + 1.0)
     keys, rows = np.empty(0), np.empty((0, 12))     # sorted starts, sinc^2
-    step, slab = max(_CHUNK // n, 1), max(_SLAB // n, 1)
-    fill, keep = step == 1 and not np.ndim(h), max(_CHUNK, 2 * n)
+    step, slab = max(_CHUNK // n, 2), max(_SLAB // n, 1)
     for p in np.split(np.arange(panels)[:, None], range(step, panels, step)):
-        m = 0 if keys.size > keep or np.ndim(h) else keys.size
+        m = 0 if keys.size > max(_CHUNK, 2 * n) or np.ndim(h) else keys.size
         ka = np.concatenate([keys[:m], (shift + (start + p * h)).ravel()])
         a, order = ka[m:].reshape(len(p), n), np.argsort(ka, kind="stable")
         new = np.concatenate([[True], np.diff(ka.take(order)) != 0])
         if np.ndim(h):
             new[1:] |= np.diff(np.broadcast_to(h, a.shape).take(order)) != 0
-        fill = fill and not (m and new.all())
-        if not (direct := new.all() and not fill):
+        if not (direct := new.all()):
             head = order[new]
             fresh = head[head >= m] - m
             rows = np.concatenate([rows[:m], *(

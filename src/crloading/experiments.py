@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .channel import (_cnir, _sp_mean, aci_overlap_matrix,
-                      pu_interference_to_su, sample_su_channel)
+                      pu_interference_to_su)
 from .constraints import ConstraintCaps, build_caps
 from .discretizer import _allocation, _repair, round_and_repair
 from .errors import ConfigError, SolverError
@@ -314,14 +314,14 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
     caps = build_caps(cfg)
     rows = []
     for t in range(instances):
-        real = sample_su_channel(su, trial_rng(master_seed, t))
+        cnir = _draw(cfg, master_seed, [t])[0][0]
         try:
             t0 = time.perf_counter()
-            sol = solve_continuous(real, caps, su)
-            alloc = round_and_repair(sol, caps, None, real.cnir,
+            sol = solve_continuous(cnir, caps, su)
+            alloc = round_and_repair(sol, caps, None, cnir,
                                      su.ber_threshold, su.max_bits)
             t1 = time.perf_counter()
-            opt = exhaustive_search(real.cnir, su.alpha, su.ber_threshold,
+            opt = exhaustive_search(cnir, su.alpha, su.ber_threshold,
                                     caps, b_max=su.max_bits)
             t2 = time.perf_counter()
         except SolverError as exc:
@@ -370,10 +370,9 @@ def runtime_scaling(cfg: ScenarioConfig, n_values, repeats: int = 7,
         su, n = cfg_n.su, cfg_n.su.num_subcarriers
         times = []
         for r in range(repeats):
-            rng = trial_rng(master_seed, 1_000_000 * n + r)
-            real = sample_su_channel(su, rng)
+            cnir = _draw(cfg_n, master_seed, [1_000_000 * n + r])[0][0]
             t0 = time.perf_counter()
-            solve_continuous(real, caps, su)
+            solve_continuous(cnir, caps, su)
             times.append(time.perf_counter() - t0)
         rows.append((n, float(np.median(times))))
     if len(rows) >= 2:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import _check_tones, ber_audit, cap_audit
+from .errors import SolverError
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,8 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     Nulled subcarriers sit outside the continuous problem (their BER model
     degenerates), so the per-subcarrier conditions are evaluated on the
     active set only.  Bits, powers, CNIR and BER ceiling are checked as
-    ``check_feasible`` checks them (``SolverError`` otherwise).
+    ``check_feasible`` checks them, and ``lambda_aci`` must have one entry
+    per ACI cap (``SolverError`` otherwise).
     """
     tols = tols or KktTolerances()
     c, ceiling = _check_tones(solution.bits, solution.powers, cnir,
@@ -70,6 +72,9 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     omega = caps.aci_weights.omega
     lam_pow = solution.lambda_power
     lam_aci = np.asarray(solution.lambda_aci, dtype=float)
+    if lam_aci.shape != omega.shape[1:]:
+        raise SolverError(f"lambda_aci {lam_aci.shape} must have one entry "
+                          f"per ACI cap {omega.shape[1:]}")
 
     bits = np.asarray(solution.bits, dtype=float)
     powers = np.asarray(solution.powers, dtype=float)

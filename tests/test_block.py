@@ -7,6 +7,7 @@ import types
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from crloading import experiments
 from crloading.constraints import build_caps
@@ -17,6 +18,8 @@ from crloading.scenario import load_scenario
 from crloading.solver import _solve_block, cnir_threshold
 
 from conftest import adjacent_band_scenario, make_caps, solve_raw
+
+pytestmark = pytest.mark.bitwise
 
 C2 = np.array([100.0, 50.0])
 

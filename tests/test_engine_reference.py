@@ -24,6 +24,8 @@ from crloading.experiments import run_trial
 from crloading.scenario import apply_parameter, load_scenario
 from crloading.solver import _solve_block, cnir_threshold, solve_continuous
 
+pytestmark = pytest.mark.bitwise
+
 CONFIGS = [("cci_binding", None), ("default", None), ("small_n6", None),
            ("default", 1024)]
 

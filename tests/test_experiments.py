@@ -159,6 +159,7 @@ FROZEN_AGGREGATES = {
 }
 
 
+@pytest.mark.bitwise
 @pytest.mark.parametrize("name, seed", sorted(FROZEN_AGGREGATES))
 def test_monte_carlo_aggregates_frozen(name, seed):
     if name == "default_psi0.9":
@@ -446,6 +447,16 @@ class TestOracleComparison:
         b = compare_with_oracle(small_cfg(), instances=6, master_seed=5)
         assert a.gaps().tolist() == b.gaps().tolist()
         assert a.median_gap == b.median_gap
+
+    def test_instance_t_is_monte_carlo_trial_t(self):
+        # both draw through _draw: instance t's proposed objective is the
+        # allocation run_trial gives trial t of the same master seed
+        cfg = small_cfg()
+        caps = build_caps(cfg)
+        cmp = compare_with_oracle(cfg, instances=6, master_seed=5)
+        for t in range(6):
+            trial = run_trial(cfg, caps, t, 5)
+            assert cmp.rows[t][1] == trial.allocation.objective
 
 
 class TestRuntimeScaling:

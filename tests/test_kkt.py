@@ -17,7 +17,7 @@ import pytest
 from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import SolverError
-from crloading.experiments import trial_rng
+from crloading.experiments import run_trial, trial_rng
 from crloading.kkt import KktTolerances, kkt_verify
 from crloading.scenario import load_scenario
 from crloading.solver import solve_continuous
@@ -202,3 +202,18 @@ class TestTolerancesAndReport:
         with pytest.raises(SolverError, match="one entry per row"):
             kkt_verify(sol, np.array([100.0, 50.0, 25.0]), 1e-4,
                        free_caps(3))
+
+    @pytest.mark.parametrize("loaded", [True, False])
+    @pytest.mark.parametrize("lam_aci", [[], [0.0, 0.0], 0.0])
+    def test_multipliers_must_match_the_aci_caps(self, lam_aci, loaded):
+        # default.json has one ACI cap: any other count of multipliers is
+        # refused, with or without a loaded tone
+        cfg = load_scenario("configs/default.json")
+        caps = build_caps(cfg)
+        trial = run_trial(cfg, caps, 0, 1234)
+        sol = dataclasses.replace(trial.solution, lambda_aci=np.array(lam_aci))
+        if not loaded:
+            sol = dataclasses.replace(sol, bits=np.zeros_like(sol.bits),
+                                      powers=np.zeros_like(sol.powers))
+        with pytest.raises(SolverError, match=r"lambda_aci .* per ACI cap"):
+            kkt_verify(sol, trial.cnir, cfg.su.ber_threshold, caps)

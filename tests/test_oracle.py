@@ -353,6 +353,7 @@ def pinned_search(name, trial):
                              build_caps(cfg), b_max=su.max_bits)
 
 
+@pytest.mark.bitwise
 class TestPinnedSearches:
     """Bits, objective (as its exact hex) and nodes of the pruned search on
     the first draws of three configs: with one adjacent band, none, and

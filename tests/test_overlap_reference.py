@@ -22,6 +22,8 @@ from crloading.channel import _CHUNK, _PANELS, _sinc2_windows
 from crloading.scenario import load_scenario
 from test_channel import one_pu_cfg
 
+pytestmark = pytest.mark.bitwise
+
 TS = 1.024e-4
 
 
@@ -100,7 +102,7 @@ def test_bands_wider_than_panels(n, bandwidth, center_offset):
 
 
 def test_more_tones_than_a_chunk():
-    # one panel per chunk, every start distinct
+    # two panels per chunk, every start distinct
     assert_windows_match_reference(0.5 * np.arange(_CHUNK + 3), -1.5, 3.0)
 
 

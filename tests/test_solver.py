@@ -420,6 +420,7 @@ def _monte_carlo_block(name, power_threshold=None):
     return experiments._draw(cfg, 1234, range(trials))[0], plan
 
 
+@pytest.mark.bitwise
 class TestDualStepHandsBackItsState:
     """``_solve_duals`` returns each row's (mu, powers) at the
     multipliers it returns, byte for byte what ``_state`` computes from
@@ -492,6 +493,7 @@ class TestDualStepHandsBackItsState:
         assert np.count_nonzero(np.logical_and.reduce(lam > 0.0, 1)) == 419
 
 
+@pytest.mark.bitwise
 class TestCapsHoldBelowTheUnconstrainedPoint:
     """The active-set loop enforces only the caps whose lam = 0 loads fail
     ``plan.limits``, the limit the audits judge by, and never re-tests them.
@@ -598,6 +600,7 @@ class TestCapsHoldBelowTheUnconstrainedPoint:
         assert checked[1]
 
 
+@pytest.mark.bitwise
 class TestPreferredCapFirst:
     """Each row's dual step tries first the cap its unconstrained load is
     over by the largest factor, then all in index order, and the step
@@ -713,6 +716,7 @@ SMALL_N6_RISES = {
     (0.0, 480), (0.0, 493)}
 
 
+@pytest.mark.bitwise
 class TestLooserTotalCap:
     """A looser cap must not give a worse answer: raising ``power_threshold``
     by 5% never raises a row's continuous F, up to 1e-12 relative.  On
@@ -753,6 +757,7 @@ SMALL_N6_ACI_RISES = {
     12: [34, 45, 82, 241, 295, 390, 416, 430, 485]}
 
 
+@pytest.mark.bitwise
 class TestLooserAciCap:
     """``TestLooserTotalCap`` for the adjacent-channel cap: raising
     small_n6's ``p_aci`` by 5% never raises a row's continuous F, up to
@@ -780,6 +785,7 @@ class TestLooserAciCap:
                        for t in ts}
 
 
+@pytest.mark.bitwise
 class TestCoupledNewtonHardRows:
     """Rows the coupled Newton must settle: singular Hessians, an enforced
     cap with no loaded tone, and load sums whose terms nearly cancel."""
