@@ -89,10 +89,9 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     cfg = load_scenario(args.config)
-    param = args.param or cfg.experiment.sweep_param
-    values = (cfg.experiment.sweep_values if args.values is None
+    values = (None if args.values is None
               else _parse_values(args.values, "--values"))
-    results = sweep_experiment(cfg, param, values, trials=args.trials,
+    results = sweep_experiment(cfg, args.param, values, trials=args.trials,
                                master_seed=args.seed)
     _emit_csv(["param_value", *results[0][1].to_dict()],
               [[v, *s.to_dict().values()] for v, s in results], args.output)
@@ -157,7 +156,8 @@ def build_parser():
     common(p)
     p.add_argument("--param", choices=SWEEPABLE, default=None)
     p.add_argument("--values", default=None,
-                   help="comma-separated values ('inf' allowed)")
+                   help="comma-separated values ('inf' allowed; default: "
+                        "the config's, for its own sweep parameter only)")
     p.add_argument("--trials", type=int, default=None,
                    help="trials per value, >= 1, run in index order "
                         "(default: experiment.trials)")

@@ -164,34 +164,18 @@ def build_caps(cfg: ScenarioConfig, omega: AciFactors | None = None
     return ConstraintCaps(total_cap=total, aci_caps=aci, aci_weights=omega)
 
 
-def cap_audit(powers, caps: ConstraintCaps):
-    """Per cap, total power first: whether the load of ``powers`` meets the
-    cap (``cap_limits``), the load's excess over the cap (0 where the cap is
-    infinite) and that excess relative to the cap (to 1 W for a zero cap)."""
-    cap, limit = cap_limits(caps.total_cap, caps.aci_caps)
-    load = _cap_sums(np.atleast_2d(powers), caps.aci_weights.omega)[0]
-    excess = np.where(np.isfinite(cap), load - cap, 0.0)
-    return load <= limit, excess, excess / np.where(cap > 0, cap, 1.0)
+def _audit(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
+    """Bits, powers and CNIR as float arrays; per tone the BER (0 where no
+    bit is loaded), its excess over the ceiling and its verdict; per cap,
+    total power first, its verdict and its excess (0 where it is infinite);
+    and the largest relative excess, at least 0.
 
-
-def ber_audit(bits, powers, c, ceiling):
-    """Per tone, as ``cap_audit`` per cap: whether the BER of ``bits`` at
-    ``powers`` (0 on an unloaded tone) meets its ``ceiling`` up to FEAS_TOL
-    of it, its excess over the ceiling, that excess relative to it and the
-    BER; the CNIR ``c`` and ``ceiling`` as ``_check_tones`` returns them."""
-    bits, powers = np.asarray(bits, float), np.asarray(powers, float)
-    on, ber = bits > 0, np.zeros_like(c)
-    ber[on] = 0.2 * np.exp(-1.6 * powers[on] * c[on] / (2.0 ** bits[on] - 1))
-    excess = ber - ceiling
-    return (~on | (ber <= (1.0 + FEAS_TOL) * ceiling), excess,
-            excess / ceiling, ber)
-
-
-def _check_tones(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
-    """The CNIR and the per-tone BER ceiling as ``solver._checked_cnir`` and
-    ``_checked_ber`` hand them back (refusing what they refuse), once bits,
-    powers and CNIR each have one entry per row of the caps' overlap matrix
-    (``SolverError`` naming the shapes if not)."""
+    A BER meets its ceiling, and a load (``_cap_sums``) its cap, up to
+    FEAS_TOL of it (``cap_limits``); an excess is relative to its ceiling or
+    cap, and to 1 W for a zero cap.  Bits, powers and CNIR must each have
+    one entry per row of the caps' overlap matrix (``SolverError`` naming
+    the shapes if not), CNIR and BER ceiling pass ``solver._checked_cnir``
+    and ``_checked_ber``, and every bit count and power must be >= 0."""
     shapes = np.shape(bits), np.shape(powers), np.shape(cnir)
     omega = caps.aci_weights.omega
     if shapes != (omega.shape[:1],) * 3:
@@ -199,25 +183,31 @@ def _check_tones(bits, powers, cnir, ber_threshold, caps: ConstraintCaps):
             f"bits {shapes[0]}, powers {shapes[1]} and CNIR {shapes[2]} must "
             f"each have one entry per row of the caps' overlap matrix "
             f"{omega.shape}")
-    return _checked_cnir(cnir), _checked_ber(ber_threshold, len(omega))
+    c, ceiling = _checked_cnir(cnir), _checked_ber(ber_threshold, len(omega))
+    bits, powers = np.asarray(bits, float), np.asarray(powers, float)
+    if np.count_nonzero((bits >= 0.0) & (powers >= 0.0)) < bits.size:
+        raise SolverError("bits and powers must be >= 0")
+    on, ber = bits > 0, np.zeros_like(c)
+    ber[on] = 0.2 * np.exp(-1.6 * powers[on] * c[on] / (2.0 ** bits[on] - 1))
+    excess = ber - ceiling
+    ber_ok = ~on | (ber <= (1.0 + FEAS_TOL) * ceiling)
+    cap, limit = cap_limits(caps.total_cap, caps.aci_caps)
+    load = _cap_sums(powers[None], omega)[0]
+    cap_excess = np.where(np.isfinite(cap), load - cap, 0.0)
+    worst = float(np.max(np.concatenate([
+        excess / ceiling, cap_excess / np.where(cap > 0, cap, 1.0)]),
+        initial=0.0))
+    return (bits, powers, c, ber, excess, ber_ok, load <= limit, cap_excess,
+            worst)
 
 
 def check_feasible(alloc, caps: ConstraintCaps, cnir,
                    ber_threshold) -> FeasibilityReport:
-    """Verify an allocation (discrete or continuous) against every constraint.
-
-    A BER meets its ceiling, and a load its cap, up to FEAS_TOL of it
-    (``ber_audit``, ``cap_audit``).  Margins are relative excesses (over the
-    ceiling or cap), so a feasible allocation has a worst margin of at most
-    FEAS_TOL.  Bits, powers and CNIR must each have one entry per tone of the
-    caps, and CNIR and BER ceiling pass the plan's checks (``_check_tones``).
-    """
-    c, ceiling = _check_tones(alloc.bits, alloc.powers, cnir, ber_threshold,
-                              caps)
-    ber_ok, _, ber_margin, _ = ber_audit(alloc.bits, alloc.powers, c, ceiling)
-    ok, _, margin = cap_audit(np.asarray(alloc.powers, dtype=float), caps)
-    worst = max(float(np.max(ber_margin, initial=0.0)),
-                float(np.max(margin, initial=0.0)))
+    """Verify an allocation (discrete or continuous) against every constraint
+    by ``_audit``'s rules: a feasible allocation's worst margin, its largest
+    relative excess over a ceiling or cap, is at most FEAS_TOL."""
+    *_, ber_ok, ok, _, worst = _audit(alloc.bits, alloc.powers, cnir,
+                                      ber_threshold, caps)
     return FeasibilityReport(ber_ok=ber_ok, power_ok=bool(ok[0]),
                              aci_ok=ok[1:], worst_margin=worst,
                              feasible=bool(np.all(ber_ok) and np.all(ok)))

@@ -270,10 +270,12 @@ def sweep_experiment(cfg: ScenarioConfig, param=None, values=None,
 
     Returns a list of (value, AggregateStats).  The spectral geometry does
     not depend on any sweepable parameter, so the overlap matrix is built
-    once and shared.
+    once and shared.  ``param`` and ``values`` default to the config's
+    sweep, and its values serve no other parameter.
     """
     param = cfg.experiment.sweep_param if param is None else param
-    values = cfg.experiment.sweep_values if values is None else values
+    if values is None and param == cfg.experiment.sweep_param:
+        values = cfg.experiment.sweep_values
     if param is None or values is None or not len(values):
         raise ConfigError("sweep needs a parameter and a non-empty value list")
     omega = aci_overlap_matrix(cfg)

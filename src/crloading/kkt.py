@@ -7,14 +7,15 @@ respect to power fixes lam_i uniquely:
     lam_i = mu_i (2^b_i - 1) / (1.6 C_i BER_i)
 
 with mu_i = alpha + lam_pow + sum_l w_il lam_aci_l and BER_i the tone's
-BER 0.2 exp(-1.6 C_i P_i / (2^b_i - 1)) from ``ber_audit``.  That recovered
-multiplier must be positive, and substituting it into the stationarity
-condition with respect to bits must leave a residual of zero.  The power's
-residual, mu_i less mu_i's own quotient, is only rounding of mu_i, so it is
-held to the tolerance times max(1, max mu_i).  Primal feasibility,
-complementary slackness, and dual sign complete the check.
-A BER meets its ceiling, and a load its cap, by ``check_feasible``'s rules
-(``constraints.ber_audit``, ``cap_audit``); ``primal`` is the worst excess.
+BER 0.2 exp(-1.6 C_i P_i / (2^b_i - 1)) from ``constraints._audit``.  That
+recovered multiplier must be positive, and substituting it into the
+stationarity condition with respect to bits must leave a residual of zero.
+The power's residual, mu_i less mu_i's own quotient, is only rounding of
+mu_i, so it is held to the tolerance times max(1, max mu_i).  Primal
+feasibility, complementary slackness, and dual sign complete the check:
+``_audit`` judges the BER ceilings and caps as ``check_feasible`` does, and
+``primal`` is its worst excess.  Each residual and extremum is one numpy
+reduction over the loaded tones (and the caps), so a NaN fails it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import _check_tones, ber_audit, cap_audit
+from .constraints import _audit
 from .errors import SolverError
 
 
@@ -66,8 +67,8 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     per ACI cap (``SolverError`` otherwise).
     """
     tols = tols or KktTolerances()
-    c, ceiling = _check_tones(solution.bits, solution.powers, cnir,
-                              ber_threshold, caps)
+    bits, powers, c, ber, ber_excess, ber_ok, met, excess, primal = _audit(
+        solution.bits, solution.powers, cnir, ber_threshold, caps)
     alpha = solution.alpha
     omega = caps.aci_weights.omega
     lam_pow = solution.lambda_power
@@ -76,42 +77,27 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
         raise SolverError(f"lambda_aci {lam_aci.shape} must have one entry "
                           f"per ACI cap {omega.shape[1:]}")
 
-    bits = np.asarray(solution.bits, dtype=float)
-    powers = np.asarray(solution.powers, dtype=float)
     active = bits > 0
-    ber_ok, ber_excess, ber_margin, ber = ber_audit(bits, powers, c, ceiling)
-
-    stat_p = stat_b = comp = 0.0
-    lam_sub_min, mu_top = math.inf, 1.0
-
-    if np.any(active):
-        b, p, ca = bits[active], powers[active], c[active]
-        denom = 2.0 ** b - 1.0
-        mu = alpha + lam_pow + omega[active] @ lam_aci
-        slope = 1.6 * ca * ber[active]      # -(2^b - 1) dBER/dP
-        # Recovered BER-equality multipliers (stationarity wrt power).
-        lam_sub = mu * denom / slope
-        lam_sub_min = float(np.min(lam_sub))
-        resid_p = mu - lam_sub * slope / denom
-        stat_p = float(np.max(np.abs(resid_p)))
-        mu_top = max(1.0, float(np.max(mu)))
-        resid_b = (-(1.0 - alpha)
-                   + lam_sub * math.log(2.0) * p * 2.0 ** b / denom ** 2
-                   * slope)
-        stat_b = float(np.max(np.abs(resid_b)))
-        # BER equality is the per-subcarrier complementarity contribution.
-        comp = float(np.max(np.abs(lam_sub * ber_excess[active])))
-
-    met, excess, margin = cap_audit(powers, caps)
-    lam = np.concatenate([[lam_pow], lam_aci])
-    comp = max(comp, float(np.max(np.abs(lam * excess))))
-
-    dual = min(lam_sub_min, lam_pow, float(np.min(lam_aci, initial=math.inf)))
-    passed = (stat_p <= tols.stationarity * mu_top
+    b, p = bits[active], powers[active]
+    denom = 2.0 ** b - 1.0
+    mu = alpha + lam_pow + omega[active] @ lam_aci
+    slope = 1.6 * c[active] * ber[active]      # -(2^b - 1) dBER/dP
+    # Recovered BER-equality multipliers (stationarity wrt power).
+    lam_sub = mu * denom / slope
+    stat_p = float(np.max(np.abs(mu - lam_sub * slope / denom), initial=0.0))
+    resid_b = (-(1.0 - alpha)
+               + lam_sub * math.log(2.0) * p * 2.0 ** b / denom ** 2 * slope)
+    stat_b = float(np.max(np.abs(resid_b), initial=0.0))
+    # BER equality is the per-subcarrier complementarity term, beside the
+    # caps' terms; a NaN multiplier or term fails both reductions.
+    lam = np.concatenate([lam_sub, [lam_pow], lam_aci])
+    comp = float(np.max(np.abs(lam * np.concatenate([ber_excess[active],
+                                                     excess]))))
+    dual = float(np.min(lam))
+    passed = (stat_p <= tols.stationarity * float(np.max(mu, initial=1.0))
               and stat_b <= tols.stationarity
               and bool(np.all(ber_ok)) and bool(np.all(met))
               and comp <= tols.complementarity and dual >= -tols.dual_sign)
     return KktReport(stationarity_power=stat_p, stationarity_bits=stat_b,
-                     primal=max(float(np.max(ber_margin, initial=0.0)),
-                                float(np.max(margin))),
-                     complementarity=comp, dual_sign=dual, passed=passed)
+                     primal=primal, complementarity=comp, dual_sign=dual,
+                     passed=passed)

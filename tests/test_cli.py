@@ -205,6 +205,14 @@ class TestSweep:
         rows = list(csv.reader(out.open(newline="")))
         assert [r[0] for r in rows[1:]] == ["0.8", "0.9", "0.99"]
 
+    def test_other_param_needs_values(self, capsys):
+        # the config's values are psi's, so alpha without --values is refused
+        code, out, err = run(capsys, "sweep", "--config", CCI, "--param",
+                             "alpha", "--trials", "2")
+        assert code == 2
+        assert err.startswith("config error: sweep needs a parameter")
+        assert out == ""
+
     def test_unknown_param_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["sweep", "--config", CCI, "--param", "bogus"])

@@ -338,6 +338,29 @@ class TestToneCounts:
             self.AUDITS[audit](sol, alloc, caps, cnir)
 
 
+class TestLoadingSigns:
+    """Both audits refuse a NaN or negative bit count and a negative power:
+    a negative power would cancel another tone's load, and a tone whose
+    bit count is not >= 0 would never have its BER judged."""
+
+    P4 = 15.0 * -math.log(5e-4) / 160.0   # 4 bits at CNIR 100, BER 1e-4
+
+    @pytest.mark.parametrize("audit", sorted(TestToneCounts.AUDITS))
+    @pytest.mark.parametrize("bits, tone0, cap", [
+        ([0.0, 4.0], -P4, P4 / 2.0),
+        ([math.nan, 4.0], 5.0, math.inf),
+        ([-3.0, 4.0], 5.0, math.inf)],
+        ids=["negative_power_hides_a_cap", "nan_bits", "negative_bits"])
+    def test_refused(self, audit, bits, tone0, cap):
+        loading = types.SimpleNamespace(
+            bits=np.array(bits), powers=np.array([tone0, self.P4]),
+            alpha=0.5, lambda_power=0.0, lambda_aci=np.zeros(0))
+        with pytest.raises(SolverError,
+                           match="bits and powers must be >= 0"):
+            TestToneCounts.AUDITS[audit](loading, loading, make_caps(2, cap),
+                                         np.full(2, 100.0))
+
+
 class TestEveryConsumerReadsOneCapRule:
     """Tones at 2 bits, a cap C that just admits their load, and the next
     float below C, which just refuses it.  The audit, the repair, both
@@ -424,8 +447,8 @@ class TestEveryConsumerReadsOneCapRule:
 
 class TestEveryConsumerReadsOneBerRule:
     """check_feasible and kkt judge a BER ceiling by one rule
-    (``ber_audit``): on powers a few ulps either side of where the BER
-    meets its ceiling up to FEAS_TOL, their verdicts agree."""
+    (``constraints._audit``): on powers a few ulps either side of where the
+    BER meets its ceiling up to FEAS_TOL, their verdicts agree."""
 
     def test_audit_and_kkt_agree_at_the_ceiling(self):
         rng = np.random.default_rng(3)

@@ -310,6 +310,14 @@ class TestSweep:
                                               "a non-empty value list"):
             sweep_experiment(unconstrained_cfg(), trials=2)
 
+    def test_config_values_serve_only_its_own_parameter(self):
+        # cci_binding sweeps psi over 0.8, 0.9, 0.99: not values for alpha
+        assert [v for v, _ in sweep_experiment(cci_cfg(), param="psi",
+                                               trials=2)] == [0.8, 0.9, 0.99]
+        with pytest.raises(ConfigError, match="sweep needs a parameter and "
+                                              "a non-empty value list"):
+            sweep_experiment(cci_cfg(), param="alpha", trials=2)
+
     def test_alpha_sweep_trades_rate_for_power(self):
         rows = sweep_experiment(unconstrained_cfg(), param="alpha",
                                 values=[0.3, 0.5, 0.7], trials=60)

@@ -169,6 +169,22 @@ class TestFailureChannels:
         assert not rep.passed
 
 
+class TestNanMultipliers:
+    """A NaN multiplier fails the certificate: complementarity and dual
+    sign each reduce over every term, and a NaN term reads NaN."""
+
+    @pytest.mark.parametrize("lam_pow, lam_aci", [
+        (math.nan, [0.0]), (0.0, [math.nan])], ids=["power", "aci"])
+    def test_fails_with_no_loaded_tone(self, lam_pow, lam_aci):
+        sol = types.SimpleNamespace(
+            bits=np.zeros(2), powers=np.zeros(2), alpha=0.5,
+            lambda_power=lam_pow, lambda_aci=np.array(lam_aci))
+        rep = kkt_verify(sol, C2, 1e-4, free_caps(l=1))
+        assert not rep.passed
+        assert math.isnan(rep.dual_sign)
+        assert math.isnan(rep.complementarity)
+
+
 class TestTolerancesAndReport:
     def test_infinite_tolerances_accept_anything(self):
         # anything feasible: a missed BER ceiling fails by FEAS_TOL, as
