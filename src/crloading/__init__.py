@@ -10,7 +10,7 @@ from .errors import ConfigError, SolverError
 from .experiments import (AggregateStats, OracleComparison,
                           compare_with_oracle, run_monte_carlo, run_trial,
                           runtime_scaling, sweep_experiment, trial_rng)
-from .kkt import KktReport, KktTolerances, kkt_verify
+from .kkt import KktReport, kkt_verify
 from .oracle import OracleResult, exhaustive_search
 from .scenario import (ExperimentParams, PathLossParams, PuDescriptor,
                        ScenarioConfig, SuParams, apply_parameter,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .constraints import build_caps, check_feasible
 from .errors import ConfigError, SolverError
-from .experiments import (_resized, compare_with_oracle, run_trial,
-                          runtime_scaling, sweep_experiment)
+from .experiments import (_check_searchable, _resized, compare_with_oracle,
+                          run_trial, runtime_scaling, sweep_experiment)
 from .kkt import kkt_verify
 from .scenario import SWEEPABLE, apply_parameter, load_scenario
 
@@ -102,6 +102,8 @@ def cmd_oracle_compare(args):
     cfg = load_scenario(args.config)
     sized = [cfg] if args.n_values is None else [
         _resized(cfg, n) for n in _parse_values(args.n_values, "--n-values")]
+    for cfg_n in sized:     # refuse every size before the first search
+        _check_searchable(cfg_n)
     rows = []
     for cfg_n in sized:
         n = cfg_n.su.num_subcarriers

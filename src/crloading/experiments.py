@@ -33,7 +33,7 @@ from .channel import (_cnir, _sp_mean, aci_overlap_matrix,
 from .constraints import ConstraintCaps, build_caps
 from .discretizer import _allocation, _repair, round_and_repair
 from .errors import ConfigError, SolverError
-from .oracle import exhaustive_search
+from .oracle import _N_LIMIT, exhaustive_search
 from .scenario import (_MAX_COUNT, ScenarioConfig, apply_parameter,
                        path_loss_db)
 from .solver import _cap_sums, _solution, _solve_block, solve_continuous
@@ -70,13 +70,15 @@ class AggregateStats:
         return asdict(self)
 
 
-def _integer(value, what: str, least: int) -> int:
-    """``value`` as an int >= ``least``; integral floats such as 64.0 count."""
+def _integer(value, what: str, least: int, most=math.inf) -> int:
+    """``value`` as an int in [least, most]; integral floats (64.0) count."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (isinstance(value, numbers.Integral)
                     or float(value).is_integer()) or value < least):
         raise ConfigError(f"{what} must be at least {least} and integral, "
                           f"got {value!r}")
+    if value > most:
+        raise ConfigError(f"{what} must be at most {most}, got {int(value)}")
     return int(value)
 
 
@@ -235,9 +237,7 @@ def run_monte_carlo(cfg: ScenarioConfig, trials=None, master_seed=None,
     ``crloading solve --seed S --trial T [--param P --value V]`` replays it.
     """
     trials = _integer(cfg.experiment.trials if trials is None else trials,
-                      "trials", 1)
-    if trials > _MAX_COUNT:     # the loader's bound, for a trials argument
-        raise ConfigError(f"trials must be at most {_MAX_COUNT}, got {trials}")
+                      "trials", 1, _MAX_COUNT)
     master_seed = _seed(cfg, master_seed)
     if caps is None:
         caps = build_caps(cfg)
@@ -302,14 +302,24 @@ class OracleComparison:
         return np.asarray([r[3] for r in self.rows])
 
 
+def _check_searchable(cfg: ScenarioConfig):
+    """``ConfigError`` unless ``exhaustive_search`` takes ``cfg``'s band."""
+    n = cfg.su.num_subcarriers
+    if n > _N_LIMIT:
+        raise ConfigError(f"the exhaustive search takes at most {_N_LIMIT} "
+                          f"subcarriers, got {n}")
+
+
 def compare_with_oracle(cfg: ScenarioConfig, instances: int,
                         master_seed=None) -> OracleComparison:
     """Proposed pipeline vs the pruned exhaustive search on random draws.
 
     The relative optimality gap is (F_proposed - F_opt) / |F_opt| (both
-    objectives are negative for any non-trivial instance).  A
-    ``SolverError`` in instance t is re-raised naming t and the master seed.
+    objectives are negative for any non-trivial instance).  A band the
+    search refuses is a ``ConfigError`` before any draw; a ``SolverError``
+    in instance t is re-raised naming t and the master seed.
     """
+    _check_searchable(cfg)
     instances = _integer(instances, "instances", 1)
     master_seed = _seed(cfg, master_seed)
     su = cfg.su
@@ -346,7 +356,7 @@ def compare_with_oracle(cfg: ScenarioConfig, instances: int,
 
 
 def _resized(cfg: ScenarioConfig, n) -> ScenarioConfig:
-    su, n = cfg.su, _integer(n, "band sizes", 1)
+    su, n = cfg.su, _integer(n, "band sizes", 1, _MAX_COUNT)
     if n == su.num_subcarriers:
         return cfg
     if isinstance(su.ber_threshold, tuple) or isinstance(su.pu_interference,

@@ -11,7 +11,7 @@ BER 0.2 exp(-1.6 C_i P_i / (2^b_i - 1)) from ``constraints._audit``.  That
 recovered multiplier must be positive, and substituting it into the
 stationarity condition with respect to bits must leave a residual of zero.
 The power's residual, mu_i less mu_i's own quotient, is only rounding of
-mu_i, so it is held to the tolerance times max(1, max mu_i).  Primal
+mu_i, so it is held to ``_STATIONARITY`` times max(1, max mu_i).  Primal
 feasibility, complementary slackness, and dual sign complete the check:
 ``_audit`` judges the BER ceilings and caps as ``check_feasible`` does, and
 ``primal`` is its worst excess.  Each residual and extremum is one numpy
@@ -28,12 +28,7 @@ import numpy as np
 from .constraints import _audit
 from .errors import SolverError
 
-
-@dataclass(frozen=True)
-class KktTolerances:
-    stationarity: float = 1e-8
-    complementarity: float = 1e-10
-    dual_sign: float = 1e-12
+_STATIONARITY, _COMPLEMENTARITY, _DUAL_SIGN = 1e-8, 1e-10, 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,17 +51,16 @@ class KktReport:
         }
 
 
-def kkt_verify(solution, cnir, ber_threshold, caps,
-               tols: KktTolerances | None = None) -> KktReport:
+def kkt_verify(solution, cnir, ber_threshold, caps) -> KktReport:
     """Check a ContinuousSolution against the first-order conditions.
 
     Nulled subcarriers sit outside the continuous problem (their BER model
     degenerates), so the per-subcarrier conditions are evaluated on the
     active set only.  Bits, powers, CNIR and BER ceiling are checked as
     ``check_feasible`` checks them, and ``lambda_aci`` must have one entry
-    per ACI cap (``SolverError`` otherwise).
+    per ACI cap (``SolverError`` otherwise).  The residuals are held to the
+    fixed bounds ``_STATIONARITY``, ``_COMPLEMENTARITY`` and ``_DUAL_SIGN``.
     """
-    tols = tols or KktTolerances()
     bits, powers, c, ber, ber_excess, ber_ok, met, excess, primal = _audit(
         solution.bits, solution.powers, cnir, ber_threshold, caps)
     alpha = solution.alpha
@@ -94,10 +88,10 @@ def kkt_verify(solution, cnir, ber_threshold, caps,
     comp = float(np.max(np.abs(lam * np.concatenate([ber_excess[active],
                                                      excess]))))
     dual = float(np.min(lam))
-    passed = (stat_p <= tols.stationarity * float(np.max(mu, initial=1.0))
-              and stat_b <= tols.stationarity
+    passed = (stat_p <= _STATIONARITY * float(np.max(mu, initial=1.0))
+              and stat_b <= _STATIONARITY
               and bool(np.all(ber_ok)) and bool(np.all(met))
-              and comp <= tols.complementarity and dual >= -tols.dual_sign)
+              and comp <= _COMPLEMENTARITY and dual >= -_DUAL_SIGN)
     return KktReport(stationarity_power=stat_p, stationarity_bits=stat_b,
                      primal=primal, complementarity=comp, dual_sign=dual,
                      passed=passed)

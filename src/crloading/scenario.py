@@ -348,7 +348,8 @@ def apply_parameter(cfg: ScenarioConfig, param: str, value) -> ScenarioConfig:
     alpha  -> SU power-vs-rate weight
     p_cci  -> interference cap (watts) of every co-channel PU
     p_aci  -> interference cap (watts) of every adjacent PU
-    ``value`` must pass the spec of the field it sets, as in a config file.
+    ``value`` must pass the spec of the field it sets, as in a config file,
+    and a PU parameter needs a PU it applies to (``ConfigError`` otherwise).
     """
     if param not in SWEEPABLE:
         raise ConfigError(f"unknown sweep parameter {param!r}; "
@@ -361,6 +362,9 @@ def apply_parameter(cfg: ScenarioConfig, param: str, value) -> ScenarioConfig:
         _fail(f"{param} sweep value {value}", exc)
     if owner == "su":
         return replace(cfg, su=replace(cfg.su, **{name: value}))
+    if not any(owner in (None, p.kind) for p in cfg.pus):
+        raise ConfigError(f"{param} sets nothing: the config has no PU it "
+                          "applies to")
     pus = tuple(replace(p, **{name: value}) if owner in (None, p.kind) else p
                 for p in cfg.pus)
     return replace(cfg, pus=pus)

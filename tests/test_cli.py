@@ -296,6 +296,15 @@ class TestOracleCompare:
             assert code == 0
             assert [r[0] for r in csv.reader(out.splitlines()[1:])] == ["6"]
 
+    def test_sizes_past_the_search_limit_are_refused_first(self, capsys):
+        # N=12 is refused before N=6 is compared: no row, no summary line
+        code, out, err = run(capsys, "oracle-compare", "--config", SMALL,
+                             "--n-values", "6,12", "--instances", "2")
+        assert code == 2
+        assert err == ("config error: the exhaustive search takes at most "
+                       "10 subcarriers, got 12\n")
+        assert out == ""
+
 
 class TestRuntime:
     def test_csv_and_slope_line(self, tmp_path, capsys):
@@ -407,7 +416,9 @@ class TestErrorPaths:
         (("--value", "0.9"), "--param and --value go together"),
         (("--param", "alpha", "--value", "1.5"), "alpha sweep value 1.5"),
         (("--param", "p_cci", "--value", "nan"), "p_cci sweep value nan"),
-    ], ids=["param_alone", "value_alone", "out_of_range", "nan_cap"])
+        (("--param", "p_aci", "--value", "1e-30"), "p_aci sets nothing"),
+    ], ids=["param_alone", "value_alone", "out_of_range", "nan_cap",
+            "no_adjacent_pu"])
     def test_bad_replay_point_exits_two(self, capsys, flags, message):
         code, out, err = run(capsys, "solve", "--config", CCI, *flags)
         assert code == 2
@@ -421,6 +432,26 @@ class TestErrorPaths:
         assert code == 2
         assert err.startswith("config error: band sizes must be at least 1 "
                               "and integral")
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["runtime", "oracle-compare"])
+    def test_band_size_past_the_loaders_bound_exits_two(self, capsys,
+                                                         command):
+        # refused as the loader refuses num_subcarriers, before any array
+        code, out, err = run(capsys, command, "--config", CCI,
+                             "--n-values", "8,1e20")
+        assert code == 2
+        assert err == (f"config error: band sizes must be at most {2 ** 32}"
+                       f", got {10 ** 20}\n")
+        assert out == ""
+
+    def test_sweep_of_a_parameter_that_sets_nothing_exits_two(self, capsys):
+        # small_n6 has no co-channel PU, so every row would be the same
+        code, out, err = run(capsys, "sweep", "--config", SMALL, "--param",
+                             "p_cci", "--values", "1e-14,1e-12", "--trials",
+                             "50")
+        assert code == 2
+        assert err.startswith("config error: p_cci sets nothing")
         assert out == ""
 
     def test_no_subcommand_is_usage_error(self, capsys):

@@ -19,7 +19,7 @@ from crloading.channel import AciFactors, sample_su_channel
 from crloading.discretizer import Allocation, power_for_bits, round_and_repair
 from crloading.errors import ConfigError, SolverError
 from crloading.experiments import run_trial, trial_rng
-from crloading.kkt import KktTolerances, kkt_verify
+from crloading.kkt import kkt_verify
 from crloading.oracle import exhaustive_search
 from crloading.scenario import load_scenario
 from crloading.solver import FEAS_TOL, solve_continuous
@@ -361,11 +361,12 @@ class TestLoadingSigns:
                                          np.full(2, 100.0))
 
 
+@pytest.mark.usefixtures("feasibility_only")
 class TestEveryConsumerReadsOneCapRule:
     """Tones at 2 bits, a cap C that just admits their load, and the next
     float below C, which just refuses it.  The audit, the repair, both
-    oracle engines and kkt's feasibility check must give the same verdict
-    at both caps."""
+    oracle engines and kkt's feasibility check (every KKT bound open) must
+    give the same verdict at both caps."""
 
     CNIR = np.array([120.0, 60.0, 35.0, 80.0])
     BITS = np.array([2, 2, 2, 0])
@@ -381,10 +382,6 @@ class TestEveryConsumerReadsOneCapRule:
             lambda_aci=np.zeros(caps.aci_caps.size), alpha=self.ALPHA)
         repaired = round_and_repair(relaxed, caps, None, cnir, self.BER,
                                     max_bits=2)
-        # every tolerance open, so only feasibility decides
-        feasibility_only = KktTolerances(stationarity=math.inf,
-                                         complementarity=math.inf,
-                                         dual_sign=math.inf)
         return {
             "check_feasible": check_feasible(alloc, caps, cnir,
                                              self.BER).feasible,
@@ -392,8 +389,7 @@ class TestEveryConsumerReadsOneCapRule:
             **{f"oracle prune={prune}": np.array_equal(exhaustive_search(
                 cnir, self.ALPHA, self.BER, caps, b_max=2,
                 prune=prune).bits, bits) for prune in (True, False)},
-            "kkt": kkt_verify(relaxed, cnir, self.BER, caps,
-                              feasibility_only).passed,
+            "kkt": kkt_verify(relaxed, cnir, self.BER, caps).passed,
         }
 
     @staticmethod
@@ -450,12 +446,9 @@ class TestEveryConsumerReadsOneBerRule:
     (``constraints._audit``): on powers a few ulps either side of where the
     BER meets its ceiling up to FEAS_TOL, their verdicts agree."""
 
-    def test_audit_and_kkt_agree_at_the_ceiling(self):
+    def test_audit_and_kkt_agree_at_the_ceiling(self, feasibility_only):
         rng = np.random.default_rng(3)
         caps = make_caps(1)
-        feasibility_only = KktTolerances(stationarity=math.inf,
-                                         complementarity=math.inf,
-                                         dual_sign=math.inf)
         verdicts = []
         for _ in range(1000):
             c = 10.0 ** rng.uniform(0.0, 3.0)
@@ -470,8 +463,7 @@ class TestEveryConsumerReadsOneBerRule:
                 bits=np.array([b]), powers=np.array([p]), lambda_power=0.0,
                 lambda_aci=np.zeros(0), alpha=0.5)
             audit = check_feasible(sol, caps, [c], ceiling).feasible
-            kkt = kkt_verify(sol, [c], ceiling, caps,
-                             feasibility_only).passed
+            kkt = kkt_verify(sol, [c], ceiling, caps).passed
             verdicts.append((audit, kkt))
         assert {audit for audit, _ in verdicts} == {True, False}
         assert all(audit == kkt for audit, kkt in verdicts)

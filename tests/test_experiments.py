@@ -12,6 +12,7 @@ from crloading.constraints import build_caps, check_feasible
 from crloading.errors import ConfigError, SolverError
 from crloading.experiments import (
     AggregateStats,
+    _resized,
     compare_with_oracle,
     run_monte_carlo,
     run_trial,
@@ -422,6 +423,17 @@ class TestOracleComparison:
         assert cmp.median_gap <= cmp.max_gap
         assert cmp.speedup > 0.0
 
+    def test_band_past_the_search_limit_refused_before_any_draw(
+            self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a channel")
+
+        monkeypatch.setattr(experiments, "_draw", no_draw)
+        with pytest.raises(ConfigError, match="^the exhaustive search takes "
+                                              "at most 10 subcarriers, got "
+                                              "128$"):
+            compare_with_oracle(load_scenario("configs/default.json"), 2)
+
     def test_no_instances_rejected(self):
         with pytest.raises(ConfigError, match="instances must be at least 1"):
             compare_with_oracle(small_cfg(), instances=0)
@@ -485,6 +497,16 @@ class TestRuntimeScaling:
         with pytest.raises(ConfigError,
                            match="band sizes must be at least 1 and integral"):
             runtime_scaling(unconstrained_cfg(), [8, n], repeats=1)
+
+    def test_band_size_past_the_loaders_bound_is_refused(self):
+        # num_subcarriers' bound in the loader; no array is built
+        cfg = unconstrained_cfg()
+        assert _resized(cfg, 2 ** 32).su.num_subcarriers == 2 ** 32
+        with pytest.raises(ConfigError, match=f"^band sizes must be at most "
+                                              f"{2 ** 32}, got {2 ** 32 + 1}$"):
+            _resized(cfg, 2 ** 32 + 1)
+        with pytest.raises(ConfigError, match="band sizes must be at most"):
+            runtime_scaling(cfg, [8, 1e20], repeats=1)
 
     def test_integral_float_size_is_accepted(self):
         rows, _ = runtime_scaling(unconstrained_cfg(), [8.0], repeats=1)

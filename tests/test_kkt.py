@@ -8,17 +8,19 @@ pricing (complementarity), and multiplier signs (dual).
 """
 
 import dataclasses
+import inspect
 import math
 import types
 
 import numpy as np
 import pytest
 
+from crloading import kkt
 from crloading.channel import sample_su_channel
 from crloading.constraints import build_caps
 from crloading.errors import SolverError
 from crloading.experiments import run_trial, trial_rng
-from crloading.kkt import KktTolerances, kkt_verify
+from crloading.kkt import kkt_verify
 from crloading.scenario import load_scenario
 from crloading.solver import solve_continuous
 
@@ -186,24 +188,24 @@ class TestNanMultipliers:
 
 
 class TestTolerancesAndReport:
-    def test_infinite_tolerances_accept_anything(self):
+    def test_infinite_tolerances_accept_anything(self, feasibility_only):
         # anything feasible: a missed BER ceiling fails by FEAS_TOL, as
         # check_feasible judges it, whatever the tolerances
         sol = solve_raw(C2, 0.5, 1e-4)
         bad = dataclasses.replace(sol, powers=sol.powers * 1.5,
                                   lambda_power=-5.0)
-        tols = KktTolerances(stationarity=math.inf,
-                             complementarity=math.inf, dual_sign=math.inf)
-        assert kkt_verify(bad, C2, 1e-4, free_caps(), tols).passed
+        assert kkt_verify(bad, C2, 1e-4, free_caps()).passed
         missed = dataclasses.replace(bad, bits=sol.bits + 1.0)
-        assert not kkt_verify(missed, C2, 1e-4, free_caps(), tols).passed
+        assert not kkt_verify(missed, C2, 1e-4, free_caps()).passed
 
     def test_default_tolerance_values(self):
-        tols = KktTolerances()
-        assert tols.stationarity == 1e-8
-        assert not hasattr(tols, "primal")      # the BER rule is FEAS_TOL
-        assert tols.complementarity == 1e-10
-        assert tols.dual_sign == 1e-12
+        # fixed bounds, and none for the primal side: the BER and cap rule
+        # is FEAS_TOL, read through the audit
+        assert (kkt._STATIONARITY, kkt._COMPLEMENTARITY,
+                kkt._DUAL_SIGN) == (1e-8, 1e-10, 1e-12)
+        assert list(inspect.signature(kkt_verify).parameters) == [
+            "solution", "cnir", "ber_threshold", "caps"]
+        assert not hasattr(kkt, "_PRIMAL")
 
     def test_report_to_dict(self):
         sol = solve_raw(C2, 0.5, 1e-4, 1.0)

@@ -276,6 +276,16 @@ class TestApplyParameter:
         assert out.pus[0].interference_cap == cfg.pus[0].interference_cap
         assert out.pus[1].interference_cap == 7e-13
 
+    @pytest.mark.parametrize("param, kept", [
+        ("p_cci", "adjacent"), ("p_aci", "cochannel"), ("psi", None)])
+    def test_parameter_that_sets_nothing_rejected(self, param, kept):
+        d = base_dict()
+        d["pus"] = [p for p in d["pus"] if p["kind"] == kept]
+        cfg = load_scenario(d)
+        with pytest.raises(ConfigError, match=f"^{param} sets nothing: the "
+                                              "config has no PU it applies"):
+            apply_parameter(cfg, param, 0.5)
+
     @pytest.mark.parametrize("param", ["p_cci", "p_aci"])
     def test_nan_cap_rejected(self, param):
         cfg = load_scenario(base_dict())
